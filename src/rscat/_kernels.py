@@ -1,61 +1,13 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
-
-The jitted path is taken when numba imports cleanly and the environment
-variable ``RSCAT_DISABLE_JIT`` is unset (or "0"). Both paths are kept callable
-so that ``benchmarks/bench_kernels.py`` can time one against the other and so
-tests can cross-check them.
-"""
-
-import math
-import os
+"""Hot numeric kernels: outgoing-kernel tabulation and the direct sums of the oracles."""
 
 import numpy as np
 
-_DISABLED = os.environ.get("RSCAT_DISABLE_JIT", "0").lower() not in ("0", "", "false")
-
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-    prange = range
-
-JIT_ENABLED = HAS_NUMBA and not _DISABLED
+# read by the environment record of perfbench/run.py; the kernels are numpy only
+JIT_ENABLED = False
 
 
-# ---------------------------------------------------------------------------
-# outgoing Helmholtz kernel tabulated on the zero-padded circulant block
-# ---------------------------------------------------------------------------
-
-@njit(parallel=True, cache=True)
-def _kernel_block_nb(p0, p1, p2, h, k, h3, self_re, self_im):  # pragma: no cover
-    out = np.empty((p0, p1, p2), dtype=np.complex128)
-    for i in prange(p0):
-        si = i if i <= p0 - i else p0 - i
-        for j in range(p1):
-            sj = j if j <= p1 - j else p1 - j
-            for l in range(p2):
-                sl = l if l <= p2 - l else p2 - l
-                if si == 0 and sj == 0 and sl == 0:
-                    out[i, j, l] = complex(self_re, self_im)
-                else:
-                    r = h * math.sqrt(si * si + sj * sj + sl * sl)
-                    a = h3 / (4.0 * math.pi * r)
-                    out[i, j, l] = complex(a * math.cos(k * r), a * math.sin(k * r))
-    return out
-
-
-def kernel_block_numpy(padded_dims, h, k, self_value):
+def kernel_block(padded_dims, h, k, self_value):
+    """Kernel weights w(s) on the 2x-padded offset block, self cell corrected."""
     p0, p1, p2 = padded_dims
     ax = [np.minimum(np.arange(p), p - np.arange(p)).astype(np.float64) for p in (p0, p1, p2)]
     r = h * np.sqrt(
@@ -67,88 +19,16 @@ def kernel_block_numpy(padded_dims, h, k, self_value):
     return out
 
 
-def kernel_block(padded_dims, h, k, self_value):
-    """Kernel weights w(s) on the 2x-padded offset block, self cell corrected."""
-    if JIT_ENABLED:
-        p0, p1, p2 = (int(p) for p in padded_dims)
-        return _kernel_block_nb(
-            p0, p1, p2, float(h), float(k), float(h) ** 3, self_value.real, self_value.imag
-        )
-    return kernel_block_numpy(padded_dims, h, k, self_value)
-
-
-# ---------------------------------------------------------------------------
-# direct (non-FFT) far-field phase sum:  sum_cells exp(-i k d.y) g(y)
-# ---------------------------------------------------------------------------
-
-@njit(parallel=True, cache=True)
-def _farfield_sum_nb(gre, gim, xs, ys, zs, kdx, kdy, kdz):  # pragma: no cover
-    acc_re = 0.0
-    acc_im = 0.0
-    n0, n1, n2 = gre.shape
-    for i in prange(n0):
-        px = kdx * xs[i]
-        loc_re = 0.0
-        loc_im = 0.0
-        for j in range(n1):
-            pxy = px + kdy * ys[j]
-            for l in range(n2):
-                ph = -(pxy + kdz * zs[l])
-                c = math.cos(ph)
-                s = math.sin(ph)
-                loc_re += gre[i, j, l] * c - gim[i, j, l] * s
-                loc_im += gre[i, j, l] * s + gim[i, j, l] * c
-        acc_re += loc_re
-        acc_im += loc_im
-    return acc_re, acc_im
-
-
-def farfield_sum_numpy(g, xs, ys, zs, kd):
+def farfield_sum(g, xs, ys, zs, kd):
+    """Direct summation of exp(-i kd.y) g(y) over all cells (no FFT)."""
+    g = np.asarray(g, dtype=np.complex128)
     phase = kd[0] * xs[:, None, None] + kd[1] * ys[None, :, None] + kd[2] * zs[None, None, :]
     return complex(np.sum(g * np.exp(-1j * phase)))
 
 
-def farfield_sum(g, xs, ys, zs, kd):
-    """Direct summation of exp(-i kd.y) g(y) over all cells (no FFT)."""
-    if JIT_ENABLED:
-        g = np.ascontiguousarray(g, dtype=np.complex128)
-        re, im = _farfield_sum_nb(
-            np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag),
-            xs, ys, zs, float(kd[0]), float(kd[1]), float(kd[2]),
-        )
-        return complex(re, im)
-    return farfield_sum_numpy(np.asarray(g, dtype=np.complex128), xs, ys, zs, kd)
-
-
-# ---------------------------------------------------------------------------
-# direct outgoing-kernel point evaluation:  sum_cells g(y) e^{ik|x-y|}/(4 pi |x-y|)
-# ---------------------------------------------------------------------------
-
-@njit(parallel=True, cache=True)
-def _green_point_sum_nb(gre, gim, xs, ys, zs, k, px, py, pz):  # pragma: no cover
-    acc_re = 0.0
-    acc_im = 0.0
-    n0, n1, n2 = gre.shape
-    for i in prange(n0):
-        dx2 = (xs[i] - px) ** 2
-        loc_re = 0.0
-        loc_im = 0.0
-        for j in range(n1):
-            dxy2 = dx2 + (ys[j] - py) ** 2
-            for l in range(n2):
-                r = math.sqrt(dxy2 + (zs[l] - pz) ** 2)
-                if r > 0.0:
-                    a = 1.0 / (4.0 * math.pi * r)
-                    c = a * math.cos(k * r)
-                    s = a * math.sin(k * r)
-                    loc_re += gre[i, j, l] * c - gim[i, j, l] * s
-                    loc_im += gre[i, j, l] * s + gim[i, j, l] * c
-        acc_re += loc_re
-        acc_im += loc_im
-    return acc_re, acc_im
-
-
-def green_point_sum_numpy(g, xs, ys, zs, k, point):
+def green_point_sum(g, xs, ys, zs, k, point):
+    """Direct summation of g against the outgoing kernel at one point."""
+    g = np.asarray(g, dtype=np.complex128)
     r = np.sqrt(
         (xs[:, None, None] - point[0]) ** 2
         + (ys[None, :, None] - point[1]) ** 2
@@ -160,54 +40,12 @@ def green_point_sum_numpy(g, xs, ys, zs, k, point):
     return complex(np.sum(g * out))
 
 
-def green_point_sum(g, xs, ys, zs, k, point):
-    """Direct summation of g against the outgoing kernel at one point."""
-    if JIT_ENABLED:
-        g = np.ascontiguousarray(g, dtype=np.complex128)
-        re, im = _green_point_sum_nb(
-            np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag),
-            xs, ys, zs, float(k), float(point[0]), float(point[1]), float(point[2]),
-        )
-        return complex(re, im)
-    return green_point_sum_numpy(np.asarray(g, dtype=np.complex128), xs, ys, zs, k, point)
-
-
-# ---------------------------------------------------------------------------
-# Newtonian potential sum:  sum_cells mu(z) / |x-z|
-# ---------------------------------------------------------------------------
-
-@njit(parallel=True, cache=True)
-def _newtonian_sum_nb(mu, xs, ys, zs, px, py, pz):  # pragma: no cover
-    acc = 0.0
-    n0, n1, n2 = mu.shape
-    for i in prange(n0):
-        dx2 = (xs[i] - px) ** 2
-        loc = 0.0
-        for j in range(n1):
-            dxy2 = dx2 + (ys[j] - py) ** 2
-            for l in range(n2):
-                if mu[i, j, l] != 0.0:
-                    loc += mu[i, j, l] / math.sqrt(dxy2 + (zs[l] - pz) ** 2)
-        acc += loc
-    return acc
-
-
-def newtonian_sum_numpy(mu, xs, ys, zs, point):
+def newtonian_sum(mu, xs, ys, zs, point):
+    """Direct summation of mu(z)/|x-z| over all cells."""
+    mu = np.asarray(mu, dtype=np.float64)
     r = np.sqrt(
         (xs[:, None, None] - point[0]) ** 2
         + (ys[None, :, None] - point[1]) ** 2
         + (zs[None, None, :] - point[2]) ** 2
     )
     return float(np.sum(np.where(mu != 0.0, mu / r, 0.0)))
-
-
-def newtonian_sum(mu, xs, ys, zs, point):
-    """Direct summation of mu(z)/|x-z| over all cells."""
-    if JIT_ENABLED:
-        return float(
-            _newtonian_sum_nb(
-                np.ascontiguousarray(mu, dtype=np.float64),
-                xs, ys, zs, float(point[0]), float(point[1]), float(point[2]),
-            )
-        )
-    return newtonian_sum_numpy(np.asarray(mu, dtype=np.float64), xs, ys, zs, point)

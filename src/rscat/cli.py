@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
                      SolverDivergenceError)
 from .fields import ScalarField
 from .forward import (FarFieldSet, ResolventOperator, ScatteringConfig,
-                      band_sweep, lippmann_schwinger_solve)
+                      band_sweep, lippmann_schwinger_solve, realization_seeds)
 from .migr import MigrSpec, synthesize_migr
 from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
                        midpoint_mesh, nearfield_second_moment,
@@ -143,12 +143,12 @@ def _cmd_nearfield(args):
     obj = _ingredient(cfg, "source")
     if not isinstance(obj, MigrSpec):
         raise ConfigurationError("[source] must be a rough-field block for near-field runs")
-    # single-realization discipline matching the sweep seed derivation
-    child = np.random.SeedSequence(cfg.seed).generate_state(2, np.uint64)
-    realization = synthesize_migr(obj, int(child[0]))
+    # the same realization a sweep with this seed would draw
+    f_seed, q_seed = realization_seeds(cfg.seed)
+    realization = synthesize_migr(obj, f_seed)
     potential = cfg.potential
     if isinstance(potential, MigrSpec):
-        potential = synthesize_migr(potential, int(child[1]))
+        potential = synthesize_migr(potential, q_seed)
     ks = midpoint_mesh(1.0, nf.k_hi, nf.delta)
     probes = [cfg.grid.nearest_cell(p) for p in nf.probes]
     traces = {p: [] for p in range(len(probes))}

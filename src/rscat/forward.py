@@ -353,23 +353,18 @@ class FarFieldSet:
         return int(hits[0])
 
     def freq_indices(self, ks, what="frequency"):
-        """Mesh indices for the requested frequencies; reports gaps loudly."""
+        """Mesh indices for the requested frequencies, shaped like ks; reports gaps loudly."""
         ks = np.atleast_1d(np.asarray(ks, dtype=np.float64))
         tol = 1e-9 * max(self.delta, 1.0)
         pos = np.searchsorted(self.freqs, ks)
-        idx = np.empty(len(ks), dtype=int)
-        gaps = []
-        for i, (p, k) in enumerate(zip(pos, ks)):
-            best = None
-            for c in (p - 1, p, p + 1):
-                if 0 <= c < len(self.freqs) and abs(self.freqs[c] - k) <= tol:
-                    best = c
-                    break
-            if best is None:
-                gaps.append(float(k))
-                idx[i] = -1
-            else:
-                idx[i] = best
+        idx = np.full(ks.shape, -1, dtype=int)
+        last = len(self.freqs) - 1
+        # the first of the neighbours p-1, p, p+1 within tolerance wins
+        for c in (pos - 1, pos, pos + 1):
+            hit = (idx < 0) & (c >= 0) & (c <= last)
+            hit &= np.abs(self.freqs[np.clip(c, 0, last)] - ks) <= tol
+            idx[hit] = c[hit]
+        gaps = [float(k) for k in ks[idx < 0]]
         if gaps:
             raise DataCoverageError(
                 f"data set is missing {len(gaps)} {what} mesh points: "
@@ -459,14 +454,22 @@ def _realize(ingredient, seed):
     )
 
 
+def realization_seeds(seed) -> tuple:
+    """Seeds of the (source, potential) draws of the realization belonging to a run seed."""
+    child = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    return int(child[0]), int(child[1])
+
+
 def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                tol=1e-10, max_born_order=20) -> FarFieldSet:
     """Sweep a frequency band under one realization of the randomness.
 
     Random ingredients (MigrSpec) are drawn exactly once from streams derived
     from the sweep seed and reused at every frequency; per-frequency solves
-    are then independent deterministic tasks. In active-backscatter mode each
-    far-field direction is paired with the opposite incident direction.
+    are then independent deterministic tasks. Each frequency is swept as a
+    list of shots, one solve each: passive data is a single shot without an
+    incident wave observed in every direction, and active-backscatter data is
+    one shot per far-field direction xhat, lit from -xhat and observed at xhat.
     """
     if mode not in _KINDS:
         raise ConfigurationError(f"sweep mode must be one of {_KINDS}")
@@ -481,47 +484,36 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     else:
         delta = None
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    child = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-    f_obj, m_f = _realize(source, int(child[0]))
-    q_obj, m_q = _realize(potential, int(child[1]))
-    alpha = 0 if mode == "passive" else 1
+    f_seed, q_seed = realization_seeds(seed)
+    f_obj, m_f = _realize(source, f_seed)
+    q_obj, m_q = _realize(potential, q_seed)
     q_field = _as_field_or_none(q_obj)
     solve_needed = q_field is not None and np.any(q_field.data != 0)
     values = np.empty((dirs.shape[0], len(freqs)), dtype=np.complex128)
-
-    def cfg_for(k, d_inc):
-        return ScatteringConfig(
-            grid=grid, k=float(k), alpha=alpha, incident_dir=d_inc,
-            potential=q_obj, source=f_obj, max_born_order=max_born_order, tol=tol,
-        )
+    # (value rows, incident direction, observed directions, error context)
+    if mode == "passive":
+        alpha, label = 0, "passive"
+        shots = [(slice(None), None, dirs, "")]
+    else:
+        alpha, label = 1, "backscatter"
+        shots = [(slice(di, di + 1), tuple(-xhat), xhat[None, :],
+                  f", dir={tuple(np.round(xhat, 6))}") for di, xhat in enumerate(dirs)]
 
     for j, k in enumerate(freqs):
         op = ResolventOperator(grid, float(k)) if solve_needed else None
-        if mode == "passive":
-            cfg = cfg_for(k, None)
+        for rows, d_inc, observed, where in shots:
+            cfg = ScatteringConfig(
+                grid=grid, k=float(k), alpha=alpha, incident_dir=d_inc,
+                potential=q_obj, source=f_obj, max_born_order=max_born_order, tol=tol,
+            )
             try:
                 if solve_needed:
-                    u_sc, _ = lippmann_schwinger_solve(cfg, op)
-                    u = u_sc.data
+                    u = lippmann_schwinger_solve(cfg, op)[0].data
                 else:
                     u = np.zeros(grid.dims, dtype=np.complex128)
             except (SolverDivergenceError, SolverConvergenceError) as e:
-                raise type(e)(f"{e} (passive sweep, k={k})") from e
-            values[:, j] = far_field(cfg, u, dirs)
-        else:
-            for di, xhat in enumerate(dirs):
-                cfg = cfg_for(k, tuple(-xhat))
-                try:
-                    if solve_needed:
-                        u_sc, _ = lippmann_schwinger_solve(cfg, op)
-                        u = u_sc.data
-                    else:
-                        u = np.zeros(grid.dims, dtype=np.complex128)
-                except (SolverDivergenceError, SolverConvergenceError) as e:
-                    raise type(e)(
-                        f"{e} (backscatter sweep, k={k}, dir={tuple(np.round(xhat, 6))})"
-                    ) from e
-                values[di, j] = far_field(cfg, u, [xhat])[0]
+                raise type(e)(f"{e} ({label} sweep, k={k}{where})") from e
+            values[rows, j] = far_field(cfg, u, observed)
 
     primary_m = m_q if mode == "active-backscatter" and m_q is not None else m_f
     meta = {

@@ -49,8 +49,25 @@ class CorrelationEstimate:
         object.__setattr__(self, "value", complex(self.value))
 
 
-def _band_midpoint_indices(ff: FarFieldSet, K: float, shift: float):
-    """Mesh indices of the [K, 2K) midpoints and of their shifted partners."""
+# weight scale c and shift factor a per data kind: w(k) = (c k)^m, s = a tau.
+# Backscatter data samples the medium spectrum at 2 k xhat, so a data shift
+# of tau/2 moves the sampled spatial frequency by tau, and the weight must use
+# the sampled frequency 2k for the band average to settle on mu_hat rather
+# than 2^(-m) mu_hat.
+_KIND_FORM = {"passive": (1.0, 1.0), "active-backscatter": (2.0, 0.5)}
+
+
+def _band_estimates(ff: FarFieldSet, m: float, taus, dir_indices, K: float):
+    """Band correlations of ff for every (direction, tau), weighted and shifted per ff.kind.
+
+    Returns the (len(dir_indices), len(taus)) complex values and the number
+    of mesh points in [K, 2K). Zero-shift values are formed in real
+    arithmetic, so they are exactly real and nonnegative.
+    """
+    taus = np.asarray(taus, dtype=np.float64).reshape(-1)
+    if np.any(taus < 0):
+        raise ConfigurationError("tau must be nonnegative")
+    scale, half = _KIND_FORM[ff.kind]
     delta = ff.delta
     n_terms = int(round(K / delta))
     if abs(n_terms * delta - K) > 1e-9 * K:
@@ -61,27 +78,38 @@ def _band_midpoint_indices(ff: FarFieldSet, K: float, shift: float):
         raise ConfigurationError(
             f"band [K, 2K) holds only {n_terms} mesh points; at least 16 required"
         )
-    steps = shift / delta
-    if abs(steps - round(steps)) > 1e-6:
+    shifts = half * taus
+    steps = shifts / delta
+    off = np.abs(steps - np.round(steps)) > 1e-6
+    if np.any(off):
         raise ConfigurationError(
-            f"frequency shift {shift} is not a multiple of the mesh spacing {delta}"
+            f"frequency shift {shifts[off][0]} is not a multiple of the mesh spacing {delta}"
         )
     kj = K + (np.arange(n_terms) + 0.5) * delta
     base = ff.freq_indices(kj, what="band")
-    shifted = ff.freq_indices(kj + shift, what="shifted band")
-    return kj, base, shifted, n_terms, delta
+    shifted = ff.freq_indices(kj[None, :] + shifts[:, None], what="shifted band")
+    weights = (scale * kj) ** m
+    zero = shifts == 0.0
+    out = np.empty((len(dir_indices), len(taus)), dtype=np.complex128)
+    # one direction at a time bounds the temporaries to (tau, term)
+    for i, d in enumerate(dir_indices):
+        row = ff.values[d]
+        out[i] = np.sum((np.conj(row[base])[None, :] * row[shifted]) * weights, axis=1)
+        out[i, zero] = np.sum(np.abs(row[base]) ** 2 * weights)
+    return PREFACTOR * (delta / K) * out, n_terms
 
 
-def _band_estimate(ff, dir_index, weights_of, tau, shift, K):
-    kj, base, shifted, n_terms, delta = _band_midpoint_indices(ff, K, shift)
-    row = ff.values[dir_index]
-    if shift == 0.0:
-        # real arithmetic keeps the zero-shift estimate exactly real and >= 0
-        total = complex(np.sum(np.abs(row[base]) ** 2 * weights_of(kj)))
-    else:
-        total = np.sum((np.conj(row[base]) * row[shifted]) * weights_of(kj))
-    value = PREFACTOR * (delta / K) * total
-    return value, n_terms
+def _one_estimate(ff, m, tau, direction, K) -> CorrelationEstimate:
+    values, n_terms = _band_estimates(ff, m, [tau], [ff.dir_index(direction)], K)
+    return CorrelationEstimate(
+        tau=float(tau), dir=tuple(np.asarray(direction, dtype=float)),
+        band=(K, 2 * K), value=values[0, 0], n_terms=n_terms,
+    )
+
+
+def _require_kind(ff: FarFieldSet, kind: str, what: str):
+    if ff.kind != kind:
+        raise ConfigurationError(f"{what} needs {kind} data, got kind={ff.kind!r}")
 
 
 def band_correlation(ff: FarFieldSet, m: float, tau: float, direction, K: float) -> CorrelationEstimate:
@@ -89,32 +117,14 @@ def band_correlation(ff: FarFieldSet, m: float, tau: float, direction, K: float)
 
     At tau = 0 the value is real and nonnegative by construction.
     """
-    if tau < 0:
-        raise ConfigurationError("tau must be nonnegative")
-    d_idx = ff.dir_index(direction)
-    value, n_terms = _band_estimate(ff, d_idx, lambda k: k ** m, tau, tau, K)
-    return CorrelationEstimate(
-        tau=float(tau), dir=tuple(np.asarray(direction, dtype=float)),
-        band=(K, 2 * K), value=value, n_terms=n_terms,
-    )
+    _require_kind(ff, "passive", "band_correlation")
+    return _one_estimate(ff, m, tau, direction, K)
 
 
 def backscatter_band_correlation(ff: FarFieldSet, m_q: float, tau: float, direction, K: float) -> CorrelationEstimate:
-    """Backscatter band correlation: shift tau/2 and effective-frequency weight (2k)^m.
-
-    Backscatter data samples the medium spectrum at 2 k xhat, so a data shift
-    of tau/2 moves the sampled spatial frequency by tau, and the frequency
-    weight must use the sampled frequency 2k for the band average to settle
-    on mu_hat rather than 2^(-m) mu_hat.
-    """
-    if tau < 0:
-        raise ConfigurationError("tau must be nonnegative")
-    d_idx = ff.dir_index(direction)
-    value, n_terms = _band_estimate(ff, d_idx, lambda k: (2.0 * k) ** m_q, tau, tau / 2.0, K)
-    return CorrelationEstimate(
-        tau=float(tau), dir=tuple(np.asarray(direction, dtype=float)),
-        band=(K, 2 * K), value=value, n_terms=n_terms,
-    )
+    """Backscatter band correlation: shift tau/2 and effective-frequency weight (2k)^m."""
+    _require_kind(ff, "active-backscatter", "backscatter_band_correlation")
+    return _one_estimate(ff, m_q, tau, direction, K)
 
 
 def hermitian_complete(samples: Sequence[CorrelationEstimate], normal) -> list:
@@ -259,11 +269,6 @@ def _assemble_report(samples, grid, ground_truth, extra_metrics):
             f"imaginary residue {residue:.3e} of the reconstruction exceeds 5% "
             "of its real norm; the completed spectrum is not Hermitian"
         )
-    rel = None
-    if ground_truth is not None:
-        supp = ground_truth.support_mask()
-        denom = float(np.linalg.norm(ground_truth.data[supp]))
-        rel = float(np.linalg.norm((rec - ground_truth.data)[supp])) / max(denom, 1e-300)
     clipped = np.maximum(rec, 0.0)
     metrics = {
         "imag_residue": residue,
@@ -271,12 +276,14 @@ def _assemble_report(samples, grid, ground_truth, extra_metrics):
         "cartesian_coverage": coverage,
         "n_samples": len(samples),
     }
+    rel = None
     if ground_truth is not None:
         supp = ground_truth.support_mask()
-        denom = float(np.linalg.norm(ground_truth.data[supp]))
+        denom = max(float(np.linalg.norm(ground_truth.data[supp])), 1e-300)
+        rel = float(np.linalg.norm((rec - ground_truth.data)[supp])) / denom
         metrics["rel_l2_error_clipped"] = float(
             np.linalg.norm((clipped - ground_truth.data)[supp])
-        ) / max(denom, 1e-300)
+        ) / denom
     metrics.update(extra_metrics)
     return RecoveryReport(
         mu_hat_samples=tuple(samples),
@@ -289,19 +296,34 @@ def _assemble_report(samples, grid, ground_truth, extra_metrics):
 
 
 def _select_dirs(ff, dirs, normal_n):
+    """Indices of the data directions to estimate on, and the completion normal or None."""
     if dirs is None:
-        chosen = [tuple(d) for d in ff.dirs]
+        chosen = list(range(ff.n_dirs))
     else:
-        chosen = [tuple(ff.dirs[ff.dir_index(d)]) for d in np.atleast_2d(np.asarray(dirs))]
+        chosen = [ff.dir_index(d) for d in np.atleast_2d(np.asarray(dirs))]
     if normal_n is None:
         return chosen, None
     n = np.asarray(normal_n, dtype=np.float64)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise ConfigurationError("hemisphere mode requires a unit separating normal")
-    kept = [d for d in chosen if np.dot(d, n) >= -_EQUATOR_TOL]
+    kept = [i for i in chosen if np.dot(ff.dirs[i], n) >= -_EQUATOR_TOL]
     if not kept:
         raise ConfigurationError("no data directions lie on the requested hemisphere")
     return kept, n
+
+
+def _recover_strength(ff, m, tau_list, dirs, K, normal_n, grid, ground_truth):
+    chosen, n = _select_dirs(ff, dirs, normal_n)
+    taus = [float(tau) for tau in tau_list]
+    values, n_terms = _band_estimates(ff, m, taus, chosen, K)
+    samples = [
+        CorrelationEstimate(tau, tuple(ff.dirs[d]), (K, 2 * K), values[i, j], n_terms)
+        for i, d in enumerate(chosen)
+        for j, tau in enumerate(taus)
+    ]
+    if n is not None:
+        samples = hermitian_complete(samples, n)
+    return _assemble_report(samples, grid, ground_truth, {"band_lo": K, "order": m})
 
 
 def recover_source_strength(ff: FarFieldSet, m: float, tau_list, dirs, K: float,
@@ -316,17 +338,8 @@ def recover_source_strength(ff: FarFieldSet, m: float, tau_list, dirs, K: float,
     symmetrized, and inverse transformed; negative values are clipped after
     the error metrics are taken on the unclipped field.
     """
-    if ff.kind != "passive":
-        raise ConfigurationError(f"source recovery needs passive data, got kind={ff.kind!r}")
-    chosen, n = _select_dirs(ff, dirs, normal_n)
-    samples = [
-        band_correlation(ff, m, float(tau), d, K)
-        for d in chosen
-        for tau in tau_list
-    ]
-    if n is not None:
-        samples = hermitian_complete(samples, n)
-    return _assemble_report(samples, grid, ground_truth, {"band_lo": K, "order": m})
+    _require_kind(ff, "passive", "source recovery")
+    return _recover_strength(ff, m, tau_list, dirs, K, normal_n, grid, ground_truth)
 
 
 def recover_potential_strength(ff: FarFieldSet, m_q: float, tau_list, dirs, K: float,
@@ -337,19 +350,8 @@ def recover_potential_strength(ff: FarFieldSet, m_q: float, tau_list, dirs, K: f
     Identical assembly to the source branch except that mu_hat(tau * xhat)
     is sampled through the k + tau/2 data shift with the (2k)^m weight.
     """
-    if ff.kind != "active-backscatter":
-        raise ConfigurationError(
-            f"potential recovery needs active-backscatter data, got kind={ff.kind!r}"
-        )
-    chosen, n = _select_dirs(ff, dirs, normal_n)
-    samples = [
-        backscatter_band_correlation(ff, m_q, float(tau), d, K)
-        for d in chosen
-        for tau in tau_list
-    ]
-    if n is not None:
-        samples = hermitian_complete(samples, n)
-    return _assemble_report(samples, grid, ground_truth, {"band_lo": K, "order": m_q})
+    _require_kind(ff, "active-backscatter", "potential recovery")
+    return _recover_strength(ff, m_q, tau_list, dirs, K, normal_n, grid, ground_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -446,25 +448,31 @@ def ergodic_diagnostic(source, m: float, tau: float, bands, *, direction=None,
     With a resampleable synthetic process (an object with ``draw(seed, freqs)``)
     the spread is the RMS deviation of the estimate from its known mean over
     n_rep fresh repetitions per band. With a FarFieldSet the bands are read
-    from the single realization at the given direction (default: the first),
-    and every row carries the spread of the per-band estimates across the
-    disjoint bands (diagnostic only, no pass/fail).
+    from the single realization at the given direction (default: the first)
+    with the weight and shift of the data's kind, each band's spacing must
+    equal the data's, and every row carries the spread of the per-band
+    estimates across the disjoint bands (diagnostic only, no pass/fail).
     """
     if len(bands) < 3:
         raise ConfigurationError("ergodic diagnostic needs at least 3 bands")
-    out = []
     if isinstance(source, FarFieldSet):
         d_idx = 0 if direction is None else source.dir_index(direction)
-        estimates = []
+        estimates, terms = [], []
         for K, delta in bands:
-            n_terms = int(round(K / delta))
-            est, _ = _band_estimate(source, d_idx, lambda k: k ** m, tau, tau, K)
-            estimates.append(est)
-            out.append(BandDiagnostic(float(K), float(delta), n_terms, 0.0, 1))
+            if abs(delta - source.delta) > 1e-9 * delta:
+                raise ConfigurationError(
+                    f"band starting at {K} has spacing {delta}, but the data spacing "
+                    f"is {source.delta}; the band estimate uses the data mesh"
+                )
+            values, n_terms = _band_estimates(source, m, [tau], [d_idx], K)
+            estimates.append(values[0, 0])
+            terms.append(n_terms)
         spread = float(np.std(np.asarray(estimates)))
         return [
-            BandDiagnostic(b.band_lo, b.delta, b.n_terms, spread, 1) for b in out
+            BandDiagnostic(float(K), float(delta), n_terms, spread, 1)
+            for (K, delta), n_terms in zip(bands, terms)
         ]
+    out = []
     for K, delta in bands:
         n_terms = int(round(K / delta))
         if n_terms < 16:
@@ -472,7 +480,6 @@ def ergodic_diagnostic(source, m: float, tau: float, bands, *, direction=None,
                 f"band starting at {K} holds only {n_terms} mesh points; 16 required"
             )
         freqs = midpoint_mesh(K, 2.0 * K + tau, delta)
-        devs = np.empty(n_rep)
         ests = np.empty(n_rep, dtype=np.complex128)
         for r in range(n_rep):
             values = source.draw(seed0 + r, freqs)

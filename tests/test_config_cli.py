@@ -249,3 +249,18 @@ bands = 6:0.25; 6.5:0.25; 7:0.25
                         "--data-prefix", pre]) == 0
     lines = open(out).read().splitlines()
     assert len(lines) == 4
+
+
+def test_diagnose_ergodic_data_mode_spacing_mismatch_exits_2(tmp_path):
+    text = MINIMAL + """
+[ergodic]
+m = 2.5
+tau = 0.0
+bands = 6:0.5; 6.5:0.5; 7:0.5
+"""
+    path = _write(tmp_path, text)
+    pre = str(tmp_path / "sweep")
+    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
+    out = str(tmp_path / "erg_data.csv")
+    assert run_command(["diagnose-ergodic", "--config", path, "--out", out,
+                        "--data-prefix", pre]) == 2

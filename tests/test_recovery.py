@@ -76,8 +76,9 @@ def test_band_correlation_validation(rng):
     ff = make_farfield_set([UP], freqs, vals)
     with pytest.raises(ConfigurationError, match="multiple"):
         band_correlation(ff, 0.0, 0.37, UP, 8.0)
-    with pytest.raises(DataCoverageError):
+    with pytest.raises(DataCoverageError) as info:
         band_correlation(ff, 0.0, 4.0, UP, 8.0)  # shifted band leaves the mesh
+    assert info.value.gaps == pytest.approx(list(freqs[16:] + 4.0), abs=1e-12)
     short = make_farfield_set([UP], freqs[:8], vals[:, :8])
     with pytest.raises(ConfigurationError, match="16"):
         band_correlation(short, 0.0, 0.0, UP, 2.0)
@@ -100,6 +101,42 @@ def test_mesh_refinement_stability():
         means.append(np.mean(ests))
         errs.append(np.std(ests, ddof=1) / np.sqrt(len(ests)))
     assert abs(means[0] - means[1]) <= np.hypot(*errs)
+
+
+@pytest.mark.parametrize("kind", ["passive", "active-backscatter"])
+def test_recovery_samples_match_direct_band_sum(kind, grid16):
+    # every (direction, tau) sample against 4 sqrt(2 pi) (delta/K) sum_j w(k_j) conj(u(k_j)) u(k_j + s)
+    K, delta, m = 8.0, 0.25, 2.5
+    taus = [0.0, 0.5, 1.0, 1.5, 2.0]
+    dirs = np.array([UP, [0.6, 0.0, 0.8], [0.0, -0.8, 0.6]])
+    amps = [(0.3, 1.0), (-0.7, 0.5), (1.1, -0.4)]
+
+    def u(d, k):
+        a, b = amps[d]
+        return (1.0 + b * np.cos(3.0 * k)) * np.exp(1j * a * k) * k ** (-m / 2.0)
+
+    freqs = midpoint_mesh(K, 2 * K + taus[-1], delta)
+    vals = np.array([u(d, freqs) for d in range(3)])
+    ff = make_farfield_set(dirs, freqs, vals, kind=kind)
+    if kind == "passive":
+        report = recover_source_strength(ff, m, taus, None, K, grid=grid16)
+        scale, half = 1.0, 1.0
+    else:
+        report = recover_potential_strength(ff, m, taus, None, K, grid=grid16)
+        scale, half = 2.0, 0.5
+    samples = iter(report.mu_hat_samples)
+    for d in range(3):
+        for tau in taus:
+            got = next(samples)
+            assert got.dir == tuple(dirs[d]) and got.tau == tau
+            want = 0.0
+            for j in range(int(K / delta)):
+                k = K + (j + 0.5) * delta
+                want += (scale * k) ** m * np.conj(u(d, k)) * u(d, k + half * tau)
+            want *= PREFACTOR * delta / K
+            assert abs(got.value - want) <= 1e-12 * abs(want)
+            if tau == 0.0:
+                assert got.value.imag == 0.0
 
 
 # --------------------------------------------------------------- backscatter
@@ -323,6 +360,26 @@ def test_ergodic_data_mode_spread(rng):
     assert rows[0].spread > 0.0
     with pytest.raises(ConfigurationError):
         ergodic_diagnostic(ff, 0.0, 0.0, [(4.0, 0.25), (8.0, 0.25)])
+
+
+def test_ergodic_data_mode_uses_backscatter_form(rng):
+    freqs = midpoint_mesh(4.0, 72.0, 0.25)
+    vals = (rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs)))[None, :]
+    ff = make_farfield_set([UP], freqs, vals, kind="active-backscatter")
+    bands = [(4.0, 0.25), (8.0, 0.25), (16.0, 0.25)]
+    m, tau = 2.5, 1.0
+    rows = ergodic_diagnostic(ff, m, tau, bands)
+    ests = [backscatter_band_correlation(ff, m, tau, UP, K).value for K, _ in bands]
+    assert [r.n_terms for r in rows] == [16, 32, 64]
+    for r in rows:
+        assert r.spread == pytest.approx(float(np.std(ests)), rel=1e-12)
+
+
+def test_ergodic_data_mode_rejects_band_spacing_mismatch(rng):
+    freqs = midpoint_mesh(4.0, 72.0, 0.25)
+    ff = make_farfield_set([UP], freqs, np.ones((1, len(freqs)), complex))
+    with pytest.raises(ConfigurationError, match="spacing"):
+        ergodic_diagnostic(ff, 0.0, 0.0, [(8.0, 0.5), (16.0, 0.5), (32.0, 0.5)])
 
 
 def test_scatter_rejects_aliasing_radii(grid16):
