@@ -41,11 +41,16 @@ def green_point_sum(g, xs, ys, zs, k, point):
 
 
 def newtonian_sum(mu, xs, ys, zs, point):
-    """Direct summation of mu(z)/|x-z| over all cells."""
+    """Direct summation of mu(z)/|x-z| over all cells; raises on a support cell centre."""
     mu = np.asarray(mu, dtype=np.float64)
     r = np.sqrt(
         (xs[:, None, None] - point[0]) ** 2
         + (ys[None, :, None] - point[1]) ** 2
         + (zs[None, None, :] - point[2]) ** 2
     )
-    return float(np.sum(np.where(mu != 0.0, mu / r, 0.0)))
+    support = mu != 0.0
+    if np.any(support & (r <= 0)):
+        raise ValueError(
+            f"newtonian sum needs r > 0 on the support; {tuple(point)} is a support cell centre"
+        )
+    return float(np.sum(np.divide(mu, r, out=np.zeros_like(r), where=support)))

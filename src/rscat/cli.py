@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
                      SolverDivergenceError)
 from .fields import ScalarField
 from .forward import (FarFieldSet, ResolventOperator, ScatteringConfig,
-                      band_sweep, lippmann_schwinger_solve, realization_seeds)
+                      band_sweep, draw_realization, lippmann_schwinger_solve)
 from .migr import MigrSpec, synthesize_migr
 from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
                        midpoint_mesh, nearfield_second_moment,
@@ -144,11 +144,7 @@ def _cmd_nearfield(args):
     if not isinstance(obj, MigrSpec):
         raise ConfigurationError("[source] must be a rough-field block for near-field runs")
     # the same realization a sweep with this seed would draw
-    f_seed, q_seed = realization_seeds(cfg.seed)
-    realization = synthesize_migr(obj, f_seed)
-    potential = cfg.potential
-    if isinstance(potential, MigrSpec):
-        potential = synthesize_migr(potential, q_seed)
+    source, potential, _, _ = draw_realization(obj, cfg.potential, cfg.seed)
     ks = midpoint_mesh(1.0, nf.k_hi, nf.delta)
     probes = [cfg.grid.nearest_cell(p) for p in nf.probes]
     traces = {p: [] for p in range(len(probes))}
@@ -156,7 +152,7 @@ def _cmd_nearfield(args):
         op = ResolventOperator(cfg.grid, float(k))
         scfg = ScatteringConfig(
             grid=cfg.grid, k=float(k), potential=potential,
-            source=realization, max_born_order=cfg.solver.max_born_order, tol=cfg.solver.tol,
+            source=source, max_born_order=cfg.solver.max_born_order, tol=cfg.solver.tol,
         )
         u, _ = lippmann_schwinger_solve(scfg, op)
         for p, cell in enumerate(probes):

@@ -74,7 +74,7 @@ def resolvent_apply(k: float, phi) -> ComplexField:
     """Apply the outgoing volume operator to a compactly supported field."""
     if isinstance(phi, ScalarField):
         phi = phi.as_complex()
-    if _collar_violation(np.abs(phi.data) > 0, _COLLAR):
+    if _collar_violation(phi.data, _COLLAR):
         raise ConfigurationError(
             f"resolvent input must keep a {_COLLAR}-cell empty collar against the box faces"
         )
@@ -141,7 +141,10 @@ def separating_normal(f_mask, q_mask) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringConfig:
-    """One forward solve: frequency, incident wave, and the material fields."""
+    """One forward solve: frequency, incident wave, and the material fields.
+
+    Keeps a reference to each ingredient's data, None when absent or all zero.
+    """
 
     grid: GridSpec
     k: float
@@ -168,39 +171,34 @@ class ScatteringConfig:
             if abs(np.linalg.norm(d) - 1.0) > 1e-12:
                 raise ConfigurationError("incident direction must be unit length")
             object.__setattr__(self, "incident_dir", tuple(float(c) for c in d))
-        q = _as_field_or_none(self.potential)
-        f = _as_field_or_none(self.source)
-        for name, fld in (("potential", q), ("source", f)):
-            if fld is None:
-                continue
-            if fld.grid != self.grid:
-                raise ConfigurationError(f"{name} lives on a different grid")
-            if _collar_violation(np.abs(fld.data) > 0, _COLLAR):
-                raise ConfigurationError(
-                    f"{name} support violates the {_COLLAR}-cell boundary collar"
-                )
-        normal = None
-        if isinstance(self.potential, Realization) and isinstance(self.source, Realization):
-            normal = separating_normal(
-                np.abs(f.data) > 0, np.abs(q.data) > 0
-            )
-        object.__setattr__(self, "_normal", normal)
-
-    @property
-    def separating_normal(self):
-        return self._normal
-
-    def potential_data(self) -> np.ndarray:
-        q = _as_field_or_none(self.potential)
-        return np.zeros(self.grid.dims) if q is None else q.data
-
-    def source_data(self) -> np.ndarray:
-        f = _as_field_or_none(self.source)
-        return np.zeros(self.grid.dims) if f is None else f.data
+        for name in ("potential", "source"):
+            fld = _as_field_or_none(getattr(self, name))
+            data = None
+            if fld is not None:
+                if fld.grid != self.grid:
+                    raise ConfigurationError(f"{name} lives on a different grid")
+                if _collar_violation(fld.data, _COLLAR):
+                    raise ConfigurationError(
+                        f"{name} support violates the {_COLLAR}-cell boundary collar"
+                    )
+                if np.any(fld.data):
+                    data = fld.data
+            object.__setattr__(self, f"_{name}_data", data)
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Outcome of one Born iteration.
+
+    converged : whether the last relative update fell below the tolerance.
+    iterations : Born orders applied (1 when the series truncates for q = 0).
+    update_norms : |u_{n+1} - u_n| of every iteration, in order.
+    contraction : ratio of the last two update norms, or None before two
+        nonzero updates exist.
+    residual : the last relative update |u_{n+1} - u_n| / |u_{n+1}|, not
+        the fixed-point residual |u - R_k f - R_k[q u]| / |u|.
+    """
+
     converged: bool
     iterations: int
     update_norms: tuple
@@ -216,17 +214,13 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
     SolverConvergenceError if the order budget runs out above tolerance.
     """
     op = operator if operator is not None else ResolventOperator(cfg.grid, cfg.k)
-    q = cfg.potential_data()
+    q = cfg._potential_data
     rhs = np.zeros(cfg.grid.dims, dtype=np.complex128)
-    f = cfg.source_data()
-    if np.any(f != 0):
-        rhs += op.apply(f.astype(np.complex128))
-    if cfg.alpha == 1:
-        u_in = incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data
-        driven = q * u_in
-        if np.any(driven != 0):
-            rhs += op.apply(driven)
-    if not np.any(q != 0):
+    if cfg._source_data is not None:
+        rhs += op.apply(cfg._source_data)
+    if q is not None and cfg.alpha == 1:
+        rhs += op.apply(q * incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data)
+    if q is None:
         # the series truncates: u_sc = RHS exactly, first update is zero
         report = ConvergenceReport(True, 1, (0.0,), None, 0.0)
         return ComplexField(cfg.grid, rhs), report
@@ -271,26 +265,27 @@ def _farfield_batch(g: np.ndarray, grid: GridSpec, k: float, dirs: np.ndarray) -
     return vals * grid.cell_volume / (4.0 * np.pi)
 
 
-def _scattering_density(cfg: ScatteringConfig, u_sc: np.ndarray) -> np.ndarray:
-    g = cfg.source_data().astype(np.complex128)
-    q = cfg.potential_data()
-    if np.any(q != 0):
-        total = u_sc
-        if cfg.alpha == 1:
-            total = total + incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data
-        g = g + q * total
-    return g
-
-
 def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
-    """Far-field coefficients of the outgoing expansion, one per direction."""
-    if isinstance(u_sc, ComplexField):
-        u_sc = u_sc.data
+    """Far-field coefficients of the outgoing expansion, one per direction.
+
+    u_sc (field or data) is read only when cfg has a potential; without one it
+    may be None, with one None raises ConfigurationError.
+    """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ConfigurationError("far-field directions must be unit length")
-    g = _scattering_density(cfg, u_sc)
+    g = cfg._source_data
+    q = cfg._potential_data
+    if q is not None:
+        if u_sc is None:
+            raise ConfigurationError("the far field of a config with a potential needs u_sc")
+        total = u_sc.data if isinstance(u_sc, ComplexField) else u_sc
+        if cfg.alpha == 1:
+            total = total + incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data
+        g = q * total if g is None else g + q * total
+    if g is None:
+        return np.zeros(dirs.shape[0], dtype=np.complex128)
     return _farfield_batch(g, cfg.grid, cfg.k, dirs)
 
 
@@ -441,31 +436,31 @@ class FarFieldSet:
         return cls(dirs=dirs, freqs=freqs, values=values, kind=kind, meta=parsed)
 
 
-def _realize(ingredient, seed):
-    """Turn None / deterministic field / rough-field spec into a concrete field."""
-    if ingredient is None or isinstance(ingredient, (ScalarField, ComplexField)):
-        return ingredient, None
-    if isinstance(ingredient, Realization):
-        return ingredient, ingredient.spec.order
-    if isinstance(ingredient, MigrSpec):
-        return synthesize_migr(ingredient, seed), ingredient.order
-    raise ConfigurationError(
-        f"sweep ingredient must be None, a field, a spec, or a realization; got {type(ingredient).__name__}"
-    )
+def draw_realization(source, potential, seed):
+    """Draw a run's realization once: returns (source, potential, m_f, m_q).
 
-
-def realization_seeds(seed) -> tuple:
-    """Seeds of the (source, potential) draws of the realization belonging to a run seed."""
-    child = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-    return int(child[0]), int(child[1])
+    A MigrSpec source draws from the first child of ``seed`` and a MigrSpec
+    potential from the second, so every run with one seed sees one
+    realization. Two random ingredients must have separated supports. A real
+    source comes back complex, so no per-frequency step converts it; m_f and
+    m_q are the rough orders of random ingredients, None for the others.
+    """
+    seeds = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    drawn = [synthesize_migr(x, int(s)) if isinstance(x, MigrSpec) else x
+             for x, s in zip((source, potential), seeds)]
+    f, q = (_as_field_or_none(x) for x in drawn)
+    m_f, m_q = (x.spec.order if isinstance(x, Realization) else None for x in drawn)
+    if m_f is not None and m_q is not None:
+        separating_normal(f.data != 0, q.data != 0)
+    return (f.as_complex() if isinstance(f, ScalarField) else f), q, m_f, m_q
 
 
 def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                tol=1e-10, max_born_order=20) -> FarFieldSet:
     """Sweep a frequency band under one realization of the randomness.
 
-    Random ingredients (MigrSpec) are drawn exactly once from streams derived
-    from the sweep seed and reused at every frequency; per-frequency solves
+    Random ingredients (MigrSpec) are drawn exactly once by
+    :func:`draw_realization` and reused at every frequency; per-frequency solves
     are then independent deterministic tasks. Each frequency is swept as a
     list of shots, one solve each: passive data is a single shot without an
     incident wave observed in every direction, and active-backscatter data is
@@ -484,11 +479,8 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     else:
         delta = None
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    f_seed, q_seed = realization_seeds(seed)
-    f_obj, m_f = _realize(source, f_seed)
-    q_obj, m_q = _realize(potential, q_seed)
-    q_field = _as_field_or_none(q_obj)
-    solve_needed = q_field is not None and np.any(q_field.data != 0)
+    f_obj, q_obj, m_f, m_q = draw_realization(source, potential, seed)
+    solve_needed = q_obj is not None and np.any(q_obj.data)
     values = np.empty((dirs.shape[0], len(freqs)), dtype=np.complex128)
     # (value rows, incident direction, observed directions, error context)
     if mode == "passive":
@@ -507,10 +499,7 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                 potential=q_obj, source=f_obj, max_born_order=max_born_order, tol=tol,
             )
             try:
-                if solve_needed:
-                    u = lippmann_schwinger_solve(cfg, op)[0].data
-                else:
-                    u = np.zeros(grid.dims, dtype=np.complex128)
+                u = lippmann_schwinger_solve(cfg, op)[0] if solve_needed else None
             except (SolverDivergenceError, SolverConvergenceError) as e:
                 raise type(e)(f"{e} ({label} sweep, k={k}{where})") from e
             values[rows, j] = far_field(cfg, u, observed)

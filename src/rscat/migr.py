@@ -50,14 +50,14 @@ def ball_indicator_field(grid, center, radius, amplitude):
     return ScalarField(grid, np.where(r2 <= radius * radius, amplitude, 0.0))
 
 
-def _collar_violation(mask, collar):
-    n0, n1, n2 = mask.shape
+def _collar_violation(data, collar):
+    """Whether data is nonzero within ``collar`` cells of a box face; reads only the faces."""
     if collar <= 0:
         return False
     return bool(
-        mask[:collar].any() or mask[-collar:].any()
-        or mask[:, :collar].any() or mask[:, -collar:].any()
-        or mask[:, :, :collar].any() or mask[:, :, -collar:].any()
+        np.any(data[:collar]) or np.any(data[-collar:])
+        or np.any(data[:, :collar]) or np.any(data[:, -collar:])
+        or np.any(data[:, :, :collar]) or np.any(data[:, :, -collar:])
     )
 
 
@@ -90,8 +90,7 @@ class MigrSpec:
         mu = self.strength
         if np.any(mu.data < 0):
             raise ConfigurationError("strength field must be nonnegative")
-        mask = mu.support_mask()
-        if _collar_violation(mask, self.collar_cells):
+        if _collar_violation(mu.data, self.collar_cells):
             raise ConfigurationError(
                 f"strength support violates the {self.collar_cells}-cell boundary collar"
             )
@@ -99,6 +98,7 @@ class MigrSpec:
             if self.mean.grid != mu.grid:
                 raise ConfigurationError("mean and strength must share a grid")
             mmask = self.mean.support_mask()
+            mask = mu.support_mask()
             if mmask.any():
                 if not mask.any():
                     raise ConfigurationError("mean must vanish when the strength is zero")

@@ -7,8 +7,8 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet, GridSpec,
                    direct_farfield, far_field, fundamental_solution,
                    gaussian_bump_field, incident_plane_wave,
                    lippmann_schwinger_solve, resolvent_apply,
-                   resolvent_point_values, separating_normal)
-from rscat.forward import ResolventOperator
+                   resolvent_point_values, separating_normal, synthesize_migr)
+from rscat.forward import _COLLAR, ResolventOperator
 
 FOUR_PI = 4.0 * np.pi
 
@@ -98,6 +98,35 @@ def test_incident_plane_wave(grid16):
     assert abs(w[i1, 0, 0] - expected) < 1e-13
     with pytest.raises(ConfigurationError):
         incident_plane_wave(k, (1.0, 1.0, 0.0), grid16)
+
+
+# ------------------------------------------------------------- config guards
+
+def _face_cell(grid, axis, high, depth):
+    cell = [n // 2 for n in grid.dims]
+    cell[axis] = grid.dims[axis] - 1 - depth if high else depth
+    return tuple(cell)
+
+
+@pytest.mark.parametrize("which", ["source", "potential"])
+@pytest.mark.parametrize("axis,high", [(a, h) for a in range(3) for h in (False, True)])
+def test_config_collar_guard(grid16, which, axis, high):
+    for depth, violates in ((_COLLAR - 1, True), (_COLLAR, False)):
+        data = np.zeros(grid16.dims)
+        data[_face_cell(grid16, axis, high, depth)] = 1.0
+        kwargs = {which: ScalarField(grid16, data)}
+        if violates:
+            with pytest.raises(ConfigurationError, match="collar"):
+                ScatteringConfig(grid=grid16, k=2.0, **kwargs)
+        else:
+            ScatteringConfig(grid=grid16, k=2.0, **kwargs)
+
+
+@pytest.mark.parametrize("which", ["source", "potential"])
+def test_config_rejects_other_grid(grid16, grid32, which):
+    fld = gaussian_bump_field(grid32, (0, 0, 0), 1.0, 0.15, cutoff_radii=3.0)
+    with pytest.raises(ConfigurationError, match="different grid"):
+        ScatteringConfig(grid=grid16, k=2.0, **{which: fld})
 
 
 # --------------------------------------------------------------------- solver
@@ -215,6 +244,17 @@ def test_far_field_consistency_with_point_evaluation(grid32):
         assert abs(R * np.exp(-1j * k * R) * upoint - uinf) <= 0.02 * abs(uinf)
 
 
+def test_far_field_without_scattered_field(grid16):
+    f = gaussian_bump_field(grid16, (0, 0, 0), 1.0, 0.15, cutoff_radii=3.0)
+    dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0]])
+    cfg = ScatteringConfig(grid=grid16, k=2.0, source=f)
+    zero = np.zeros(grid16.dims, dtype=complex)
+    assert np.array_equal(far_field(cfg, None, dirs), far_field(cfg, zero, dirs))
+    with_q = ScatteringConfig(grid=grid16, k=2.0, source=f, potential=f)
+    with pytest.raises(ConfigurationError, match="u_sc"):
+        far_field(with_q, None, dirs)
+
+
 def test_born_reciprocity(grid16):
     q = gaussian_bump_field(grid16, (0.05, -0.05, 0), 0.5, 0.18, cutoff_radii=3.0)
     k = 3.0
@@ -247,14 +287,21 @@ def test_separating_normal_and_config():
 
 
 def test_config_separation_check(grid32):
-    from rscat import synthesize_migr
-
     mu_f = gaussian_bump_field(grid32, (-0.5, 0, 0), 1.0, 0.08, cutoff_radii=3.0)
     mu_q = gaussian_bump_field(grid32, (0.5, 0, 0), 1.0, 0.08, cutoff_radii=3.0)
     f = synthesize_migr(MigrSpec(order=2.5, strength=mu_f), 1)
     q = synthesize_migr(MigrSpec(order=3.5, strength=mu_q), 2)
-    cfg = ScatteringConfig(grid=grid32, k=4.0, source=f, potential=q)
-    assert np.allclose(cfg.separating_normal, [1.0, 0, 0])
+    ff = band_sweep(grid32, f, q, [4.0], [[0, 0, 1.0]], "passive", seed=0)
+    assert ff.values.shape == (1, 1) and np.isfinite(ff.values).all()
+    n = separating_normal(f.field.data != 0, q.field.data != 0)
+    assert np.allclose(n, [1.0, 0, 0])
+
+
+def test_band_sweep_rejects_overlapping_random_supports(grid16):
+    mu = gaussian_bump_field(grid16, (0, 0, 0), 1.0, 0.14, cutoff_radii=3.0)
+    with pytest.raises(ConfigurationError, match="overlap"):
+        band_sweep(grid16, MigrSpec(order=2.5, strength=mu), MigrSpec(order=3.5, strength=mu),
+                   [4.0], [[0, 0, 1.0]], "passive", seed=0)
 
 
 def test_band_sweep_zero_ingredients(grid16):
@@ -285,8 +332,6 @@ def test_band_sweep_matches_single_solves(grid16):
     freqs = 5.0 + (np.arange(16) + 0.5) * 0.25
     dirs = np.array([[0, 0, 1.0], [1.0, 0, 0], [0, 0.6, 0.8]])
     ff = band_sweep(grid16, spec, q, freqs, dirs, "passive", seed=4, tol=1e-11)
-    from rscat import synthesize_migr
-
     child = np.random.SeedSequence(4).generate_state(2, np.uint64)
     f_real = synthesize_migr(spec, int(child[0]))
     rng = np.random.default_rng(0)
@@ -345,6 +390,21 @@ def test_farfieldset_roundtrip(tmp_path, grid16):
     assert back.kind == ff.kind
     assert back.meta["seed"] == 9
     assert abs(back.meta["delta"] - 0.5) < 1e-15
+
+
+def test_farfieldset_load_ignores_unknown_manifest_keys(tmp_path, grid16):
+    f = gaussian_bump_field(grid16, (0, 0, 0), 1.0, 0.14, cutoff_radii=3.0)
+    freqs = 4.0 + (np.arange(4) + 0.5) * 0.5
+    ff = band_sweep(grid16, f, None, freqs, [[0, 0, 1.0], [0.6, 0.8, 0]], "passive", seed=9)
+    prefix = str(tmp_path / "sweep")
+    ff.save(prefix)
+    with open(prefix + ".manifest.txt", "a") as fh:
+        fh.write("born_iters_max=3\n")
+    back = FarFieldSet.load(prefix)
+    assert np.array_equal(back.dirs, ff.dirs)
+    assert np.array_equal(back.freqs, ff.freqs)
+    assert np.array_equal(back.values, ff.values)
+    assert back.kind == ff.kind
 
 
 def test_farfieldset_validation(grid16):

@@ -99,6 +99,14 @@ def test_potential_kernel_examples(grid32):
     assert abs(potential_kernel_integral(f, x) - 1.0 / 0.5) < 1e-12
 
 
+def test_potential_kernel_point_on_support_centre_raises(grid32):
+    c = (16, 16, 16)
+    f = _delta_field(grid32, c)
+    x0 = np.array([grid32.axis_coords(a)[c[a]] for a in range(3)])
+    with pytest.raises(ValueError, match="support cell centre"):
+        potential_kernel_integral(f, x0, min_clearance=0.0)
+
+
 def test_potential_kernel_monopole_limit():
     grid = GridSpec.centered(32, 8.0 / 32)
     s = 0.2
