@@ -25,7 +25,7 @@ from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
 from .fields import ScalarField
 from .forward import (FarFieldSet, ResolventOperator, ScatteringConfig,
                       band_sweep, draw_realization, lippmann_schwinger_solve)
-from .migr import MigrSpec, synthesize_migr
+from .migr import MigrSpec
 from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
                        midpoint_mesh, nearfield_second_moment,
                        recover_potential_strength, recover_source_strength)
@@ -57,10 +57,12 @@ def _cmd_synth(args):
     cfg = load_config(args.config)
     _log_run(cfg, "synth")
     obj = _ingredient(cfg, args.which)
-    if isinstance(obj, ScalarField):
-        field = obj
+    # the realization a sweep with this seed scatters from
+    if args.which == "source":
+        drawn = draw_realization(obj, None, cfg.seed)[0]
+        field = ScalarField(drawn.grid, drawn.data.real)  # drawn complex for the sweep
     else:
-        field = synthesize_migr(obj, cfg.seed).field
+        field = draw_realization(None, obj, cfg.seed)[1]
     write_field(args.out, field)
     print(f"wrote {args.out}")
     return 0

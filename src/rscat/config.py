@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import GridSpec
-from .forward import separating_normal
+from .forward import _box_normal
 from .migr import MigrSpec, ball_indicator_field, gaussian_bump_field
 from .recovery import midpoint_mesh
 
@@ -295,14 +295,10 @@ def config_from_text(text: str) -> ExperimentConfig:
 
     normal = None
     if isinstance(source, MigrSpec) and isinstance(potential, MigrSpec):
-        f_mask = source.strength.support_mask()
-        if source.mean is not None:
-            f_mask = f_mask | source.mean.support_mask()
-        q_mask = potential.strength.support_mask()
-        if potential.mean is not None:
-            q_mask = q_mask | potential.mean.support_mask()
+        # MigrSpec keeps each mean inside its strength's box, so the strength boxes
+        # bound the supports
         try:
-            normal = tuple(separating_normal(f_mask, q_mask))
+            normal = tuple(_box_normal(source.strength.support_box, potential.strength.support_box))
         except ConfigurationError as e:
             raise ConfigurationError(
                 f"source/potential supports: {e} (their convex support boxes must keep "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as _sfft
@@ -16,6 +17,8 @@ import scipy.fft as _sfft
 from .errors import ConfigurationError
 
 _FFT_WORKERS = max(1, int(os.environ.get("RSCAT_FFT_WORKERS", os.cpu_count() or 1)))
+
+COLLAR = 4  # empty cells every support keeps against each box face
 
 
 def _is_pow2(n: int) -> bool:
@@ -75,10 +78,6 @@ class GridSpec:
         return self.spacing ** 3
 
     @property
-    def box_sides(self):
-        return tuple(d * self.spacing for d in self.dims)
-
-    @property
     def nyquist(self) -> float:
         """Largest axis frequency magnitude on the dual lattice, pi/h."""
         return np.pi / self.spacing
@@ -133,8 +132,35 @@ def _check_payload(grid, data, dtype, what):
     return _freeze(arr.copy())
 
 
+def _support_box(data):
+    """Per-axis (first, last) index of the nonzero cells of a 3-D array, or None if all are zero."""
+    mask = data != 0
+    rows = mask.any(axis=2)
+    hits = (rows.any(axis=1), rows.any(axis=0), mask.any(axis=(0, 1)))
+    if not hits[0].any():
+        return None
+    return tuple((int(np.argmax(h)), len(h) - 1 - int(np.argmax(h[::-1]))) for h in hits)
+
+
+class _SupportedField:
+    """Support facts shared by the immutable field containers, computed once per field."""
+
+    @cached_property
+    def support_box(self):
+        """Per-axis (first, last) index of the nonzero cells, or None for an all-zero field."""
+        return _support_box(self.data)
+
+
+def require_collar(field, what):
+    """Raise ConfigurationError unless the support of ``field`` keeps COLLAR empty cells at every face."""
+    box = field.support_box
+    if box is not None and any(lo < COLLAR or hi >= n - COLLAR
+                               for (lo, hi), n in zip(box, field.grid.dims)):
+        raise ConfigurationError(f"{what} support violates the {COLLAR}-cell boundary collar")
+
+
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_SupportedField):
     """Real-valued samples on a grid. Immutable after construction."""
 
     grid: GridSpec
@@ -149,13 +175,9 @@ class ScalarField:
     def support_mask(self) -> np.ndarray:
         return self.data != 0.0
 
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.dims))
-
 
 @dataclass(frozen=True)
-class ComplexField:
+class ComplexField(_SupportedField):
     """Complex-valued samples on a grid. Immutable after construction."""
 
     grid: GridSpec
@@ -163,10 +185,6 @@ class ComplexField:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _check_payload(self.grid, self.data, np.complex128, "complex field"))
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.dims, dtype=np.complex128))
 
 
 def frequency_lattice(grid: GridSpec) -> np.ndarray:

@@ -22,10 +22,10 @@ from .errors import (
     SolverConvergenceError,
     SolverDivergenceError,
 )
-from .fields import ComplexField, GridSpec, ScalarField, _fftn_raw, _ifftn_raw
-from .migr import MigrSpec, Realization, _collar_violation, synthesize_migr
-
-_COLLAR = 4
+from .fields import COLLAR as _COLLAR  # noqa: F401  (re-exported)
+from .fields import (ComplexField, GridSpec, ScalarField, _fftn_raw, _ifftn_raw,
+                     _support_box, require_collar)
+from .migr import MigrSpec, Realization, synthesize_migr
 
 
 def fundamental_solution(k: float, r: float) -> complex:
@@ -72,12 +72,9 @@ class ResolventOperator:
 
 def resolvent_apply(k: float, phi) -> ComplexField:
     """Apply the outgoing volume operator to a compactly supported field."""
+    require_collar(phi, "resolvent input")
     if isinstance(phi, ScalarField):
         phi = phi.as_complex()
-    if _collar_violation(phi.data, _COLLAR):
-        raise ConfigurationError(
-            f"resolvent input must keep a {_COLLAR}-cell empty collar against the box faces"
-        )
     op = ResolventOperator(phi.grid, k)
     return ComplexField(phi.grid, op.apply(phi.data))
 
@@ -104,17 +101,13 @@ def _as_field_or_none(obj):
     raise ConfigurationError(f"expected a field or realization, got {type(obj).__name__}")
 
 
-def _support_bbox(mask):
-    if not mask.any():
-        return None
-    nz = np.nonzero(mask)
-    return tuple((int(i.min()), int(i.max())) for i in nz)
-
-
 def separating_normal(f_mask, q_mask) -> np.ndarray:
     """Axis-aligned unit normal separating two support boxes, pointing source to potential."""
-    bf = _support_bbox(f_mask)
-    bq = _support_bbox(q_mask)
+    return _box_normal(_support_box(f_mask), _support_box(q_mask))
+
+
+def _box_normal(bf, bq) -> np.ndarray:
+    """:func:`separating_normal` of two support boxes (``support_box`` values)."""
     if bf is None or bq is None:
         raise ConfigurationError("separating normal needs two nonempty supports")
     best = None
@@ -177,11 +170,8 @@ class ScatteringConfig:
             if fld is not None:
                 if fld.grid != self.grid:
                     raise ConfigurationError(f"{name} lives on a different grid")
-                if _collar_violation(fld.data, _COLLAR):
-                    raise ConfigurationError(
-                        f"{name} support violates the {_COLLAR}-cell boundary collar"
-                    )
-                if np.any(fld.data):
+                require_collar(fld, name)
+                if fld.support_box is not None:
                     data = fld.data
             object.__setattr__(self, f"_{name}_data", data)
 
@@ -213,6 +203,11 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
     contraction factor reaches 1 after three iterations, and
     SolverConvergenceError if the order budget runs out above tolerance.
     """
+    if operator is not None and (operator.grid != cfg.grid or operator.k != cfg.k):
+        raise ConfigurationError(
+            f"resolvent operator built for k={operator.k} on {operator.grid.dims} does not "
+            f"match the config's k={cfg.k} on {cfg.grid.dims}"
+        )
     op = operator if operator is not None else ResolventOperator(cfg.grid, cfg.k)
     q = cfg._potential_data
     rhs = np.zeros(cfg.grid.dims, dtype=np.complex128)
@@ -376,7 +371,7 @@ class FarFieldSet:
         lines = [
             f"kind={self.kind}",
             f"m={fmt(meta['m']) if meta.get('m') is not None else ''}",
-            f"seed={meta.get('seed', '')}",
+            f"seed={meta['seed'] if meta.get('seed') is not None else ''}",
             f"band_lo={fmt(meta['band_lo']) if meta.get('band_lo') is not None else ''}",
             f"band_hi={fmt(meta['band_hi']) if meta.get('band_hi') is not None else ''}",
             f"delta={fmt(meta['delta']) if meta.get('delta') is not None else fmt(self.delta)}",
@@ -408,30 +403,36 @@ class FarFieldSet:
             kind = meta.pop("kind")
             n_dirs = int(meta.pop("dirs_count"))
             n_freq = int(meta.pop("n_freq"))
+            parsed = {}
+            for key in ("m", "band_lo", "band_hi", "delta"):
+                raw = meta.pop(key, "")
+                parsed[key] = float(raw) if raw else None
+            seed_raw = meta.pop("seed", "")
+            parsed["seed"] = int(seed_raw) if seed_raw else None
         except KeyError as e:
             raise FieldFormatError(f"manifest missing key {e}") from None
-        parsed = {}
-        for key in ("m", "band_lo", "band_hi", "delta"):
-            raw = meta.pop(key, "")
-            parsed[key] = float(raw) if raw else None
-        seed_raw = meta.pop("seed", "")
-        parsed["seed"] = int(seed_raw) if seed_raw else None
-        rows = []
+        except ValueError as e:
+            raise FieldFormatError(f"manifest holds an unparsable number: {e}") from None
         with open(prefix + ".csv") as fh:
             header = fh.readline().strip()
             if header != "dir_x,dir_y,dir_z,k,re,im":
                 raise FieldFormatError(f"unexpected CSV header {header!r}")
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(t) for t in line.split(",")])
-        if len(rows) != n_dirs * n_freq:
+            try:
+                arr = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as e:
+                raise FieldFormatError(f"CSV holds a malformed row: {e}") from None
+        if arr.shape != (n_dirs * n_freq, 6):
             raise FieldFormatError(
-                f"CSV row count {len(rows)} does not match dirs x freqs = {n_dirs * n_freq}"
+                f"CSV shape {arr.shape} does not match (dirs x freqs, 6) = ({n_dirs * n_freq}, 6)"
             )
-        arr = np.asarray(rows)
-        dirs = arr[::n_freq, :3]
-        freqs = arr[:n_freq, 3]
+        # rows run direction by direction, each over the same frequency list
+        layout = arr[:, :4].reshape(n_dirs, n_freq, 4)
+        dirs = layout[:, 0, :3]
+        freqs = layout[0, :, 3]
+        if not (np.all(layout[..., :3] == dirs[:, None]) and np.all(layout[..., 3] == freqs)):
+            raise FieldFormatError(
+                "CSV rows break the layout: each direction must list the same frequencies in order"
+            )
         values = (arr[:, 4] + 1j * arr[:, 5]).reshape(n_dirs, n_freq)
         return cls(dirs=dirs, freqs=freqs, values=values, kind=kind, meta=parsed)
 
@@ -451,7 +452,7 @@ def draw_realization(source, potential, seed):
     f, q = (_as_field_or_none(x) for x in drawn)
     m_f, m_q = (x.spec.order if isinstance(x, Realization) else None for x in drawn)
     if m_f is not None and m_q is not None:
-        separating_normal(f.data != 0, q.data != 0)
+        _box_normal(f.support_box, q.support_box)
     return (f.as_complex() if isinstance(f, ScalarField) else f), q, m_f, m_q
 
 
@@ -480,7 +481,7 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
         delta = None
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     f_obj, q_obj, m_f, m_q = draw_realization(source, potential, seed)
-    solve_needed = q_obj is not None and np.any(q_obj.data)
+    solve_needed = q_obj is not None and q_obj.support_box is not None
     values = np.empty((dirs.shape[0], len(freqs)), dtype=np.complex128)
     # (value rows, incident direction, observed directions, error context)
     if mode == "passive":

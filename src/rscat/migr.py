@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import GridSpec, ScalarField, _fftn, _ifftn
+from .fields import GridSpec, ScalarField, _fftn, _ifftn, require_collar
 
 _IMAG_RESIDUE_TOL = 1e-10
 _SYMBOL_DECAY_TOL = 1e-3
@@ -50,17 +50,6 @@ def ball_indicator_field(grid, center, radius, amplitude):
     return ScalarField(grid, np.where(r2 <= radius * radius, amplitude, 0.0))
 
 
-def _collar_violation(data, collar):
-    """Whether data is nonzero within ``collar`` cells of a box face; reads only the faces."""
-    if collar <= 0:
-        return False
-    return bool(
-        np.any(data[:collar]) or np.any(data[-collar:])
-        or np.any(data[:, :collar]) or np.any(data[:, -collar:])
-        or np.any(data[:, :, :collar]) or np.any(data[:, :, -collar:])
-    )
-
-
 @dataclass(frozen=True)
 class MigrSpec:
     """Order, strength, and mean of a rough Gaussian random field.
@@ -70,14 +59,13 @@ class MigrSpec:
         the white-noise case where the strength plays the local variance,
         and m = 2 is admitted as the closed-form covariance anchor 1/(4 pi r).
     strength : nonnegative compactly supported ScalarField mu with at least
-        ``collar_cells`` empty cells against every box face.
+        ``fields.COLLAR`` empty cells against every box face.
     mean : optional ScalarField supported inside the bounding box of supp mu.
     """
 
     order: float
     strength: ScalarField
     mean: Optional[ScalarField] = None
-    collar_cells: int = 4
 
     def __post_init__(self):
         m = float(self.order)
@@ -85,28 +73,18 @@ class MigrSpec:
             raise ConfigurationError(
                 f"rough order must be 0 or in [2, 4), got {m}"
             )
-        if self.collar_cells < 4:
-            raise ConfigurationError("boundary collar must be at least 4 cells")
         mu = self.strength
         if np.any(mu.data < 0):
             raise ConfigurationError("strength field must be nonnegative")
-        if _collar_violation(mu.data, self.collar_cells):
-            raise ConfigurationError(
-                f"strength support violates the {self.collar_cells}-cell boundary collar"
-            )
+        require_collar(mu, "strength")
         if self.mean is not None:
             if self.mean.grid != mu.grid:
                 raise ConfigurationError("mean and strength must share a grid")
-            mmask = self.mean.support_mask()
-            mask = mu.support_mask()
-            if mmask.any():
-                if not mask.any():
+            mbox, box = self.mean.support_box, mu.support_box
+            if mbox is not None:
+                if box is None:
                     raise ConfigurationError("mean must vanish when the strength is zero")
-                lo = [int(i.min()) for i in np.nonzero(mask)]
-                hi = [int(i.max()) for i in np.nonzero(mask)]
-                mlo = [int(i.min()) for i in np.nonzero(mmask)]
-                mhi = [int(i.max()) for i in np.nonzero(mmask)]
-                if any(a < b for a, b in zip(mlo, lo)) or any(a > b for a, b in zip(mhi, hi)):
+                if any(mlo < lo or mhi > hi for (mlo, mhi), (lo, hi) in zip(mbox, box)):
                     raise ConfigurationError(
                         "mean support must lie inside the bounding box of the strength support"
                     )

@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from rscat import ConfigurationError, load_config, read_field
+from rscat import ConfigurationError, ScalarField, load_config, read_field
 from rscat.cli import run_command
 from rscat.config import config_from_text, fibonacci_sphere
+from rscat.forward import draw_realization
 
 MINIMAL = """
 [grid]
@@ -93,9 +94,8 @@ cutoff = 3.0
         load_config(_write(tmp_path, text))
 
 
-def test_separated_supports_give_normal(tmp_path):
-    text = MINIMAL.replace("center = 0 0 0", "center = -0.3 0 0") \
-                  .replace("width = 0.14", "width = 0.08") + """
+SEPARATED = MINIMAL.replace("center = 0 0 0", "center = -0.3 0 0") \
+                   .replace("width = 0.14", "width = 0.08") + """
 [potential]
 m = 3.5
 shape = gaussian-bump
@@ -104,7 +104,10 @@ amplitude = 0.5
 width = 0.08
 cutoff = 3.0
 """
-    cfg = load_config(_write(tmp_path, text))
+
+
+def test_separated_supports_give_normal(tmp_path):
+    cfg = load_config(_write(tmp_path, SEPARATED))
     assert np.allclose(cfg.separating_normal, [1.0, 0.0, 0.0])
 
 
@@ -132,6 +135,20 @@ def test_synth_writes_readable_field(tmp_path):
     out2 = str(tmp_path / "f2.rsgf")
     run_command(["synth", "--config", path, "--out", out2])
     assert open(out, "rb").read() == open(out2, "rb").read()
+
+
+@pytest.mark.parametrize("which", ["source", "potential"])
+def test_synth_writes_the_swept_realization(tmp_path, which):
+    path = _write(tmp_path, SEPARATED)
+    out = str(tmp_path / "f.rsgf")
+    assert run_command(["synth", "--config", path, "--out", out, "--which", which]) == 0
+    cfg = load_config(path)
+    f, q, _, _ = draw_realization(cfg.source, cfg.potential, cfg.seed)
+    assert np.all(f.data.imag == 0)
+    drawn = f.data.real if which == "source" else q.data
+    written = read_field(out)
+    assert isinstance(written, ScalarField)
+    assert written.data.tobytes() == drawn.tobytes()
 
 
 def test_full_pipeline_deterministic(tmp_path):

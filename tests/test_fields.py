@@ -4,6 +4,7 @@ import pytest
 from rscat import (ComplexField, ConfigurationError, GridSpec, ScalarField,
                    fft_forward, fft_inverse, fractional_laplacian,
                    frequency_lattice)
+from rscat.fields import _support_box
 
 
 def test_grid_rejects_bad_dims():
@@ -91,6 +92,44 @@ def test_fields_immutable_and_validated(grid16):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ConfigurationError):
         ScalarField(grid16, bad)
+
+
+def _brute_box(data):
+    nz = np.nonzero(data)
+    if len(nz[0]) == 0:
+        return None
+    return tuple((int(i.min()), int(i.max())) for i in nz)
+
+
+def test_support_box_matches_brute_force(rng):
+    g = GridSpec(dims=(8, 16, 32), origin=(0, 0, 0), spacing=0.1)
+    cases = [np.zeros(g.dims), np.zeros(g.dims, dtype=complex)]
+    for density in (1e-3, 1e-2, 0.2):
+        keep = rng.random(g.dims) < density
+        real = np.where(keep, rng.standard_normal(g.dims), 0.0)
+        cases += [real, real + 1j * np.where(rng.random(g.dims) < density, 1.0, 0.0)]
+    for corner in np.ndindex(2, 2, 2):
+        data = np.zeros(g.dims)
+        data[tuple(c * (n - 1) for c, n in zip(corner, g.dims))] = 1.0
+        cases.append(data)
+    # complex cells whose real part is zero still count as support
+    imag = np.zeros(g.dims, dtype=complex)
+    imag[1, 14, 3] = 2j
+    imag[5, 2, 30] = -0.5j
+    cases.append(imag)
+    for data in cases:
+        want = _brute_box(data)
+        field = (ComplexField if np.iscomplexobj(data) else ScalarField)(g, data)
+        assert field.support_box == want
+        assert _support_box(data != 0) == want
+    assert ComplexField(g, imag).support_box == ((1, 5), (2, 14), (3, 30))
+
+
+def test_support_box_is_computed_once(grid16):
+    data = np.zeros(grid16.dims)
+    data[6, 7, 8] = 1.0
+    f = ScalarField(grid16, data)
+    assert f.support_box is f.support_box == ((6, 6), (7, 7), (8, 8))
 
 
 def test_fractional_laplacian_plane_wave_eigenvalue(grid16):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from rscat import (ComplexField, ConfigurationError, FarFieldSet, GridSpec,
-                   MigrSpec, ScalarField, ScatteringConfig,
+from rscat import (ComplexField, ConfigurationError, FarFieldSet,
+                   FieldFormatError, GridSpec, MigrSpec, ScalarField,
+                   ScatteringConfig,
                    SolverConvergenceError, SolverDivergenceError, band_sweep,
                    direct_farfield, far_field, fundamental_solution,
                    gaussian_bump_field, incident_plane_wave,
                    lippmann_schwinger_solve, resolvent_apply,
-                   resolvent_point_values, separating_normal, synthesize_migr)
+                   make_farfield_set, resolvent_point_values,
+                   separating_normal, synthesize_migr)
+from rscat.cli import run_command
 from rscat.forward import _COLLAR, ResolventOperator
 
 FOUR_PI = 4.0 * np.pi
@@ -22,6 +25,12 @@ def test_fundamental_solution_values():
     assert abs(fundamental_solution(1.0, 2.0) - expected) < 1e-15
     with pytest.raises(ValueError):
         fundamental_solution(1.0, 0.0)
+
+
+def _face_cell(grid, axis, high, depth):
+    cell = [n // 2 for n in grid.dims]
+    cell[axis] = grid.dims[axis] - 1 - depth if high else depth
+    return tuple(cell)
 
 
 def _delta_field(grid, cell):
@@ -53,11 +62,16 @@ def test_resolvent_delta_reproduces_kernel(grid16):
         assert abs(out[idx] - fundamental_solution(k, r)) < 1e-12
 
 
-def test_resolvent_collar_guard(grid16):
-    data = np.zeros(grid16.dims)
-    data[0, 8, 8] = 1.0
-    with pytest.raises(ConfigurationError, match="collar"):
-        resolvent_apply(2.0, ScalarField(grid16, data))
+@pytest.mark.parametrize("axis,high", [(a, h) for a in range(3) for h in (False, True)])
+def test_resolvent_collar_guard(grid16, axis, high):
+    for depth, violates in ((_COLLAR - 1, True), (_COLLAR, False)):
+        data = np.zeros(grid16.dims)
+        data[_face_cell(grid16, axis, high, depth)] = 1.0
+        if violates:
+            with pytest.raises(ConfigurationError, match="collar"):
+                resolvent_apply(2.0, ScalarField(grid16, data))
+        else:
+            resolvent_apply(2.0, ScalarField(grid16, data))
 
 
 def test_resolvent_pde_residual():
@@ -102,12 +116,6 @@ def test_incident_plane_wave(grid16):
 
 # ------------------------------------------------------------- config guards
 
-def _face_cell(grid, axis, high, depth):
-    cell = [n // 2 for n in grid.dims]
-    cell[axis] = grid.dims[axis] - 1 - depth if high else depth
-    return tuple(cell)
-
-
 @pytest.mark.parametrize("which", ["source", "potential"])
 @pytest.mark.parametrize("axis,high", [(a, h) for a in range(3) for h in (False, True)])
 def test_config_collar_guard(grid16, which, axis, high):
@@ -130,6 +138,15 @@ def test_config_rejects_other_grid(grid16, grid32, which):
 
 
 # --------------------------------------------------------------------- solver
+
+@pytest.mark.parametrize("k_op,grid_op", [(5.0, "grid16"), (3.0, "grid32")])
+def test_solver_rejects_mismatched_operator(grid16, request, k_op, grid_op):
+    q = gaussian_bump_field(grid16, (0, 0, 0), 0.3, 0.14, cutoff_radii=3.0)
+    cfg = ScatteringConfig(grid=grid16, k=3.0, alpha=1, incident_dir=(0, 0, 1.0), potential=q)
+    op = ResolventOperator(request.getfixturevalue(grid_op), k_op)
+    with pytest.raises(ConfigurationError, match="does not match"):
+        lippmann_schwinger_solve(cfg, op)
+
 
 def test_solver_truncates_for_zero_potential(grid16):
     f = gaussian_bump_field(grid16, (0, 0, 0), 1.0, 0.15, cutoff_radii=3.0)
@@ -405,6 +422,59 @@ def test_farfieldset_load_ignores_unknown_manifest_keys(tmp_path, grid16):
     assert np.array_equal(back.freqs, ff.freqs)
     assert np.array_equal(back.values, ff.values)
     assert back.kind == ff.kind
+
+
+def test_farfieldset_roundtrip_without_seed(tmp_path):
+    ff = make_farfield_set([[0, 0, 1.0], [0.6, 0.8, 0]], [1.0, 1.5, 2.0],
+                           np.arange(6).reshape(2, 3) * (1 + 0.5j))
+    prefix = str(tmp_path / "synthetic")
+    ff.save(prefix)
+    assert "seed=\n" in open(prefix + ".manifest.txt").read()
+    back = FarFieldSet.load(prefix)
+    assert back.meta["seed"] is None
+    assert np.array_equal(back.values, ff.values)
+
+
+def _saved_pair(tmp_path):
+    ff = make_farfield_set([[0, 0, 1.0], [0.6, 0.8, 0]], [1.0, 1.5, 2.0],
+                           np.arange(6).reshape(2, 3) * (1 + 0.5j), seed=3)
+    prefix = str(tmp_path / "sweep")
+    ff.save(prefix)
+    return prefix
+
+
+def test_farfieldset_load_rejects_unparsable_manifest(tmp_path):
+    prefix = _saved_pair(tmp_path)
+    manifest = prefix + ".manifest.txt"
+    text = open(manifest).read()
+    for good, bad in (("seed=3", "seed=None"), ("delta=0.5", "delta=half"),
+                      ("n_freq=3", "n_freq=three")):
+        with open(manifest, "w") as fh:
+            fh.write(text.replace(good, bad))
+        with pytest.raises(FieldFormatError, match="unparsable"):
+            FarFieldSet.load(prefix)
+    config = tmp_path / "exp.ini"
+    config.write_text("[grid]\ndims = 16\nspacing = 0.125\n[source]\nkind = deterministic\n"
+                      "shape = ball-indicator\ncenter = 0 0 0\namplitude = 1\nradius = 0.3\n"
+                      "[ergodic]\nbands = 1:0.5\n[experiment]\nmode = passive\nseed = 1\n"
+                      f"output = {tmp_path}\n")
+    assert run_command(["diagnose-ergodic", "--config", str(config), "--data-prefix", prefix,
+                        "--out", str(tmp_path / "e.csv")]) == 2
+
+
+def test_farfieldset_load_rejects_broken_layout(tmp_path):
+    prefix = _saved_pair(tmp_path)
+    csv = prefix + ".csv"
+    header, *rows = open(csv).read().splitlines()
+    # rows[1] is (dir 0, k 1) and rows[4] is (dir 1, k 1): first swap them between directions
+    for broken in ([rows[0], rows[4], rows[2], rows[3], rows[1], rows[5]],
+                   [rows[1], rows[0]] + rows[2:],
+                   rows[:5] + [rows[5] + ",7"],
+                   rows[:5] + ["1,2,x,4,5,6"]):
+        with open(csv, "w") as fh:
+            fh.write("\n".join([header] + broken) + "\n")
+        with pytest.raises(FieldFormatError):
+            FarFieldSet.load(prefix)
 
 
 def test_farfieldset_validation(grid16):

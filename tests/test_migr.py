@@ -19,10 +19,22 @@ def test_spec_validation(grid16):
     wide = ball_indicator_field(grid16, (0, 0, 0), 0.95, 1.0)
     with pytest.raises(ConfigurationError, match="collar"):
         MigrSpec(order=2.5, strength=wide)
-    # mean support must stay inside the strength bounding box
+    # mean support must stay inside the strength bounding box, on every side
     mean = gaussian_bump_field(grid16, (0.5, 0.5, 0.5), 1.0, 0.1, cutoff_radii=3.0)
     with pytest.raises(ConfigurationError, match="mean"):
         MigrSpec(order=2.5, strength=mu, mean=mean)
+    box = np.zeros(grid16.dims)
+    box[5:11, 6:10, 4:12] = 1.0
+    strength = ScalarField(grid16, box)
+    MigrSpec(order=2.5, strength=strength, mean=strength)
+    for axis, (lo, hi) in enumerate(((5, 10), (6, 9), (4, 11))):
+        for side in (0, 1):
+            past = box.copy()
+            index = [slice(None)] * 3
+            index[axis] = lo - 1 if side == 0 else hi + 1
+            past[tuple(index)] = box.take(lo, axis=axis)
+            with pytest.raises(ConfigurationError, match="mean support"):
+                MigrSpec(order=2.5, strength=strength, mean=ScalarField(grid16, past))
 
 
 def test_nyquist_resolution_precondition():
