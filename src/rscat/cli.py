@@ -31,6 +31,9 @@ from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
                        recover_potential_strength, recover_source_strength)
 from .rsgf import write_field
 
+_RECOVERY = {"source": ("passive", recover_source_strength),
+             "potential": ("active-backscatter", recover_potential_strength)}
+
 _CONFIG_ERRORS = (ConfigurationError, FieldFormatError, DataCoverageError, FileNotFoundError)
 _NUMERIC_ERRORS = (SolverConvergenceError, SolverDivergenceError, OracleError)
 
@@ -106,25 +109,18 @@ def _load_data_for_recovery(cfg, prefix, expected_kind):
     return ff
 
 
-def _ground_truth(obj):
-    if isinstance(obj, MigrSpec):
-        return obj.strength
-    return None
-
-
 def _cmd_recover(args, which):
     cfg = load_config(args.config)
     _log_run(cfg, f"recover-{which}")
-    kind = "passive" if which == "source" else "active-backscatter"
+    kind, recover = _RECOVERY[which]
     ff = _load_data_for_recovery(cfg, args.data_prefix, kind)
-    obj = _ingredient(cfg, "source" if which == "source" else "potential")
+    obj = _ingredient(cfg, which)
     if not isinstance(obj, MigrSpec):
-        raise ConfigurationError(f"[{ 'source' if which == 'source' else 'potential' }] must be a rough-field block")
+        raise ConfigurationError(f"[{which}] must be a rough-field block")
     normal = np.asarray(cfg.separating_normal) if cfg.separating_normal is not None else None
-    recover = recover_source_strength if which == "source" else recover_potential_strength
     report = recover(
         ff, obj.order, cfg.band.tau_list, None, cfg.band.k_lo, normal,
-        grid=cfg.grid, ground_truth=_ground_truth(obj),
+        grid=cfg.grid, ground_truth=obj.strength,
     )
     prefix = args.out_prefix or os.path.join(cfg.output, f"recover_{which}")
     os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
@@ -148,8 +144,10 @@ def _cmd_nearfield(args):
     # the same realization a sweep with this seed would draw
     source, potential, _, _ = draw_realization(obj, cfg.potential, cfg.seed)
     ks = midpoint_mesh(1.0, nf.k_hi, nf.delta)
-    probes = [cfg.grid.nearest_cell(p) for p in nf.probes]
-    traces = {p: [] for p in range(len(probes))}
+    cells = [cfg.grid.nearest_cell(p) for p in nf.probes]
+    # each trace is read at a cell centre, so the oracle is evaluated and reported there
+    centres = np.asarray(cfg.grid.origin) + cfg.grid.spacing * np.asarray(cells)
+    traces = {p: [] for p in range(len(cells))}
     for k in ks:
         op = ResolventOperator(cfg.grid, float(k))
         scfg = ScatteringConfig(
@@ -157,11 +155,11 @@ def _cmd_nearfield(args):
             source=source, max_born_order=cfg.solver.max_born_order, tol=cfg.solver.tol,
         )
         u, _ = lippmann_schwinger_solve(scfg, op)
-        for p, cell in enumerate(probes):
+        for p, cell in enumerate(cells):
             traces[p].append((float(k), complex(u.data[cell])))
     with open(args.out, "w") as fh:
         fh.write("probe_x,probe_y,probe_z,estimate,oracle,ratio\n")
-        for p, point in enumerate(nf.probes):
+        for p, point in enumerate(centres):
             est = nearfield_second_moment(traces[p], obj.order)
             orc = oracles.potential_kernel_integral(obj.strength, point)
             ratio = est / orc if orc != 0 else float("nan")

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import GridSpec
-from .forward import _box_normal
+from .forward import _KINDS, _box_normal
 from .migr import MigrSpec, ball_indicator_field, gaussian_bump_field
-from .recovery import midpoint_mesh
+from .recovery import _KIND_FORM, midpoint_mesh
 
 _SHAPE_KEYS = {
     "kind", "m", "shape", "center", "amplitude", "width", "radius", "cutoff",
@@ -36,8 +36,6 @@ ALLOWED_KEYS = {
     "nearfield": {"k_hi", "delta", "probes"},
     "ergodic": {"c0", "m", "tau", "bands", "n_rep", "seed"},
 }
-
-_MODES = ("passive", "active-backscatter")
 
 
 def parse_sections(text: str) -> dict:
@@ -231,7 +229,10 @@ def _build_band(sect, mode) -> BandSpec:
         raise ConfigurationError(f"band.n_terms: band holds {n_terms} mesh points; at least 16 required")
     if abs(n_terms * delta - k_lo) > 1e-9 * k_lo:
         raise ConfigurationError("band.delta must divide k_lo evenly")
-    tau_unit = delta if mode == "passive" else 2.0 * delta
+    # a tau moves the data frequency by half * tau, which must be a mesh multiple
+    half = _KIND_FORM[mode][1]
+    tau_unit = delta / half
+    unit_name = "delta" if half == 1.0 else f"{1.0 / half:g}*delta"
     if "tau_list" in sect:
         taus = [_as_float(t, "band.tau_list") for t in sect["tau_list"].split()]
     else:
@@ -243,13 +244,11 @@ def _build_band(sect, mode) -> BandSpec:
         steps = tau / tau_unit
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
-                f"band.tau_list[{i}]: {tau} is not a multiple of "
-                f"{'delta' if mode == 'passive' else '2*delta'} = {tau_unit}"
+                f"band.tau_list[{i}]: {tau} is not a multiple of {unit_name} = {tau_unit}"
             )
         if tau < 0:
             raise ConfigurationError(f"band.tau_list[{i}]: negative tau")
-    shift_max = max(taus) if mode == "passive" else max(taus) / 2.0
-    freqs = midpoint_mesh(k_lo, 2.0 * k_lo + shift_max, delta)
+    freqs = midpoint_mesh(k_lo, 2.0 * k_lo + half * max(taus), delta)
     return BandSpec(k_lo=k_lo, delta=float(delta), n_terms=n_terms,
                     tau_list=tuple(sorted(set(taus))), freqs=freqs)
 
@@ -281,8 +280,8 @@ def config_from_text(text: str) -> ExperimentConfig:
 
     esect = _require(sections, "experiment")
     mode = _get(esect, "experiment", "mode")
-    if mode not in _MODES:
-        raise ConfigurationError(f"experiment.mode: expected one of {_MODES}, got {mode!r}")
+    if mode not in _KINDS:
+        raise ConfigurationError(f"experiment.mode: expected one of {_KINDS}, got {mode!r}")
     seed = _as_int(_get(esect, "experiment", "seed"), "experiment.seed")
     if seed < 0:
         raise ConfigurationError("experiment.seed must be nonnegative")

@@ -207,9 +207,19 @@ def _ifftn(arr: np.ndarray) -> np.ndarray:
     return _sfft.ifftn(arr, norm="ortho", workers=_FFT_WORKERS)
 
 
-def _fftn_raw(arr: np.ndarray) -> np.ndarray:
-    """Standard-normalization DFT used for kernel spectra in convolutions."""
-    return _sfft.fftn(arr, workers=_FFT_WORKERS)
+def _rfftn(arr: np.ndarray) -> np.ndarray:
+    """Unitary forward DFT of real data, on the half lattice (last axis 0 .. n/2)."""
+    return _sfft.rfftn(arr, norm="ortho", workers=_FFT_WORKERS)
+
+
+def _irfftn(arr: np.ndarray, dims) -> np.ndarray:
+    """Real inverse of :func:`_rfftn` onto a lattice of shape ``dims``."""
+    return _sfft.irfftn(arr, s=dims, norm="ortho", workers=_FFT_WORKERS)
+
+
+def _fftn_raw(arr: np.ndarray, s=None) -> np.ndarray:
+    """Standard-normalization DFT used for kernel spectra in convolutions, zero-padded to ``s``."""
+    return _sfft.fftn(arr, s=s, workers=_FFT_WORKERS)
 
 
 def _ifftn_raw(arr: np.ndarray) -> np.ndarray:

@@ -63,18 +63,16 @@ class ResolventOperator:
         self._kernel_hat = _fftn_raw(block)
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        pad = np.zeros(self._padded, dtype=np.complex128)
         n0, n1, n2 = self.grid.dims
-        pad[:n0, :n1, :n2] = arr
-        out = _ifftn_raw(_fftn_raw(pad) * self._kernel_hat)
+        # s= zero-pads; the complex cast keeps real inputs on the complex transform
+        spec = _fftn_raw(np.asarray(arr, dtype=np.complex128), s=self._padded)
+        out = _ifftn_raw(spec * self._kernel_hat)
         return np.ascontiguousarray(out[:n0, :n1, :n2])
 
 
 def resolvent_apply(k: float, phi) -> ComplexField:
     """Apply the outgoing volume operator to a compactly supported field."""
     require_collar(phi, "resolvent input")
-    if isinstance(phi, ScalarField):
-        phi = phi.as_complex()
     op = ResolventOperator(phi.grid, k)
     return ComplexField(phi.grid, op.apply(phi.data))
 

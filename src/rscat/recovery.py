@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataCoverageError, RscatError
+from .errors import ConfigurationError, DataCoverageError
 from .fields import GridSpec, ScalarField, _ifftn_raw
 from .forward import FarFieldSet
 
@@ -184,10 +184,12 @@ def _scatter_polar_samples(samples, grid: GridSpec):
     pts = np.array([np.asarray(s.dir) * s.tau for s in samples])
     vals = np.array([s.value for s in samples])
     tau_max = max(float(s.tau) for s in samples)
-    if tau_max >= grid.nyquist:
+    # the trilinear footprint reaches one dual cell past tau_max along each axis
+    if tau_max + max(dxi) >= grid.nyquist:
         raise ConfigurationError(
-            f"largest sampled radius {tau_max:.4g} reaches the reconstruction "
-            f"lattice Nyquist {grid.nyquist:.4g}; the scatter would alias"
+            f"largest sampled radius {tau_max:.4g} lies within one dual cell "
+            f"({max(dxi):.4g}) of the reconstruction lattice Nyquist "
+            f"{grid.nyquist:.4g}; the scatter would alias"
         )
     frac = pts / np.asarray(dxi)[None, :]
     i0 = np.floor(frac).astype(int)
@@ -208,14 +210,8 @@ def _scatter_polar_samples(samples, grid: GridSpec):
     return spec, tau_max, coverage
 
 
-def _hermitian_symmetrize(spec: np.ndarray) -> np.ndarray:
-    ix = [(-np.arange(n)) % n for n in spec.shape]
-    mirrored = np.conj(spec[ix[0]][:, ix[1]][:, :, ix[2]])
-    return 0.5 * (spec + mirrored)
-
-
-def _inverse_strength_transform(spec: np.ndarray, grid: GridSpec):
-    """Inverse transform with the (2 pi)^(-3/2) convention, on the grid's x lattice."""
+def _inverse_strength_transform(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real part of the inverse transform with the (2 pi)^(-3/2) convention, on the grid's x lattice."""
     dims = grid.dims
     phases = []
     for a in range(3):
@@ -223,9 +219,8 @@ def _inverse_strength_transform(spec: np.ndarray, grid: GridSpec):
     full = spec * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
     dxi3 = np.prod([2.0 * np.pi / (d * grid.spacing) for d in dims])
     mu = (2.0 * np.pi) ** -1.5 * dxi3 * grid.n_cells * _ifftn_raw(full)
-    re = np.ascontiguousarray(mu.real)
-    residue = float(np.linalg.norm(mu.imag) / max(np.linalg.norm(re), 1e-300))
-    return re, residue
+    # the real part inverts the Hermitian part (spec(xi) + conj spec(-xi)) / 2
+    return np.ascontiguousarray(mu.real)
 
 
 @dataclass(frozen=True)
@@ -262,16 +257,9 @@ class RecoveryReport:
 
 def _assemble_report(samples, grid, ground_truth, extra_metrics):
     spec, tau_max, coverage = _scatter_polar_samples(samples, grid)
-    spec = _hermitian_symmetrize(spec)
-    rec, residue = _inverse_strength_transform(spec, grid)
-    if residue >= 0.05:
-        raise RscatError(
-            f"imaginary residue {residue:.3e} of the reconstruction exceeds 5% "
-            "of its real norm; the completed spectrum is not Hermitian"
-        )
+    rec = _inverse_strength_transform(spec, grid)
     clipped = np.maximum(rec, 0.0)
     metrics = {
-        "imag_residue": residue,
         "tau_max": tau_max,
         "cartesian_coverage": coverage,
         "n_samples": len(samples),
@@ -334,9 +322,9 @@ def recover_source_strength(ff: FarFieldSet, m: float, tau_list, dirs, K: float,
     Band correlations sample mu_hat on the polar lattice {tau * xhat}; with a
     separating normal the estimates are formed on the hemisphere
     xhat . n >= 0 and completed by conjugate reflection, otherwise on the
-    full sphere. The samples are scattered onto the Cartesian dual lattice,
-    symmetrized, and inverse transformed; negative values are clipped after
-    the error metrics are taken on the unclipped field.
+    full sphere. The samples are scattered onto the Cartesian dual lattice
+    and inverse transformed to the real part; negative values are clipped
+    after the error metrics are taken on the unclipped field.
     """
     _require_kind(ff, "passive", "source recovery")
     return _recover_strength(ff, m, tau_list, dirs, K, normal_n, grid, ground_truth)

@@ -3,8 +3,8 @@
 Each check returns (name, passed, detail). The suite covers the per-module
 invariants: transform unitarity and ordering, container roundtrips, synthesis
 support/reality/symmetry/scaling, kernel anchors, solver identities,
-dual-path far fields, estimator positivity and scaling, and reconstruction
-reality after completion.
+dual-path far fields, estimator positivity and scaling, and hemisphere
+completion against the full-sphere reconstruction.
 """
 
 from __future__ import annotations
@@ -227,21 +227,26 @@ def check_estimator_positivity_scaling():
     return ok, f"tau=0 value real>=0, power scaling drift {abs(e3 / e1 - 9.0):.2e}"
 
 
-def check_hermitian_reality():
-    rng = np.random.default_rng(5)
-    grid = _G16
-    n = (0.0, 0.0, 1.0)
-    samples = []
+def check_hermitian_completion():
+    # exact transform of a real off-centre Gaussian, so mu_hat(-xi) = conj(mu_hat(xi))
+    c = np.array([0.1, -0.05, 0.15])
+    upper = ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, -0.8, 0.6))
     # equatorial directions appear in +/- pairs so completion can average them
-    for d in ((0.0, 0.0, 1.0), (0.6, 0.8, 0.0), (-0.6, -0.8, 0.0),
-              (0.8, -0.6, 0.0), (-0.8, 0.6, 0.0), (0.6, 0.0, 0.8)):
-        for tau in (0.0, 4.0, 8.0):
-            v = rng.standard_normal() + 1j * rng.standard_normal()
-            samples.append(CorrelationEstimate(tau, d, (8.0, 16.0), v, 16))
-    completed = hermitian_complete(samples, n)
-    report = _assemble_report(completed, grid, None, {})
-    residue = report.metrics["imag_residue"]
-    return residue < 1e-10, f"reconstruction imaginary residue {residue:.2e}"
+    equator = ((0.6, 0.8, 0.0), (-0.6, -0.8, 0.0), (0.8, -0.6, 0.0), (-0.8, 0.6, 0.0))
+    lower = tuple(tuple(-x for x in d) for d in upper)
+
+    def rec(batch):
+        return _assemble_report(batch, _G16, None, {}).mu_rec_unclipped.data
+
+    def samples(dirs):
+        return [CorrelationEstimate(tau, d, (8.0, 16.0),
+                                    np.exp(-0.02 * tau ** 2 - 1j * tau * np.dot(d, c)), 16)
+                for d in dirs for tau in (0.0, 4.0, 8.0)]
+
+    got = rec(hermitian_complete(samples(upper + equator), (0.0, 0.0, 1.0)))
+    ref = rec(samples(upper + equator + lower))
+    err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+    return err < 1e-12, f"completed hemisphere vs full-sphere reconstruction {err:.2e}"
 
 
 CHECKS = (
@@ -258,7 +263,7 @@ CHECKS = (
     ("farfield-point-source", check_farfield_point_source),
     ("born-reciprocity", check_born_reciprocity),
     ("estimator-positivity-scaling", check_estimator_positivity_scaling),
-    ("hermitian-reality", check_hermitian_reality),
+    ("hermitian-completion", check_hermitian_completion),
 )
 
 

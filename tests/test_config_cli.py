@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from rscat import ConfigurationError, ScalarField, load_config, read_field
+from rscat import (ConfigurationError, ScalarField, load_config,
+                   potential_kernel_integral, read_field)
 from rscat.cli import run_command
 from rscat.config import config_from_text, fibonacci_sphere
 from rscat.forward import draw_realization
@@ -231,6 +232,24 @@ probes = 0.7 0 0; 0 0.7 0
     assert len(lines) == 3
     est = float(lines[1].split(",")[3])
     assert est > 0.0
+
+
+def test_nearfield_oracle_at_probed_cell(tmp_path):
+    # y = z = 0 lie halfway between two cell centres of the 16^3 grid (h = 0.125);
+    # the trace is read at the snapped centre, so the oracle must be too
+    text = MINIMAL + """
+[nearfield]
+k_hi = 3.0
+delta = 0.5
+probes = 0.6875 0 0
+"""
+    path = _write(tmp_path, text)
+    out = str(tmp_path / "nf.csv")
+    assert run_command(["nearfield", "--config", path, "--out", out]) == 0
+    row = [float(v) for v in open(out).read().splitlines()[1].split(",")]
+    centre = (0.6875, 0.0625, 0.0625)  # cell (13, 8, 8)
+    assert tuple(row[:3]) == centre
+    assert row[4] == potential_kernel_integral(load_config(path).source.strength, centre)
 
 
 def test_diagnose_ergodic_command(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rscat import migr
 from rscat import (ConfigurationError, GridSpec, MigrSpec, ScalarField,
                    ball_indicator_field, empirical_covariance,
                    gaussian_bump_field, riesz_kernel, spectral_slope,
@@ -174,7 +175,35 @@ def test_spectral_slope_needs_bins(grid16):
         spectral_slope(spec, 5, 0)
 
 
-def test_imag_residue_guard(bump_spec):
-    # the synthesis path must keep the imaginary residue far below threshold
-    r = synthesize_migr(bump_spec, 17)
-    assert np.all(np.isreal(r.field.data))
+def _noncubic_strength():
+    grid = GridSpec.centered((16, 32, 64), 1.0 / 32)
+    return gaussian_bump_field(grid, (0, 0, 0), 1.0, 0.04, cutoff_radii=3.0)
+
+
+def test_synthesis_matches_full_lattice_reference():
+    mu = _noncubic_strength()
+    grid, seed = mu.grid, 17
+    w = np.random.default_rng(seed).standard_normal(grid.dims) * grid.spacing ** -1.5
+    mult = migr._rough_multiplier(grid, 2.5)
+    ref = np.sqrt(mu.data) * np.real(np.fft.ifftn(mult * np.fft.fftn(w)))
+    got = synthesize_migr(MigrSpec(order=2.5, strength=mu), seed).field.data
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    # m = 0 passes the scaled noise through untouched
+    white = synthesize_migr(MigrSpec(order=0.0, strength=mu), seed).field.data
+    assert np.array_equal(white, np.sqrt(mu.data) * w)
+
+
+def test_synthesis_builds_filter_once(monkeypatch):
+    calls = []
+    build = migr._rough_multiplier
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(migr, "_rough_multiplier", counting)
+    spec = MigrSpec(order=2.5, strength=_noncubic_strength())
+    a = synthesize_migr(spec, 1)
+    b = synthesize_migr(spec, 2)
+    assert len(calls) == 1
+    assert a.field.data.tobytes() != b.field.data.tobytes()

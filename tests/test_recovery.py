@@ -216,16 +216,18 @@ def test_hermitian_complete_errors():
         hermitian_complete([CorrelationEstimate(1.0, (1.0, 0.0, 0.0), band, 1.0, 16)], n)
 
 
-def test_completed_samples_invert_to_real_field(grid16, rng):
+def test_completed_samples_have_conjugate_partners(rng):
     band = (8.0, 16.0)
     samples = []
     for d in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.8, 0.6)):
         for tau in (0.0, 4.0, 8.0):
             v = rng.standard_normal() + 1j * rng.standard_normal()
             samples.append(CorrelationEstimate(tau, d, band, v, 16))
-    completed = hermitian_complete(samples, UP)
-    report = _assemble_report(completed, grid16, None, {})
-    assert report.metrics["imag_residue"] < 1e-10
+    completed = {(s.tau, s.dir): s.value for s in hermitian_complete(samples, UP)}
+    assert len(completed) == 2 * len(samples)
+    for s in samples:
+        assert completed[(s.tau, s.dir)] == s.value
+        assert completed[(s.tau, tuple(-c for c in s.dir))] == np.conj(s.value)
 
 
 # ---------------------------------------------------------------- reconstruction
@@ -246,7 +248,6 @@ def test_assembly_recovers_known_transform():
     ]
     report = _assemble_report(samples, grid, mu, {})
     assert report.rel_l2_error <= 0.15
-    assert report.metrics["imag_residue"] < 1e-10
 
 
 def test_recover_source_zero_data(grid16):
@@ -385,6 +386,9 @@ def test_ergodic_data_mode_rejects_band_spacing_mismatch(rng):
 def test_scatter_rejects_aliasing_radii(grid16):
     freqs = midpoint_mesh(30.0, 92.0, 1.0)
     ff = make_farfield_set([UP], freqs, np.ones((1, len(freqs)), complex))
-    # grid16 Nyquist is pi/h ~ 25.1; tau = 30 would wrap around the lattice
-    with pytest.raises(ConfigurationError, match="alias"):
-        recover_source_strength(ff, 2.5, [0.0, 30.0], None, 30.0, grid=grid16)
+    # grid16 Nyquist is pi/h ~ 25.1 and one dual cell is ~3.1: tau = 30 would
+    # wrap around the lattice, and the trilinear scatter of tau = 24 reaches
+    # the Nyquist plane
+    for tau in (30.0, 24.0):
+        with pytest.raises(ConfigurationError, match="alias"):
+            recover_source_strength(ff, 2.5, [0.0, tau], None, 30.0, grid=grid16)
