@@ -6,10 +6,13 @@ import numpy as np
 JIT_ENABLED = False
 
 
-def kernel_block(padded_dims, h, k, self_value):
-    """Kernel weights w(s) on the 2x-padded offset block, self cell corrected."""
-    p0, p1, p2 = padded_dims
-    ax = [np.minimum(np.arange(p), p - np.arange(p)).astype(np.float64) for p in (p0, p1, p2)]
+def kernel_block(dims, h, k, self_value):
+    """Kernel weights w(s) at the offsets 0..n of each axis, self cell corrected.
+
+    The 2x-padded convolution block holds w(min(j, 2n - j)) at index j of an
+    axis of n cells, so this (n0 + 1, n1 + 1, n2 + 1) octant determines it.
+    """
+    ax = [np.arange(n + 1, dtype=np.float64) for n in dims]
     r = h * np.sqrt(
         ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2 + ax[2][None, None, :] ** 2
     )

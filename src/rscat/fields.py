@@ -217,9 +217,40 @@ def _irfftn(arr: np.ndarray, dims) -> np.ndarray:
     return _sfft.irfftn(arr, s=dims, norm="ortho", workers=_FFT_WORKERS)
 
 
-def _fftn_raw(arr: np.ndarray, s=None) -> np.ndarray:
-    """Standard-normalization DFT used for kernel spectra in convolutions, zero-padded to ``s``."""
-    return _sfft.fftn(arr, s=s, workers=_FFT_WORKERS)
+def _even_spectrum(octant: np.ndarray) -> np.ndarray:
+    """Standard-normalization DFT of the even (2n)^3 extension of an (n + 1)^3 octant.
+
+    Index j of an axis of the extension holds octant entry min(j, 2n - j);
+    the DFT of such a block is even too, and its octant is the DCT-I of the
+    input octant.
+    """
+    spec = _sfft.dctn(octant, type=1, workers=_FFT_WORKERS)
+    idx = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
+           for n in (m - 1 for m in octant.shape)]
+    return spec[np.ix_(*idx)]
+
+
+def _padded_fftn(arr: np.ndarray, padded) -> np.ndarray:
+    """Standard-normalization DFT of ``arr`` zero-padded to ``padded``.
+
+    One axis at a time from the last, so each pass transforms only the rows
+    that hold data. The first pass never writes to ``arr``.
+    """
+    out = _sfft.fft(arr, n=padded[2], axis=2, workers=_FFT_WORKERS)
+    out = _sfft.fft(out, n=padded[1], axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    return _sfft.fft(out, n=padded[0], axis=0, overwrite_x=True, workers=_FFT_WORKERS)
+
+
+def _cropped_ifftn(spec: np.ndarray, dims) -> np.ndarray:
+    """Inverse of :func:`_padded_fftn` kept on the leading ``dims`` block; overwrites ``spec``.
+
+    Each axis is cropped right after its inverse pass, so later passes skip
+    the rows that are dropped.
+    """
+    out = _sfft.ifft(spec, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[: dims[0]]
+    out = _sfft.ifft(out, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, : dims[1]]
+    out = _sfft.ifft(out, axis=2, overwrite_x=True, workers=_FFT_WORKERS)[:, :, : dims[2]]
+    return np.ascontiguousarray(out)
 
 
 def _ifftn_raw(arr: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from .errors import (
     SolverDivergenceError,
 )
 from .fields import COLLAR as _COLLAR  # noqa: F401  (re-exported)
-from .fields import (ComplexField, GridSpec, ScalarField, _fftn_raw, _ifftn_raw,
-                     _support_box, require_collar)
+from .fields import (ComplexField, GridSpec, ScalarField, _cropped_ifftn, _even_spectrum,
+                     _padded_fftn, _support_box, require_collar)
 from .migr import MigrSpec, Realization, synthesize_migr
 
 
@@ -56,18 +56,16 @@ class ResolventOperator:
             raise ConfigurationError(f"frequency must be nonnegative, got {k}")
         self.grid = grid
         self.k = float(k)
-        padded = tuple(2 * d for d in grid.dims)
-        block = _kernels.kernel_block(padded, grid.spacing, self.k,
-                                      _self_cell_integral(self.k, grid.spacing))
-        self._padded = padded
-        self._kernel_hat = _fftn_raw(block)
+        octant = _kernels.kernel_block(grid.dims, grid.spacing, self.k,
+                                       _self_cell_integral(self.k, grid.spacing))
+        self._padded = tuple(2 * d for d in grid.dims)
+        self._kernel_hat = _even_spectrum(octant)
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        n0, n1, n2 = self.grid.dims
-        # s= zero-pads; the complex cast keeps real inputs on the complex transform
-        spec = _fftn_raw(np.asarray(arr, dtype=np.complex128), s=self._padded)
-        out = _ifftn_raw(spec * self._kernel_hat)
-        return np.ascontiguousarray(out[:n0, :n1, :n2])
+        # the complex cast keeps real inputs on the complex transform
+        spec = _padded_fftn(np.asarray(arr, dtype=np.complex128), self._padded)
+        spec *= self._kernel_hat
+        return _cropped_ifftn(spec, self.grid.dims)
 
 
 def resolvent_apply(k: float, phi) -> ComplexField:
@@ -134,7 +132,8 @@ def _box_normal(bf, bq) -> np.ndarray:
 class ScatteringConfig:
     """One forward solve: frequency, incident wave, and the material fields.
 
-    Keeps a reference to each ingredient's data, None when absent or all zero.
+    Keeps a reference to each ingredient's data and its support box, both
+    None when the ingredient is absent or all zero.
     """
 
     grid: GridSpec
@@ -164,14 +163,16 @@ class ScatteringConfig:
             object.__setattr__(self, "incident_dir", tuple(float(c) for c in d))
         for name in ("potential", "source"):
             fld = _as_field_or_none(getattr(self, name))
-            data = None
+            data = box = None
             if fld is not None:
                 if fld.grid != self.grid:
                     raise ConfigurationError(f"{name} lives on a different grid")
                 require_collar(fld, name)
-                if fld.support_box is not None:
+                box = fld.support_box
+                if box is not None:
                     data = fld.data
             object.__setattr__(self, f"_{name}_data", data)
+            object.__setattr__(self, f"_{name}_box", box)
 
 
 @dataclass(frozen=True)
@@ -246,9 +247,13 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
     )
 
 
-def _farfield_batch(g: np.ndarray, grid: GridSpec, k: float, dirs: np.ndarray) -> np.ndarray:
-    """(1/4 pi) sum_cells e^{-i k d . y} g(y) h^3 for many directions, separably."""
-    xs, ys, zs = grid.coords()
+def _farfield_batch(g: np.ndarray, grid: GridSpec, k: float, dirs: np.ndarray, box) -> np.ndarray:
+    """(1/4 pi) sum_cells e^{-i k d . y} g(y) h^3 for many directions, separably.
+
+    ``g`` holds the cells of ``box`` (per-axis inclusive index ranges), the
+    only cells the sum visits.
+    """
+    xs, ys, zs = (c[lo:hi + 1] for c, (lo, hi) in zip(grid.coords(), box))
     px = np.exp(-1j * k * xs[:, None] * dirs[None, :, 0])
     py = np.exp(-1j * k * ys[:, None] * dirs[None, :, 1])
     pz = np.exp(-1j * k * zs[:, None] * dirs[None, :, 2])
@@ -258,28 +263,40 @@ def _farfield_batch(g: np.ndarray, grid: GridSpec, k: float, dirs: np.ndarray) -
     return vals * grid.cell_volume / (4.0 * np.pi)
 
 
+def _box_hull(a, b):
+    """Smallest box holding two support boxes, either of which may be None."""
+    if a is None or b is None:
+        return b if a is None else a
+    return tuple((min(pa[0], pb[0]), max(pa[1], pb[1])) for pa, pb in zip(a, b))
+
+
 def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
     """Far-field coefficients of the outgoing expansion, one per direction.
 
     u_sc (field or data) is read only when cfg has a potential; without one it
-    may be None, with one None raises ConfigurationError.
+    may be None, with one None raises ConfigurationError. The density vanishes
+    outside the hull of the source and potential support boxes, so only that
+    hull is summed.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ConfigurationError("far-field directions must be unit length")
-    g = cfg._source_data
+    f = cfg._source_data
     q = cfg._potential_data
-    if q is not None:
-        if u_sc is None:
-            raise ConfigurationError("the far field of a config with a potential needs u_sc")
-        total = u_sc.data if isinstance(u_sc, ComplexField) else u_sc
-        if cfg.alpha == 1:
-            total = total + incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data
-        g = q * total if g is None else g + q * total
-    if g is None:
+    if q is not None and u_sc is None:
+        raise ConfigurationError("the far field of a config with a potential needs u_sc")
+    box = _box_hull(cfg._source_box, cfg._potential_box)
+    if box is None:
         return np.zeros(dirs.shape[0], dtype=np.complex128)
-    return _farfield_batch(g, cfg.grid, cfg.k, dirs)
+    crop = tuple(slice(lo, hi + 1) for lo, hi in box)
+    g = None if f is None else f[crop]
+    if q is not None:
+        total = (u_sc.data if isinstance(u_sc, ComplexField) else u_sc)[crop]
+        if cfg.alpha == 1:
+            total = total + incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data[crop]
+        g = q[crop] * total if g is None else g + q[crop] * total
+    return _farfield_batch(g, cfg.grid, cfg.k, dirs, box)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import GridSpec, ScalarField, _fftn, _irfftn, _rfftn, require_collar
+from .fields import GridSpec, ScalarField, _irfftn, _rfftn, require_collar
 
 _SYMBOL_DECAY_TOL = 1e-3
 
@@ -224,25 +224,32 @@ def spectral_slope(spec: MigrSpec, n_samples: int, seed0: int, n_bins: int = 12)
     """
     grid = spec.grid
     mean = spec.mean.data if spec.mean is not None else 0.0
-    power = np.zeros(grid.dims)
+    n_half = grid.dims[2] // 2 + 1
+    power = np.zeros(grid.dims[:2] + (n_half,))
     for i in range(n_samples):
         f = synthesize_migr(spec, seed0 + i).field.data
-        power += np.abs(_fftn(f - mean)) ** 2
+        power += np.abs(_rfftn(f - mean)) ** 2
     power /= n_samples
-    mag = grid.frequency_magnitude()
+    # the samples are real: an interior plane of the half lattice's last axis
+    # also stands for the mirrored plane at -xi, with the same |xi| and power
+    mag = grid.frequency_magnitude()[..., :n_half]
+    weight = np.full(n_half, 2.0)
+    weight[[0, -1]] = 1.0
+    weight = np.broadcast_to(weight, mag.shape)
     lo, hi = grid.nyquist / 40.0, grid.nyquist / 4.0
     sel = (mag >= lo) & (mag <= hi)
     edges = np.geomspace(lo, hi, n_bins + 1)
     which = np.digitize(mag[sel], edges) - 1
     pw = power[sel]
     mg = mag[sel]
+    wt = weight[sel]
     xs, ys = [], []
     for b in range(n_bins):
         inb = which == b
         if np.count_nonzero(inb) == 0:
             continue
-        xs.append(np.log(np.mean(mg[inb])))
-        ys.append(np.log(np.mean(pw[inb])))
+        xs.append(np.log(np.average(mg[inb], weights=wt[inb])))
+        ys.append(np.log(np.average(pw[inb], weights=wt[inb])))
     if len(xs) < 5:
         raise ConfigurationError(
             f"fewer than 5 radial bins in [{lo:.3g}, {hi:.3g}]; refine the grid"

@@ -129,7 +129,7 @@ def check_resolvent_point_response():
     data = np.zeros(g.dims)
     c = (8, 8, 8)
     data[c] = 1.0 / g.cell_volume
-    out = ResolventOperator(g, k).apply(data.astype(complex))
+    out = ResolventOperator(g, k).apply(data)
     xs, ys, zs = g.coords()
     errs = []
     for off in ((3, 0, 0), (0, 4, 2), (5, 5, 5)):
@@ -145,7 +145,7 @@ def check_outgoing_phase():
     k = 4.0
     data = np.zeros(g.dims)
     data[8, 8, 8] = 1.0 / g.cell_volume
-    out = ResolventOperator(g, k).apply(data.astype(complex))
+    out = ResolventOperator(g, k).apply(data)
     drift = []
     for n in (3, 4, 5, 6):
         r = n * g.spacing

@@ -10,8 +10,9 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
                    lippmann_schwinger_solve, resolvent_apply,
                    make_farfield_set, resolvent_point_values,
                    separating_normal, synthesize_migr)
+from rscat import _kernels
 from rscat.cli import run_command
-from rscat.forward import _COLLAR, ResolventOperator
+from rscat.forward import _COLLAR, ResolventOperator, _farfield_batch, _self_cell_integral
 
 FOUR_PI = 4.0 * np.pi
 
@@ -97,6 +98,59 @@ def test_outgoing_phase_advance(grid16):
         got = np.angle(out[8 + n, 8, 8])
         expect = np.angle(np.exp(1j * k * n * grid16.spacing))
         assert abs(np.exp(1j * got) - np.exp(1j * expect)) < 1e-10
+
+
+def _full_padded_block(grid, k):
+    """The kernel weights on the whole 2x-padded offset block, tabulated directly."""
+    h = grid.spacing
+    ax = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)).astype(float) for n in grid.dims]
+    r = h * np.sqrt(ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2 + ax[2][None, None, :] ** 2)
+    r[0, 0, 0] = 1.0
+    block = h ** 3 * np.exp(1j * k * r) / (4.0 * np.pi * r)
+    block[0, 0, 0] = _self_cell_integral(k, h)
+    return block
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+NONCUBIC = GridSpec.centered((8, 16, 32), 1.0 / 16)
+
+
+@pytest.mark.parametrize("k", [0.0, 5.0])
+def test_resolvent_spectrum_matches_full_block(k):
+    # k = 0 takes the small-k branch of the self-cell integral
+    ref = np.fft.fftn(_full_padded_block(NONCUBIC, k))
+    assert _rel(ResolventOperator(NONCUBIC, k)._kernel_hat, ref) <= 1e-13
+
+
+def test_kernel_block_is_the_octant():
+    k, h = 5.0, NONCUBIC.spacing
+    octant = _kernels.kernel_block(NONCUBIC.dims, h, k, _self_cell_integral(k, h))
+    assert octant.shape == (9, 17, 33)
+    assert _rel(octant, _full_padded_block(NONCUBIC, k)[:9, :17, :33]) <= 1e-15
+
+
+def test_resolvent_apply_matches_unpruned_convolution(rng):
+    k = 5.0
+    n = NONCUBIC.dims
+    padded = tuple(2 * d for d in n)
+    kernel_hat = np.fft.fftn(_full_padded_block(NONCUBIC, k))
+    op = ResolventOperator(NONCUBIC, k)
+    real = rng.standard_normal(n)
+    for x in (real, real + 1j * rng.standard_normal(n)):
+        ref = np.fft.ifftn(np.fft.fftn(x, s=padded, axes=(0, 1, 2)) * kernel_hat)[: n[0], : n[1], : n[2]]
+        assert _rel(op.apply(x), ref) <= 1e-13
+
+
+def test_resolvent_apply_leaves_input_unchanged(rng):
+    op = ResolventOperator(NONCUBIC, 5.0)
+    real = rng.standard_normal(NONCUBIC.dims)
+    for x in (real, real + 1j * rng.standard_normal(NONCUBIC.dims)):
+        before = x.copy()
+        op.apply(x)
+        assert x.tobytes() == before.tobytes()
 
 
 # ----------------------------------------------------------------- plane wave
@@ -270,6 +324,33 @@ def test_far_field_without_scattered_field(grid16):
     with_q = ScatteringConfig(grid=grid16, k=2.0, source=f, potential=f)
     with pytest.raises(ConfigurationError, match="u_sc"):
         far_field(with_q, None, dirs)
+
+
+@pytest.mark.parametrize("case", ["passive", "backscatter", "source+potential"])
+def test_far_field_crop_matches_full_grid(grid32, case):
+    f = gaussian_bump_field(grid32, (-0.35, 0.1, 0), 1.0, 0.08, cutoff_radii=3.0)
+    q = gaussian_bump_field(grid32, (0.35, 0, -0.1), 0.5, 0.08, cutoff_radii=3.0)
+    k = 4.0
+    dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0], [-0.48, 0.6, -0.64]])
+    if case == "passive":
+        cfg = ScatteringConfig(grid=grid32, k=k, source=f)
+    elif case == "backscatter":
+        cfg = ScatteringConfig(grid=grid32, k=k, alpha=1, incident_dir=(0, 0, -1.0), potential=q)
+    else:
+        cfg = ScatteringConfig(grid=grid32, k=k, source=f, potential=q)
+    u_sc = lippmann_schwinger_solve(cfg)[0].data
+    total = u_sc + (incident_plane_wave(k, cfg.incident_dir, grid32).data if cfg.alpha else 0)
+    g = np.zeros(grid32.dims, dtype=complex)
+    if cfg.source is not None:
+        g += f.data
+    if cfg.potential is not None:
+        g += q.data * total
+    got = far_field(cfg, u_sc, dirs)
+    whole = tuple((0, n - 1) for n in grid32.dims)
+    full = _farfield_batch(g, grid32, k, dirs, whole)
+    oracle = np.array([direct_farfield(ComplexField(grid32, g), k, d) for d in dirs])
+    assert _rel(got, full) <= 1e-13
+    assert _rel(got, oracle) <= 1e-13
 
 
 def test_born_reciprocity(grid16):

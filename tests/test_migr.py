@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rscat import migr
+from rscat import fields, migr
 from rscat import (ConfigurationError, GridSpec, MigrSpec, ScalarField,
                    ball_indicator_field, empirical_covariance,
                    gaussian_bump_field, riesz_kernel, spectral_slope,
@@ -191,6 +191,39 @@ def test_synthesis_matches_full_lattice_reference():
     # m = 0 passes the scaled noise through untouched
     white = synthesize_migr(MigrSpec(order=0.0, strength=mu), seed).field.data
     assert np.array_equal(white, np.sqrt(mu.data) * w)
+
+
+def _full_lattice_slope(spec, n_samples, seed0, n_bins=12):
+    """spectral_slope computed on the full dual lattice with the complex transform."""
+    grid = spec.grid
+    power = np.zeros(grid.dims)
+    for i in range(n_samples):
+        power += np.abs(fields._fftn(synthesize_migr(spec, seed0 + i).field.data)) ** 2
+    power /= n_samples
+    mag = grid.frequency_magnitude()
+    lo, hi = grid.nyquist / 40.0, grid.nyquist / 4.0
+    sel = (mag >= lo) & (mag <= hi)
+    which = np.digitize(mag[sel], np.geomspace(lo, hi, n_bins + 1)) - 1
+    xs, ys = [], []
+    for b in range(n_bins):
+        inb = which == b
+        if inb.any():
+            xs.append(np.log(np.mean(mag[sel][inb])))
+            ys.append(np.log(np.mean(power[sel][inb])))
+    A = np.stack([xs, np.ones(len(xs))], axis=1)
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    resid = ys - A @ coef
+    s2 = float(resid @ resid) / max(len(xs) - 2, 1)
+    sxx = float(np.sum((np.asarray(xs) - np.mean(xs)) ** 2))
+    return coef[0], 1.96 * np.sqrt(s2 / sxx)
+
+
+def test_spectral_slope_matches_full_lattice_reference():
+    spec = MigrSpec(order=2.5, strength=_noncubic_strength())
+    slope, half = spectral_slope(spec, 6, 3)
+    ref_slope, ref_half = _full_lattice_slope(spec, 6, 3)
+    assert abs(slope - ref_slope) <= 1e-10 * abs(ref_slope)
+    assert abs(half - ref_half) <= 1e-10 * abs(ref_half)
 
 
 def test_synthesis_builds_filter_once(monkeypatch):
