@@ -22,7 +22,6 @@ from .config import ExperimentConfig, load_config
 from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
                      OracleError, RscatError, SolverConvergenceError,
                      SolverDivergenceError)
-from .fields import ScalarField
 from .forward import (FarFieldSet, ResolventOperator, ScatteringConfig,
                       band_sweep, draw_realization, lippmann_schwinger_solve)
 from .migr import MigrSpec
@@ -62,8 +61,7 @@ def _cmd_synth(args):
     obj = _ingredient(cfg, args.which)
     # the realization a sweep with this seed scatters from
     if args.which == "source":
-        drawn = draw_realization(obj, None, cfg.seed)[0]
-        field = ScalarField(drawn.grid, drawn.data.real)  # drawn complex for the sweep
+        field = draw_realization(obj, None, cfg.seed)[0]
     else:
         field = draw_realization(None, obj, cfg.seed)[1]
     write_field(args.out, field)

@@ -290,7 +290,9 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
     if box is None:
         return np.zeros(dirs.shape[0], dtype=np.complex128)
     crop = tuple(slice(lo, hi + 1) for lo, hi in box)
-    g = None if f is None else f[crop]
+    # one pass casts a real source and packs the crop; left to tensordot, the
+    # crop would be copied and then cast
+    g = None if f is None else np.asarray(f[crop], dtype=np.complex128)
     if q is not None:
         total = (u_sc.data if isinstance(u_sc, ComplexField) else u_sc)[crop]
         if cfg.alpha == 1:
@@ -397,11 +399,11 @@ class FarFieldSet:
             fh.write("\n".join(lines) + "\n")
         with open(prefix + ".csv", "w") as fh:
             fh.write("dir_x,dir_y,dir_z,k,re,im\n")
-            for d in range(self.n_dirs):
-                dx, dy, dz = (fmt(c) for c in self.dirs[d])
-                for j, k in enumerate(self.freqs):
-                    v = self.values[d, j]
-                    fh.write(f"{dx},{dy},{dz},{fmt(k)},{fmt(v.real)},{fmt(v.imag)}\n")
+            # one block per direction, whose coordinates are formatted once
+            for d, row in zip(self.dirs, self.values):
+                line = ",".join(fmt(c) for c in d) + ",%.17g,%.17g,%.17g\n"
+                fh.writelines(line % r for r in zip(self.freqs.tolist(), row.real.tolist(),
+                                                     row.imag.tolist()))
 
     @classmethod
     def load(cls, prefix):
@@ -458,8 +460,9 @@ def draw_realization(source, potential, seed):
     A MigrSpec source draws from the first child of ``seed`` and a MigrSpec
     potential from the second, so every run with one seed sees one
     realization. Two random ingredients must have separated supports. A real
-    source comes back complex, so no per-frequency step converts it; m_f and
-    m_q are the rough orders of random ingredients, None for the others.
+    source stays real: the resolvent and the far-field sum cast it where they
+    meet complex data. m_f and m_q are the rough orders of random
+    ingredients, None for the others.
     """
     seeds = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     drawn = [synthesize_migr(x, int(s)) if isinstance(x, MigrSpec) else x
@@ -468,7 +471,7 @@ def draw_realization(source, potential, seed):
     m_f, m_q = (x.spec.order if isinstance(x, Realization) else None for x in drawn)
     if m_f is not None and m_q is not None:
         _box_normal(f.support_box, q.support_box)
-    return (f.as_complex() if isinstance(f, ScalarField) else f), q, m_f, m_q
+    return f, q, m_f, m_q
 
 
 def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,

@@ -197,14 +197,14 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
     if n_samples < 2:
         raise ConfigurationError("covariance estimation needs n_samples >= 2")
     grid = spec.grid
-    cells = [(grid.nearest_cell(x), grid.nearest_cell(y)) for x, y in pairs]
+    cells = np.array([(grid.nearest_cell(x), grid.nearest_cell(y)) for x, y in pairs],
+                     dtype=int).reshape(-1, 2, 3)
+    cx, cy = tuple(cells[:, 0].T), tuple(cells[:, 1].T)
     mean = spec.mean.data if spec.mean is not None else 0.0
     prods = np.empty((len(cells), n_samples))
     for i in range(n_samples):
-        f = synthesize_migr(spec, seed0 + i).field.data
-        fluct = f - mean
-        for p, (cx, cy) in enumerate(cells):
-            prods[p, i] = fluct[cx] * fluct[cy]
+        fluct = synthesize_migr(spec, seed0 + i).field.data - mean
+        prods[:, i] = fluct[cx] * fluct[cy]
     return [
         CovarianceEstimate(
             value=float(np.mean(row)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -127,52 +127,48 @@ def backscatter_band_correlation(ff: FarFieldSet, m_q: float, tau: float, direct
     return _one_estimate(ff, m_q, tau, direction, K)
 
 
-def hermitian_complete(samples: Sequence[CorrelationEstimate], normal) -> list:
-    """Extend hemisphere samples (dir . n >= 0) to the full sphere by conjugate reflection.
+def hermitian_complete(dirs, values, normal):
+    """Extend hemisphere rows (dir . n >= 0) to the full sphere by conjugate reflection.
 
-    Samples at dir . n > 0 gain a partner conj(value) at -dir. Equatorial
-    samples are averaged with their conjugate mirror when the mirror
-    direction is present, and must have a mirror partner at the same tau.
+    ``values[d]`` holds the samples along ``dirs[d]`` at one shared tau list.
+    A row at dir . n > 0 is followed by its mirror row conj(row) at -dir. An
+    equatorial row is averaged with the conjugate of its mirror row, which
+    must be present. Returns the completed (dirs, values).
     """
     n = np.asarray(normal, dtype=np.float64)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise ConfigurationError("completion normal must be unit length")
-    for s in samples:
-        if np.dot(s.dir, n) < -_EQUATOR_TOL:
-            raise ConfigurationError(
-                f"sample direction {s.dir} lies in the open negative hemisphere"
-            )
-
-    def key(tau, d):
-        return (round(tau, 9), tuple(round(c, 9) for c in d))
-
-    index = {key(s.tau, s.dir): s for s in samples}
-    out = []
-    for s in samples:
-        dn = np.dot(s.dir, n)
-        mirror_dir = tuple(-c for c in s.dir)
-        if abs(dn) <= _EQUATOR_TOL:
-            partner = index.get(key(s.tau, mirror_dir))
-            if partner is None:
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    values = np.atleast_2d(np.asarray(values, dtype=np.complex128))
+    if values.shape[0] != dirs.shape[0]:
+        raise ConfigurationError(f"{values.shape[0]} sample rows for {dirs.shape[0]} directions")
+    dn = dirs @ n
+    if np.any(dn < -_EQUATOR_TOL):
+        raise ConfigurationError(
+            f"sample direction {tuple(dirs[np.argmin(dn)])} lies in the open negative hemisphere"
+        )
+    out_dirs, out_values = [], []
+    for d, row, h in zip(dirs, values, dn):
+        if abs(h) <= _EQUATOR_TOL:
+            mirror = np.nonzero(np.max(np.abs(dirs + d), axis=1) <= 1e-9)[0]
+            if len(mirror) == 0:
                 raise DataCoverageError(
-                    f"equatorial sample at tau={s.tau}, dir={s.dir} is missing its mirror partner"
+                    f"equatorial direction {tuple(d)} is missing its mirror row"
                 )
-            avg = 0.5 * (s.value + np.conj(partner.value))
-            out.append(CorrelationEstimate(s.tau, s.dir, s.band, avg, s.n_terms))
+            out_dirs.append(d)
+            out_values.append(0.5 * (row + np.conj(values[mirror[0]])))
         else:
-            out.append(s)
-            out.append(
-                CorrelationEstimate(s.tau, mirror_dir, s.band, np.conj(s.value), s.n_terms)
-            )
-    return out
+            out_dirs += [d, -d]
+            out_values += [row, np.conj(row)]
+    return np.array(out_dirs), np.array(out_values)
 
 
 # ---------------------------------------------------------------------------
 # polar lattice -> Cartesian spectrum -> strength field
 # ---------------------------------------------------------------------------
 
-def _scatter_polar_samples(samples, grid: GridSpec):
-    """Trilinear scatter of polar samples onto the grid's dual lattice.
+def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
+    """Trilinear scatter of values[d, t], sampled at taus[t] * dirs[d], onto the dual lattice.
 
     Returns the averaged spectrum (zero where nothing lands and beyond the
     largest sampled radius) and the fraction of in-ball cells touched.
@@ -181,9 +177,9 @@ def _scatter_polar_samples(samples, grid: GridSpec):
     num = np.zeros(dims, dtype=np.complex128)
     den = np.zeros(dims)
     dxi = tuple(2.0 * np.pi / (d * grid.spacing) for d in dims)
-    pts = np.array([np.asarray(s.dir) * s.tau for s in samples])
-    vals = np.array([s.value for s in samples])
-    tau_max = max(float(s.tau) for s in samples)
+    pts = (dirs[:, None, :] * taus[None, :, None]).reshape(-1, 3)
+    vals = values.ravel()
+    tau_max = float(np.max(taus))
     # the trilinear footprint reaches one dual cell past tau_max along each axis
     if tau_max + max(dxi) >= grid.nyquist:
         raise ConfigurationError(
@@ -227,7 +223,9 @@ def _inverse_strength_transform(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
 class RecoveryReport:
     """Reconstructed strength plus error metrics against optional ground truth."""
 
-    mu_hat_samples: tuple
+    taus: np.ndarray                    # (T,)
+    dirs: np.ndarray                    # (D, 3) unit vectors
+    mu_hat: np.ndarray                  # (D, T): mu_hat[d, t] ~ mu_hat(taus[t] * dirs[d])
     mu_rec: ScalarField                 # nonnegative (clipped) reconstruction
     mu_rec_unclipped: ScalarField
     ground_truth: Optional[ScalarField] = None
@@ -243,11 +241,11 @@ class RecoveryReport:
         fmt = lambda x: f"{float(x):.17g}"
         with open(prefix + "_samples.csv", "w") as fh:
             fh.write("tau,dir_x,dir_y,dir_z,re,im\n")
-            for s in self.mu_hat_samples:
-                fh.write(
-                    f"{fmt(s.tau)},{fmt(s.dir[0])},{fmt(s.dir[1])},{fmt(s.dir[2])},"
-                    f"{fmt(s.value.real)},{fmt(s.value.imag)}\n"
-                )
+            # one block per direction, whose coordinates are formatted once
+            for d, row in zip(self.dirs, self.mu_hat):
+                line = "%.17g," + ",".join(fmt(c) for c in d) + ",%.17g,%.17g\n"
+                fh.writelines(line % r for r in zip(self.taus.tolist(), row.real.tolist(),
+                                                     row.imag.tolist()))
         with open(prefix + "_summary.txt", "w") as fh:
             if self.rel_l2_error is not None:
                 fh.write(f"rel_l2_error={fmt(self.rel_l2_error)}\n")
@@ -255,14 +253,14 @@ class RecoveryReport:
                 fh.write(f"{key}={fmt(self.metrics[key])}\n")
 
 
-def _assemble_report(samples, grid, ground_truth, extra_metrics):
-    spec, tau_max, coverage = _scatter_polar_samples(samples, grid)
+def _assemble_report(taus, dirs, values, grid, ground_truth, extra_metrics):
+    spec, tau_max, coverage = _scatter_polar_samples(taus, dirs, values, grid)
     rec = _inverse_strength_transform(spec, grid)
     clipped = np.maximum(rec, 0.0)
     metrics = {
         "tau_max": tau_max,
         "cartesian_coverage": coverage,
-        "n_samples": len(samples),
+        "n_samples": values.size,
     }
     rel = None
     if ground_truth is not None:
@@ -274,7 +272,9 @@ def _assemble_report(samples, grid, ground_truth, extra_metrics):
         ) / denom
     metrics.update(extra_metrics)
     return RecoveryReport(
-        mu_hat_samples=tuple(samples),
+        taus=taus,
+        dirs=dirs,
+        mu_hat=values,
         mu_rec=ScalarField(grid, clipped),
         mu_rec_unclipped=ScalarField(grid, rec),
         ground_truth=ground_truth,
@@ -302,16 +302,13 @@ def _select_dirs(ff, dirs, normal_n):
 
 def _recover_strength(ff, m, tau_list, dirs, K, normal_n, grid, ground_truth):
     chosen, n = _select_dirs(ff, dirs, normal_n)
-    taus = [float(tau) for tau in tau_list]
+    taus = np.asarray(tau_list, dtype=np.float64).reshape(-1)
     values, n_terms = _band_estimates(ff, m, taus, chosen, K)
-    samples = [
-        CorrelationEstimate(tau, tuple(ff.dirs[d]), (K, 2 * K), values[i, j], n_terms)
-        for i, d in enumerate(chosen)
-        for j, tau in enumerate(taus)
-    ]
+    dirs = ff.dirs[chosen]
     if n is not None:
-        samples = hermitian_complete(samples, n)
-    return _assemble_report(samples, grid, ground_truth, {"band_lo": K, "order": m})
+        dirs, values = hermitian_complete(dirs, values, n)
+    return _assemble_report(taus, dirs, values, grid, ground_truth,
+                            {"band_lo": K, "order": m, "n_terms": n_terms})
 
 
 def recover_source_strength(ff: FarFieldSet, m: float, tau_list, dirs, K: float,
@@ -429,22 +426,21 @@ class BandDiagnostic:
 _DIAG_DIR = (0.0, 0.0, 1.0)
 
 
-def ergodic_diagnostic(source, m: float, tau: float, bands, *, direction=None,
-                       n_rep: int = 50, seed0: int = 0, known_mean=None) -> list:
+def ergodic_diagnostic(source, m: float, tau: float, bands, *, n_rep: int = 50,
+                       seed0: int = 0, known_mean=None) -> list:
     """Convergence profile of the band estimator across bands.
 
     With a resampleable synthetic process (an object with ``draw(seed, freqs)``)
     the spread is the RMS deviation of the estimate from its known mean over
     n_rep fresh repetitions per band. With a FarFieldSet the bands are read
-    from the single realization at the given direction (default: the first)
-    with the weight and shift of the data's kind, each band's spacing must
-    equal the data's, and every row carries the spread of the per-band
-    estimates across the disjoint bands (diagnostic only, no pass/fail).
+    from the single realization at its first direction with the weight and
+    shift of the data's kind, each band's spacing must equal the data's, and
+    every row carries the spread of the per-band estimates across the
+    disjoint bands (diagnostic only, no pass/fail).
     """
     if len(bands) < 3:
         raise ConfigurationError("ergodic diagnostic needs at least 3 bands")
     if isinstance(source, FarFieldSet):
-        d_idx = 0 if direction is None else source.dir_index(direction)
         estimates, terms = [], []
         for K, delta in bands:
             if abs(delta - source.delta) > 1e-9 * delta:
@@ -452,7 +448,7 @@ def ergodic_diagnostic(source, m: float, tau: float, bands, *, direction=None,
                     f"band starting at {K} has spacing {delta}, but the data spacing "
                     f"is {source.delta}; the band estimate uses the data mesh"
                 )
-            values, n_terms = _band_estimates(source, m, [tau], [d_idx], K)
+            values, n_terms = _band_estimates(source, m, [tau], [0], K)
             estimates.append(values[0, 0])
             terms.append(n_terms)
         spread = float(np.std(np.asarray(estimates)))
@@ -462,17 +458,12 @@ def ergodic_diagnostic(source, m: float, tau: float, bands, *, direction=None,
         ]
     out = []
     for K, delta in bands:
-        n_terms = int(round(K / delta))
-        if n_terms < 16:
-            raise ConfigurationError(
-                f"band starting at {K} holds only {n_terms} mesh points; 16 required"
-            )
         freqs = midpoint_mesh(K, 2.0 * K + tau, delta)
-        ests = np.empty(n_rep, dtype=np.complex128)
-        for r in range(n_rep):
-            values = source.draw(seed0 + r, freqs)
-            ff = make_farfield_set([_DIAG_DIR], freqs, values[None, :], kind="passive")
-            ests[r] = band_correlation(ff, m, tau, _DIAG_DIR, K).value
+        # one row per repetition, all along the same direction
+        draws = np.array([source.draw(seed0 + r, freqs) for r in range(n_rep)])
+        ff = make_farfield_set(np.tile(_DIAG_DIR, (n_rep, 1)), freqs, draws, kind="passive")
+        values, n_terms = _band_estimates(ff, m, [tau], range(n_rep), K)
+        ests = values[:, 0]
         center = known_mean if known_mean is not None else np.mean(ests)
         devs = np.abs(ests - center)
         out.append(

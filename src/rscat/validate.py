@@ -22,8 +22,7 @@ from .forward import (ResolventOperator, ScatteringConfig, far_field,
                       fundamental_solution, incident_plane_wave,
                       lippmann_schwinger_solve)
 from .migr import MigrSpec, empirical_covariance, gaussian_bump_field, synthesize_migr
-from .recovery import (CorrelationEstimate, band_correlation,
-                       hermitian_complete, make_farfield_set,
+from .recovery import (band_correlation, hermitian_complete, make_farfield_set,
                        _assemble_report)
 from .rsgf import read_field, write_field
 
@@ -230,21 +229,21 @@ def check_estimator_positivity_scaling():
 def check_hermitian_completion():
     # exact transform of a real off-centre Gaussian, so mu_hat(-xi) = conj(mu_hat(xi))
     c = np.array([0.1, -0.05, 0.15])
-    upper = ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, -0.8, 0.6))
+    taus = np.array([0.0, 4.0, 8.0])
+    upper = np.array([(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, -0.8, 0.6)])
     # equatorial directions appear in +/- pairs so completion can average them
-    equator = ((0.6, 0.8, 0.0), (-0.6, -0.8, 0.0), (0.8, -0.6, 0.0), (-0.8, 0.6, 0.0))
-    lower = tuple(tuple(-x for x in d) for d in upper)
-
-    def rec(batch):
-        return _assemble_report(batch, _G16, None, {}).mu_rec_unclipped.data
+    equator = np.array([(0.6, 0.8, 0.0), (-0.6, -0.8, 0.0), (0.8, -0.6, 0.0), (-0.8, 0.6, 0.0)])
+    half = np.vstack([upper, equator])
+    full = np.vstack([half, -upper])
 
     def samples(dirs):
-        return [CorrelationEstimate(tau, d, (8.0, 16.0),
-                                    np.exp(-0.02 * tau ** 2 - 1j * tau * np.dot(d, c)), 16)
-                for d in dirs for tau in (0.0, 4.0, 8.0)]
+        return np.exp(-0.02 * taus[None, :] ** 2 - 1j * taus[None, :] * (dirs @ c)[:, None])
 
-    got = rec(hermitian_complete(samples(upper + equator), (0.0, 0.0, 1.0)))
-    ref = rec(samples(upper + equator + lower))
+    def rec(dirs, values):
+        return _assemble_report(taus, dirs, values, _G16, None, {}).mu_rec_unclipped.data
+
+    got = rec(*hermitian_complete(half, samples(half), (0.0, 0.0, 1.0)))
+    ref = rec(full, samples(full))
     err = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
     return err < 1e-12, f"completed hemisphere vs full-sphere reconstruction {err:.2e}"
 

@@ -46,8 +46,8 @@ def test_criterion_1_source_strength_recovery_end_to_end():
     ff = band_sweep(grid, spec, None, freqs, dirs, "passive", seed=20240817)
     report = recover_source_strength(ff, m, tau_list, None, K, grid=grid,
                                      ground_truth=mu)
-    est = np.array([smp.value for smp in report.mu_hat_samples])
-    taus = np.array([smp.tau for smp in report.mu_hat_samples])
+    est = report.mu_hat.ravel()
+    taus = np.tile(report.taus, report.mu_hat.shape[0])
     target = A * s ** 3 * np.exp(-s ** 2 * taus ** 2 / 2.0)
     lattice_err = np.linalg.norm(est - target) / np.linalg.norm(target)
     runtime = time.time() - t_start

@@ -12,7 +12,8 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
                    separating_normal, synthesize_migr)
 from rscat import _kernels
 from rscat.cli import run_command
-from rscat.forward import _COLLAR, ResolventOperator, _farfield_batch, _self_cell_integral
+from rscat.forward import (_COLLAR, ResolventOperator, _farfield_batch, _self_cell_integral,
+                           draw_realization)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -456,6 +457,19 @@ def test_band_sweep_active_backscatter(grid16):
     assert v == ff.values[0, 0]
 
 
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_band_sweep_real_source_matches_complex_copy(grid16, with_potential):
+    # a real source enters the sweep uncast and gives the values of its complex copy
+    f = gaussian_bump_field(grid16, (-0.25, 0, 0), 1.0, 0.09, cutoff_radii=3.0)
+    q = gaussian_bump_field(grid16, (0.28, 0, 0), 1.5, 0.08, cutoff_radii=3.0) if with_potential else None
+    freqs = 5.0 + (np.arange(4) + 0.5) * 0.25
+    dirs = np.array([[0, 0, 1.0], [1.0, 0, 0], [0, 0.6, 0.8]])
+    assert draw_realization(f, q, 4)[0] is f
+    real = band_sweep(grid16, f, q, freqs, dirs, "passive", seed=4, tol=1e-11)
+    cplx = band_sweep(grid16, f.as_complex(), q, freqs, dirs, "passive", seed=4, tol=1e-11)
+    assert real.values.tobytes() == cplx.values.tobytes()
+
+
 def test_band_sweep_error_annotation(grid16):
     q = gaussian_bump_field(grid16, (0, 0, 0), 500.0, 0.16, cutoff_radii=3.0)
     freqs = np.array([1.5, 2.0])
@@ -488,6 +502,13 @@ def test_farfieldset_roundtrip(tmp_path, grid16):
     assert back.kind == ff.kind
     assert back.meta["seed"] == 9
     assert abs(back.meta["delta"] - 0.5) < 1e-15
+    # the body is the per-row %.17g transcription, one block per direction
+    fmt = lambda x: f"{float(x):.17g}"
+    want = ["dir_x,dir_y,dir_z,k,re,im"] + [
+        ",".join(fmt(x) for x in (*ff.dirs[d], k, v.real, v.imag))
+        for d in range(ff.n_dirs) for k, v in zip(ff.freqs, ff.values[d])
+    ]
+    assert open(prefix + ".csv").read().splitlines() == want
 
 
 def test_farfieldset_load_ignores_unknown_manifest_keys(tmp_path, grid16):

@@ -115,6 +115,28 @@ def test_covariance_estimates_symmetric_and_scaling(bump_spec, grid16):
     assert 1.8 <= c2.value / c1.value <= 2.2
 
 
+@pytest.mark.parametrize("with_mean", [False, True])
+def test_covariance_matches_per_pair_products(grid16, with_mean):
+    mu = gaussian_bump_field(grid16, (0, 0, 0), 1.0, 0.14, cutoff_radii=3.0)
+    mean = gaussian_bump_field(grid16, (0, 0, 0), 0.5, 0.08, cutoff_radii=3.0) if with_mean else None
+    spec = MigrSpec(order=2.5, strength=mu, mean=mean)
+    pairs = [((0, 0, 0), (0, 0, 0)), ((0.05, 0, 0), (-0.05, 0.06, 0)),
+             ((0.1, -0.1, 0.05), (0, 0.1, -0.1))]
+    n, seed0 = 4, 7
+    ests = empirical_covariance(spec, pairs, n, seed0)
+    # per-pair transcription of the centered products
+    prods = np.empty((len(pairs), n))
+    for i in range(n):
+        f = synthesize_migr(spec, seed0 + i).field.data
+        fluct = f - (mean.data if with_mean else 0.0)
+        for p, (x, y) in enumerate(pairs):
+            prods[p, i] = fluct[grid16.nearest_cell(x)] * fluct[grid16.nearest_cell(y)]
+    assert len(ests) == len(pairs)
+    for est, row in zip(ests, prods):
+        assert est.value == float(np.mean(row))
+        assert est.std_error == float(np.std(row, ddof=1) / np.sqrt(n))
+
+
 def test_covariance_zero_outside_support(bump_spec):
     pair = ((0.8, 0.8, 0.8), (-0.8, 0.8, 0.8))
     est = empirical_covariance(bump_spec, [pair], 50, 3)[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rscat import (ConfigurationError, CorrelationEstimate, DataCoverageError,
+from rscat import (ConfigurationError, DataCoverageError,
                    DeterministicProcess, GridSpec, IndependentPowerLawProcess,
                    backscatter_band_correlation, band_correlation,
                    direct_farfield, ergodic_diagnostic, gaussian_bump_field,
@@ -124,19 +124,19 @@ def test_recovery_samples_match_direct_band_sum(kind, grid16):
     else:
         report = recover_potential_strength(ff, m, taus, None, K, grid=grid16)
         scale, half = 2.0, 0.5
-    samples = iter(report.mu_hat_samples)
+    assert np.array_equal(report.dirs, dirs) and np.array_equal(report.taus, taus)
+    assert report.mu_hat.shape == (3, len(taus))
     for d in range(3):
-        for tau in taus:
-            got = next(samples)
-            assert got.dir == tuple(dirs[d]) and got.tau == tau
+        for t, tau in enumerate(taus):
+            got = report.mu_hat[d, t]
             want = 0.0
             for j in range(int(K / delta)):
                 k = K + (j + 0.5) * delta
                 want += (scale * k) ** m * np.conj(u(d, k)) * u(d, k + half * tau)
             want *= PREFACTOR * delta / K
-            assert abs(got.value - want) <= 1e-12 * abs(want)
+            assert abs(got - want) <= 1e-12 * abs(want)
             if tau == 0.0:
-                assert got.value.imag == 0.0
+                assert got.imag == 0.0
 
 
 # --------------------------------------------------------------- backscatter
@@ -181,53 +181,46 @@ def test_deterministic_born_backscatter_matches_quadrature(grid32):
 
 def test_hermitian_complete_basic():
     n = UP
-    band = (8.0, 16.0)
-    v = 0.3 + 0.7j
-    samples = [CorrelationEstimate(2.0, (0.0, 0.6, 0.8), band, v, 16)]
-    done = hermitian_complete(samples, n)
-    assert len(done) == 2
-    mirror = [s for s in done if s.dir == (0.0, -0.6, -0.8)][0]
-    assert mirror.value == np.conj(v)
-    # real sample reflects to an identical value
-    done2 = hermitian_complete([CorrelationEstimate(2.0, (0.0, 0.6, 0.8), band, 0.5, 16)], n)
-    assert all(s.value == 0.5 for s in done2)
+    v = np.array([[0.3 + 0.7j, -0.2 + 0.1j]])
+    dirs, done = hermitian_complete([(0.0, 0.6, 0.8)], v, n)
+    assert dirs.tolist() == [[0.0, 0.6, 0.8], [-0.0, -0.6, -0.8]]
+    assert np.array_equal(done[0], v[0])
+    assert np.array_equal(done[1], np.conj(v[0]))
+    # a real row reflects to an identical row
+    _, done2 = hermitian_complete([(0.0, 0.6, 0.8)], [[0.5, 0.5]], n)
+    assert np.all(done2 == 0.5)
 
 
 def test_hermitian_complete_equator_averaging():
     n = UP
-    band = (8.0, 16.0)
     a, b = 0.4 + 0.2j, 0.6 - 0.1j
-    samples = [
-        CorrelationEstimate(1.0, (1.0, 0.0, 0.0), band, a, 16),
-        CorrelationEstimate(1.0, (-1.0, 0.0, 0.0), band, b, 16),
-    ]
-    done = {s.dir: s.value for s in hermitian_complete(samples, n)}
+    dirs, done = hermitian_complete([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)], [[a], [b]], n)
     avg = 0.5 * (a + np.conj(b))
-    assert done[(1.0, 0.0, 0.0)] == avg
-    assert done[(-1.0, 0.0, 0.0)] == np.conj(avg)
+    assert dirs.tolist() == [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    assert done[0, 0] == avg
+    assert done[1, 0] == np.conj(avg)
 
 
 def test_hermitian_complete_errors():
     n = UP
-    band = (8.0, 16.0)
     with pytest.raises(ConfigurationError, match="hemisphere"):
-        hermitian_complete([CorrelationEstimate(1.0, (0.0, 0.6, -0.8), band, 1.0, 16)], n)
+        hermitian_complete([(0.0, 0.6, -0.8)], [[1.0]], n)
     with pytest.raises(DataCoverageError, match="mirror"):
-        hermitian_complete([CorrelationEstimate(1.0, (1.0, 0.0, 0.0), band, 1.0, 16)], n)
+        hermitian_complete([(1.0, 0.0, 0.0)], [[1.0]], n)
+    with pytest.raises(ConfigurationError, match="unit"):
+        hermitian_complete([UP], [[1.0]], (0.0, 0.0, 2.0))
 
 
 def test_completed_samples_have_conjugate_partners(rng):
-    band = (8.0, 16.0)
-    samples = []
-    for d in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.8, 0.6)):
-        for tau in (0.0, 4.0, 8.0):
-            v = rng.standard_normal() + 1j * rng.standard_normal()
-            samples.append(CorrelationEstimate(tau, d, band, v, 16))
-    completed = {(s.tau, s.dir): s.value for s in hermitian_complete(samples, UP)}
-    assert len(completed) == 2 * len(samples)
-    for s in samples:
-        assert completed[(s.tau, s.dir)] == s.value
-        assert completed[(s.tau, tuple(-c for c in s.dir))] == np.conj(s.value)
+    dirs = np.array([(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.8, 0.6)])
+    values = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    out_dirs, completed = hermitian_complete(dirs, values, UP)
+    assert completed.shape == (6, 3)
+    for d in range(3):
+        assert np.array_equal(out_dirs[2 * d], dirs[d])
+        assert np.array_equal(out_dirs[2 * d + 1], -dirs[d])
+        assert np.array_equal(completed[2 * d], values[d])
+        assert np.array_equal(completed[2 * d + 1], np.conj(values[d]))
 
 
 # ---------------------------------------------------------------- reconstruction
@@ -241,12 +234,8 @@ def test_assembly_recovers_known_transform():
 
     dirs = fibonacci_sphere(48)
     taus = np.arange(0, 33) * 0.5
-    band = (8.0, 16.0)
-    samples = [
-        CorrelationEstimate(t, tuple(d), band, A * s ** 3 * np.exp(-s ** 2 * t ** 2 / 2), 16)
-        for d in dirs for t in taus
-    ]
-    report = _assemble_report(samples, grid, mu, {})
+    values = np.tile(A * s ** 3 * np.exp(-s ** 2 * taus ** 2 / 2), (len(dirs), 1))
+    report = _assemble_report(taus, dirs, values, grid, mu, {})
     assert report.rel_l2_error <= 0.15
 
 
@@ -294,9 +283,11 @@ def test_recovery_clips_after_metrics(grid16):
 
 def test_report_persistence(tmp_path, grid16, rng):
     freqs = midpoint_mesh(8.0, 18.0, 0.25)
-    vals = rng.standard_normal((1, len(freqs))) + 1j * rng.standard_normal((1, len(freqs)))
-    ff = make_farfield_set([UP], freqs, vals)
-    report = recover_source_strength(ff, 2.5, [0.0, 0.5], None, 8.0, grid=grid16)
+    dirs = [UP, (0.6, 0.0, 0.8)]
+    vals = rng.standard_normal((2, len(freqs))) + 1j * rng.standard_normal((2, len(freqs)))
+    ff = make_farfield_set(dirs, freqs, vals)
+    taus = [0.0, 0.5, 1.0]
+    report = recover_source_strength(ff, 2.5, taus, None, 8.0, grid=grid16)
     prefix = str(tmp_path / "rec")
     report.save(prefix)
     from rscat import read_field
@@ -305,7 +296,14 @@ def test_report_persistence(tmp_path, grid16, rng):
     assert mu.data.tobytes() == report.mu_rec.data.tobytes()
     lines = (tmp_path / "rec_samples.csv").read_text().splitlines()
     assert lines[0] == "tau,dir_x,dir_y,dir_z,re,im"
-    assert len(lines) == 1 + len(report.mu_hat_samples)
+    assert len(lines) == 1 + report.mu_hat.size
+    # direction-major rows read back to the report's arrays exactly
+    rows = np.loadtxt(prefix + "_samples.csv", delimiter=",", skiprows=1).reshape(2, 3, 6)
+    assert np.array_equal(rows[0, :, 0], report.taus) and np.all(rows[:, :, 0] == rows[0, :, 0])
+    assert np.array_equal(rows[:, 0, 1:4], report.dirs) and np.all(rows[:, :, 1:4] == rows[:, :1, 1:4])
+    assert np.array_equal(rows[:, :, 4] + 1j * rows[:, :, 5], report.mu_hat)
+    summary = (tmp_path / "rec_summary.txt").read_text().splitlines()
+    assert "n_terms=32" in summary
 
 
 # ------------------------------------------------------------------ near field
