@@ -6,13 +6,14 @@ import numpy as np
 JIT_ENABLED = False
 
 
-def kernel_block(dims, h, k, self_value):
-    """Kernel weights w(s) at the offsets 0..n of each axis, self cell corrected.
+def kernel_block(half, h, k, self_value):
+    """Kernel weights w(s) at the offsets 0..m of each axis, self cell corrected.
 
-    The 2x-padded convolution block holds w(min(j, 2n - j)) at index j of an
-    axis of n cells, so this (n0 + 1, n1 + 1, n2 + 1) octant determines it.
+    The resolvent's convolution block on a lattice padded to 2m along an
+    axis holds w(min(j, 2m - j)) at index j, so this (m0 + 1, m1 + 1, m2 + 1)
+    octant determines it.
     """
-    ax = [np.arange(n + 1, dtype=np.float64) for n in dims]
+    ax = [np.arange(m + 1, dtype=np.float64) for m in half]
     r = h * np.sqrt(
         ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2 + ax[2][None, None, :] ** 2
     )

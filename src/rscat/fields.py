@@ -218,27 +218,36 @@ def _irfftn(arr: np.ndarray, dims) -> np.ndarray:
 
 
 def _even_spectrum(octant: np.ndarray) -> np.ndarray:
-    """Standard-normalization DFT of the even (2n)^3 extension of an (n + 1)^3 octant.
+    """Standard-normalization DFT of the even (2m)^3 extension of an (m + 1)^3 octant.
 
-    Index j of an axis of the extension holds octant entry min(j, 2n - j);
+    Index j of an axis of the extension holds octant entry min(j, 2m - j);
     the DFT of such a block is even too, and its octant is the DCT-I of the
     input octant.
     """
     spec = _sfft.dctn(octant, type=1, workers=_FFT_WORKERS)
-    idx = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
-           for n in (m - 1 for m in octant.shape)]
+    idx = [np.minimum(np.arange(2 * m), 2 * m - np.arange(2 * m))
+           for m in (s - 1 for s in octant.shape)]
     return spec[np.ix_(*idx)]
 
 
-def _padded_fftn(arr: np.ndarray, padded) -> np.ndarray:
-    """Standard-normalization DFT of ``arr`` zero-padded to ``padded``.
+def _padded_fftn(arr: np.ndarray, padded, box) -> np.ndarray:
+    """Standard-normalization DFT of ``arr`` zero-padded to ``padded``, for ``arr`` zero outside ``box``.
 
-    One axis at a time from the last, so each pass transforms only the rows
-    that hold data. The first pass never writes to ``arr``.
+    ``box`` holds per-axis (first, last) indices, as ``_support_box`` gives
+    them. One axis at a time from the last: the axis-2 pass transforms only
+    the box rows and the axis-1 pass only the box slabs, each result embedded
+    at the box offset before the next pass. The arithmetic is complex, so a
+    real input takes the transform of its complex copy; ``arr`` is not
+    written to.
     """
-    out = _sfft.fft(arr, n=padded[2], axis=2, workers=_FFT_WORKERS)
-    out = _sfft.fft(out, n=padded[1], axis=1, overwrite_x=True, workers=_FFT_WORKERS)
-    return _sfft.fft(out, n=padded[0], axis=0, overwrite_x=True, workers=_FFT_WORKERS)
+    out = arr[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    for axis in (2, 1, 0):
+        lo, hi = box[axis]
+        emb = np.zeros(out.shape[:axis] + (padded[axis],) + out.shape[axis + 1:],
+                       dtype=np.complex128)
+        emb[(slice(None),) * axis + (slice(lo, hi + 1),)] = out
+        out = _sfft.fft(emb, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
+    return out
 
 
 def _cropped_ifftn(spec: np.ndarray, dims) -> np.ndarray:

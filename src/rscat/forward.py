@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import _kernels
 from .errors import (
@@ -44,11 +45,19 @@ def _self_cell_integral(k: float, h: float) -> complex:
 
 
 class ResolventOperator:
-    """Convolution with the singularity-corrected outgoing kernel, via 2x zero-padded FFT.
+    """Convolution with the singularity-corrected outgoing kernel, via a zero-padded FFT.
 
     Off-center cells carry the kernel at cell centers times h^3; the self
-    cell carries the exact ball integral. Padding to twice the grid per axis
-    makes the circular convolution exactly aperiodic for any supported input.
+    cell carries the exact ball integral. Each apply pads axis i to
+    P_i = 2 m_i, where m_i = next_fast_len(max(hi, n_i - 1 - lo)) over the
+    input's support box [lo, hi]: every offset between an output cell and an
+    input cell is then at most m_i, where the period-P_i even extension of
+    the kernel holds the kernel itself, so the circular convolution is
+    exactly the aperiodic one. P_i <= 2 n_i for any input.
+
+    The kernel spectrum is built by the first apply and rebuilt at the
+    elementwise maximum when a later input needs a larger m, so it only
+    grows; inputs it covers reuse it.
     """
 
     def __init__(self, grid: GridSpec, k: float):
@@ -56,15 +65,29 @@ class ResolventOperator:
             raise ConfigurationError(f"frequency must be nonnegative, got {k}")
         self.grid = grid
         self.k = float(k)
-        octant = _kernels.kernel_block(grid.dims, grid.spacing, self.k,
-                                       _self_cell_integral(self.k, grid.spacing))
-        self._padded = tuple(2 * d for d in grid.dims)
+        self._kernel_hat = None
+
+    def _spectrum(self, half) -> np.ndarray:
+        """Kernel spectrum on a lattice of at least 2 * ``half`` per axis."""
+        if self._kernel_hat is not None:
+            have = tuple(s // 2 for s in self._kernel_hat.shape)
+            if all(m <= c for m, c in zip(half, have)):
+                return self._kernel_hat
+            half = tuple(map(max, half, have))
+        h = self.grid.spacing
+        octant = _kernels.kernel_block(half, h, self.k, _self_cell_integral(self.k, h))
         self._kernel_hat = _even_spectrum(octant)
+        return self._kernel_hat
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        # the complex cast keeps real inputs on the complex transform
-        spec = _padded_fftn(np.asarray(arr, dtype=np.complex128), self._padded)
-        spec *= self._kernel_hat
+        arr = np.asarray(arr)
+        box = _support_box(arr)
+        if box is None:
+            return np.zeros(self.grid.dims, dtype=np.complex128)
+        kernel_hat = self._spectrum(tuple(
+            next_fast_len(max(hi, n - 1 - lo)) for (lo, hi), n in zip(box, self.grid.dims)))
+        spec = _padded_fftn(arr, kernel_hat.shape, box)
+        spec *= kernel_hat
         return _cropped_ifftn(spec, self.grid.dims)
 
 
@@ -75,16 +98,21 @@ def resolvent_apply(k: float, phi) -> ComplexField:
     return ComplexField(phi.grid, op.apply(phi.data))
 
 
+def _plane_wave(k: float, d, grid: GridSpec, box) -> np.ndarray:
+    """e^{i k d . x} at the cell centers of ``box`` (per-axis inclusive index ranges)."""
+    xs, ys, zs = (c[lo:hi + 1] for c, (lo, hi) in zip(grid.coords(), box))
+    px = np.exp(1j * k * d[0] * xs)
+    py = np.exp(1j * k * d[1] * ys)
+    pz = np.exp(1j * k * d[2] * zs)
+    return px[:, None, None] * py[None, :, None] * pz[None, None, :]
+
+
 def incident_plane_wave(k: float, direction, grid: GridSpec) -> ComplexField:
     """Unit-amplitude plane wave e^{i k d . x} sampled at cell centers."""
     d = np.asarray(direction, dtype=np.float64)
     if abs(np.linalg.norm(d) - 1.0) > 1e-12:
         raise ConfigurationError(f"incident direction must be unit length, got |d|={np.linalg.norm(d)}")
-    xs, ys, zs = grid.coords()
-    px = np.exp(1j * k * d[0] * xs)
-    py = np.exp(1j * k * d[1] * ys)
-    pz = np.exp(1j * k * d[2] * zs)
-    return ComplexField(grid, px[:, None, None] * py[None, :, None] * pz[None, None, :])
+    return ComplexField(grid, _plane_wave(k, d, grid, tuple((0, n - 1) for n in grid.dims)))
 
 
 def _as_field_or_none(obj):
@@ -213,7 +241,12 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
     if cfg._source_data is not None:
         rhs += op.apply(cfg._source_data)
     if q is not None and cfg.alpha == 1:
-        rhs += op.apply(q * incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data)
+        # q u_in vanishes outside q's box, so the wave is formed on that box only
+        box = cfg._potential_box
+        crop = tuple(slice(lo, hi + 1) for lo, hi in box)
+        qu_in = np.zeros(cfg.grid.dims, dtype=np.complex128)
+        qu_in[crop] = q[crop] * _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, box)
+        rhs += op.apply(qu_in)
     if q is None:
         # the series truncates: u_sc = RHS exactly, first update is zero
         report = ConvergenceReport(True, 1, (0.0,), None, 0.0)
@@ -296,7 +329,7 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
     if q is not None:
         total = (u_sc.data if isinstance(u_sc, ComplexField) else u_sc)[crop]
         if cfg.alpha == 1:
-            total = total + incident_plane_wave(cfg.k, cfg.incident_dir, cfg.grid).data[crop]
+            total = total + _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, box)
         g = q[crop] * total if g is None else g + q[crop] * total
     return _farfield_batch(g, cfg.grid, cfg.k, dirs, box)
 

@@ -101,10 +101,11 @@ def test_outgoing_phase_advance(grid16):
         assert abs(np.exp(1j * got) - np.exp(1j * expect)) < 1e-10
 
 
-def _full_padded_block(grid, k):
-    """The kernel weights on the whole 2x-padded offset block, tabulated directly."""
+def _full_padded_block(grid, k, half=None):
+    """The kernel weights on the whole even block padded to 2m per axis (m = n by default)."""
+    half = grid.dims if half is None else half
     h = grid.spacing
-    ax = [np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n)).astype(float) for n in grid.dims]
+    ax = [np.minimum(np.arange(2 * m), 2 * m - np.arange(2 * m)).astype(float) for m in half]
     r = h * np.sqrt(ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2 + ax[2][None, None, :] ** 2)
     r[0, 0, 0] = 1.0
     block = h ** 3 * np.exp(1j * k * r) / (4.0 * np.pi * r)
@@ -119,11 +120,36 @@ def _rel(got, ref):
 NONCUBIC = GridSpec.centered((8, 16, 32), 1.0 / 16)
 
 
+def _unpruned_apply(grid, k, x):
+    """Reference resolvent: the whole input through the 2n-padded convolution."""
+    n = grid.dims
+    kernel_hat = np.fft.fftn(_full_padded_block(grid, k))
+    spec = np.fft.fftn(x, s=tuple(2 * d for d in n), axes=(0, 1, 2))
+    return np.fft.ifftn(spec * kernel_hat)[: n[0], : n[1], : n[2]]
+
+
+def _box_input(rng, box, complex_data):
+    x = np.zeros(NONCUBIC.dims)
+    inside = tuple(slice(lo, hi + 1) for lo, hi in box)
+    x[inside] = rng.standard_normal(x[inside].shape)
+    if complex_data:
+        x = x + 1j * np.where(x != 0, rng.standard_normal(x.shape), 0.0)
+    return x
+
+
 @pytest.mark.parametrize("k", [0.0, 5.0])
 def test_resolvent_spectrum_matches_full_block(k):
     # k = 0 takes the small-k branch of the self-cell integral
-    ref = np.fft.fftn(_full_padded_block(NONCUBIC, k))
-    assert _rel(ResolventOperator(NONCUBIC, k)._kernel_hat, ref) <= 1e-13
+    op = ResolventOperator(NONCUBIC, k)
+    x = np.zeros(NONCUBIC.dims)
+    x[4, 6:9, 10:14] = 1.0
+    op.apply(x)
+    sized = tuple(s // 2 for s in op._kernel_hat.shape)
+    assert all(m < n for m, n in zip(sized, NONCUBIC.dims))
+    for half in (sized, NONCUBIC.dims):
+        spec = op._spectrum(half)
+        assert spec.shape == tuple(2 * m for m in half)
+        assert _rel(spec, np.fft.fftn(_full_padded_block(NONCUBIC, k, half))) <= 1e-13
 
 
 def test_kernel_block_is_the_octant():
@@ -133,16 +159,69 @@ def test_kernel_block_is_the_octant():
     assert _rel(octant, _full_padded_block(NONCUBIC, k)[:9, :17, :33]) <= 1e-15
 
 
+SIZED_BOXES = {
+    "off-centre": ((1, 3), (2, 6), (18, 27)),
+    "touches-collar": ((2, 5), (_COLLAR, 9), (20, 31 - _COLLAR)),
+    "full-grid": ((0, 7), (0, 15), (0, 31)),
+    "one-cell": ((3, 3), (11, 11), (5, 5)),
+}
+
+
 def test_resolvent_apply_matches_unpruned_convolution(rng):
     k = 5.0
-    n = NONCUBIC.dims
-    padded = tuple(2 * d for d in n)
-    kernel_hat = np.fft.fftn(_full_padded_block(NONCUBIC, k))
+    for box in SIZED_BOXES.values():
+        for complex_data in (False, True):
+            x = _box_input(rng, box, complex_data)
+            op = ResolventOperator(NONCUBIC, k)
+            got = op.apply(x)
+            lattice = op._kernel_hat.shape
+            assert all(n <= p <= 2 * n and p % 2 == 0 for p, n in zip(lattice, NONCUBIC.dims))
+            assert _rel(got, _unpruned_apply(NONCUBIC, k, x)) <= 1e-13
+
+
+def test_resolvent_zero_input_returns_zeros():
+    op = ResolventOperator(NONCUBIC, 5.0)
+    for x in (np.zeros(NONCUBIC.dims), np.zeros(NONCUBIC.dims, dtype=complex)):
+        out = op.apply(x)
+        assert out.shape == NONCUBIC.dims and out.dtype == np.complex128
+        assert not np.any(out)
+    assert op._kernel_hat is None
+
+
+def test_resolvent_spectrum_grows_and_stays_exact(rng):
+    k = 5.0
     op = ResolventOperator(NONCUBIC, k)
-    real = rng.standard_normal(n)
-    for x in (real, real + 1j * rng.standard_normal(n)):
-        ref = np.fft.ifftn(np.fft.fftn(x, s=padded, axes=(0, 1, 2)) * kernel_hat)[: n[0], : n[1], : n[2]]
-        assert _rel(op.apply(x), ref) <= 1e-13
+    small = _box_input(rng, SIZED_BOXES["one-cell"], True)
+    # needs a larger m than ``small`` on axes 0 and 1 but a smaller one on axis 2
+    large = _box_input(rng, ((1, 3), (2, 6), (12, 19)), True)
+    op.apply(small)
+    first = op._kernel_hat.shape
+    assert _rel(op.apply(large), _unpruned_apply(NONCUBIC, k, large)) <= 1e-13
+    grown = op._kernel_hat
+    assert all(g >= f for g, f in zip(grown.shape, first)) and grown.shape != first
+    # a smaller input reuses the grown spectrum
+    assert _rel(op.apply(small), _unpruned_apply(NONCUBIC, k, small)) <= 1e-13
+    assert op._kernel_hat is grown
+
+
+class _UnprunedResolvent(ResolventOperator):
+    """The resolvent on the full 2n-padded lattice, as a reference operator."""
+
+    def apply(self, arr):
+        return _unpruned_apply(self.grid, self.k, arr)
+
+
+def test_backscatter_born_solve_matches_2n_padding(grid32):
+    q = gaussian_bump_field(grid32, (0.12, -0.08, 0.2), 3.0, 0.12, cutoff_radii=3.0)
+    xhat = np.array([0.6, 0.0, 0.8])
+    cfg = ScatteringConfig(grid=grid32, k=4.0, alpha=1, incident_dir=tuple(-xhat),
+                           potential=q, tol=1e-12, max_born_order=60)
+    u, rep = lippmann_schwinger_solve(cfg)
+    ref, ref_rep = lippmann_schwinger_solve(cfg, _UnprunedResolvent(grid32, 4.0))
+    assert rep.iterations == ref_rep.iterations > 2
+    assert _rel(u.data, ref.data) <= 1e-12
+    assert abs(far_field(cfg, u, [xhat])[0] - far_field(cfg, ref, [xhat])[0]) \
+        <= 1e-12 * abs(far_field(cfg, ref, [xhat])[0])
 
 
 def test_resolvent_apply_leaves_input_unchanged(rng):
