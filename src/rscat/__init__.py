@@ -29,7 +29,7 @@ from .recovery import (CorrelationEstimate, DeterministicProcess,
                        make_farfield_set, midpoint_mesh,
                        nearfield_second_moment, recover_potential_strength,
                        recover_source_strength)
-from .oracles import (QuadratureSpec, brute_covariance, direct_farfield,
+from .oracles import (brute_covariance, direct_farfield,
                       potential_kernel_integral, resolvent_point_values,
                       riesz_kernel)
 from .config import ExperimentConfig, fibonacci_sphere, load_config

@@ -164,10 +164,6 @@ class BandSpec:
     tau_list: tuple
     freqs: np.ndarray
 
-    @property
-    def tau_max(self):
-        return max(self.tau_list) if self.tau_list else 0.0
-
 
 @dataclass(frozen=True)
 class SolverSpec:

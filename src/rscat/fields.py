@@ -1,8 +1,12 @@
 """Uniform 3-D grids, immutable field containers, and the Fourier-transform contract.
 
-All spectral work in the package runs through the unitary transform pair
-defined here, so Parseval holds without constants; physical-convention
-factors such as (2 pi)^(-3/2) are applied explicitly at call sites.
+Every transform in the package is defined here. Field spectra (``fft_forward``,
+synthesis, the fractional Laplacian) use the unitary pair, so Parseval holds
+without constants. The resolvent's padded convolution (``_padded_fftn``,
+``_cropped_ifftn``), its kernel spectrum (a DCT-I in ``_even_spectrum``) and
+the strength reconstruction (``_ifftn_raw``) use the standard normalization.
+Physical-convention factors such as (2 pi)^(-3/2) are applied explicitly at
+call sites.
 """
 
 from __future__ import annotations

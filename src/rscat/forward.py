@@ -341,12 +341,24 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
 _KINDS = ("passive", "active-backscatter")
 
 
+def _mesh_spacing(freqs) -> Optional[float]:
+    """Spacing of a strictly increasing mesh uniform to 1e-9 of it; None for one frequency."""
+    d = np.diff(freqs)
+    if np.any(d <= 0) or (len(d) and np.max(np.abs(d - d[0])) > 1e-9 * d[0]):
+        raise ConfigurationError("frequency mesh must be strictly increasing and uniform")
+    return float(d[0]) if len(d) else None
+
+
 @dataclass(frozen=True)
 class FarFieldSet:
-    """Single-realization far-field samples on a direction set and frequency mesh."""
+    """Single-realization far-field samples on a direction set and uniform frequency mesh.
+
+    The mesh spacing, the band edges and every frequency lookup follow from
+    ``freqs``; ``meta`` holds only the rough order ``m`` and the ``seed``.
+    """
 
     dirs: np.ndarray          # (D, 3) unit vectors
-    freqs: np.ndarray         # (nk,) strictly increasing
+    freqs: np.ndarray         # (nk,) strictly increasing and uniform
     values: np.ndarray        # (D, nk) complex
     kind: str
     meta: dict = dc_field(default_factory=dict)
@@ -359,8 +371,7 @@ class FarFieldSet:
             raise ConfigurationError(f"far-field kind must be one of {_KINDS}")
         if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-12):
             raise ConfigurationError("far-field directions must be unit length")
-        if np.any(np.diff(freqs) <= 0):
-            raise ConfigurationError("far-field frequencies must be strictly increasing")
+        object.__setattr__(self, "_delta", _mesh_spacing(freqs))
         if values.shape != (dirs.shape[0], freqs.shape[0]):
             raise ConfigurationError(
                 f"values shape {values.shape} does not match (dirs, freqs) "
@@ -378,12 +389,9 @@ class FarFieldSet:
 
     @property
     def delta(self) -> float:
-        d = np.diff(self.freqs)
-        if len(d) == 0:
+        if self._delta is None:
             raise ConfigurationError("mesh spacing undefined for a single frequency")
-        if np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
-            raise ConfigurationError("frequency mesh is not uniform")
-        return float(d[0])
+        return self._delta
 
     def dir_index(self, direction) -> int:
         d = np.asarray(direction, dtype=np.float64)
@@ -395,16 +403,10 @@ class FarFieldSet:
     def freq_indices(self, ks, what="frequency"):
         """Mesh indices for the requested frequencies, shaped like ks; reports gaps loudly."""
         ks = np.atleast_1d(np.asarray(ks, dtype=np.float64))
-        tol = 1e-9 * max(self.delta, 1.0)
-        pos = np.searchsorted(self.freqs, ks)
-        idx = np.full(ks.shape, -1, dtype=int)
-        last = len(self.freqs) - 1
-        # the first of the neighbours p-1, p, p+1 within tolerance wins
-        for c in (pos - 1, pos, pos + 1):
-            hit = (idx < 0) & (c >= 0) & (c <= last)
-            hit &= np.abs(self.freqs[np.clip(c, 0, last)] - ks) <= tol
-            idx[hit] = c[hit]
-        gaps = [float(k) for k in ks[idx < 0]]
+        delta = self.delta
+        idx = np.clip(np.rint((ks - self.freqs[0]) / delta), 0, len(self.freqs) - 1).astype(int)
+        miss = np.abs(self.freqs[idx] - ks) > 1e-9 * max(delta, 1.0)
+        gaps = [float(k) for k in ks[miss]]
         if gaps:
             raise DataCoverageError(
                 f"data set is missing {len(gaps)} {what} mesh points: "
@@ -414,17 +416,22 @@ class FarFieldSet:
         return idx
 
     def save(self, prefix):
-        """Write manifest (key=value) and CSV with 17-significant-digit floats."""
+        """Write manifest (key=value) and CSV with 17-significant-digit floats.
+
+        The band edges and the spacing are written from the frequencies, and
+        left empty for a single frequency.
+        """
         prefix = str(prefix)
-        meta = self.meta
-        fmt = lambda x: f"{float(x):.17g}"
+        meta, freqs, delta = self.meta, self.freqs, self._delta
+        fmt = lambda x: "" if x is None else f"{float(x):.17g}"
+        lo, hi = (None, None) if delta is None else (freqs[0] - delta / 2, freqs[-1] + delta / 2)
         lines = [
             f"kind={self.kind}",
-            f"m={fmt(meta['m']) if meta.get('m') is not None else ''}",
+            f"m={fmt(meta.get('m'))}",
             f"seed={meta['seed'] if meta.get('seed') is not None else ''}",
-            f"band_lo={fmt(meta['band_lo']) if meta.get('band_lo') is not None else ''}",
-            f"band_hi={fmt(meta['band_hi']) if meta.get('band_hi') is not None else ''}",
-            f"delta={fmt(meta['delta']) if meta.get('delta') is not None else fmt(self.delta)}",
+            f"band_lo={fmt(lo)}",
+            f"band_hi={fmt(hi)}",
+            f"delta={fmt(delta)}",
             f"dirs_count={self.n_dirs}",
             f"n_freq={len(self.freqs)}",
         ]
@@ -523,13 +530,7 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     freqs = np.asarray(frequencies, dtype=np.float64)
     if freqs.ndim != 1 or len(freqs) < 1:
         raise ConfigurationError("sweep needs a 1-D list of frequencies")
-    if len(freqs) > 1:
-        d = np.diff(freqs)
-        if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
-            raise ConfigurationError("sweep frequencies must be strictly increasing and uniform")
-        delta = float(d[0])
-    else:
-        delta = None
+    _mesh_spacing(freqs)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     f_obj, q_obj, m_f, m_q = draw_realization(source, potential, seed)
     solve_needed = q_obj is not None and q_obj.support_box is not None
@@ -556,11 +557,6 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                 raise type(e)(f"{e} ({label} sweep, k={k}{where})") from e
             values[rows, j] = far_field(cfg, u, observed)
 
-    primary_m = m_q if mode == "active-backscatter" and m_q is not None else m_f
-    meta = {
-        "m": primary_m, "m_f": m_f, "m_q": m_q, "seed": int(seed),
-        "band_lo": float(freqs[0] - (delta / 2 if delta else 0.0)),
-        "band_hi": float(freqs[-1] + (delta / 2 if delta else 0.0)),
-        "delta": delta,
-    }
+    meta = {"m": m_q if mode == "active-backscatter" and m_q is not None else m_f,
+            "seed": int(seed)}
     return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)

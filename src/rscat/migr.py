@@ -129,7 +129,7 @@ def _check_resolution(spec: MigrSpec):
         )
 
 
-def _origin_cell_average(grid: GridSpec, m: float, nsub: int = 48) -> float:
+def _origin_cell_average(grid: GridSpec, m: float) -> float:
     """Average of |xi|^(-m) over the dual-lattice cell containing xi = 0.
 
     The integral is finite for m < 3; it is split into an exact ball part and
@@ -143,6 +143,7 @@ def _origin_cell_average(grid: GridSpec, m: float, nsub: int = 48) -> float:
     dxi = np.array([2.0 * np.pi / (d * grid.spacing) for d in grid.dims])
     rho0 = dxi.min() / 2.0
     ball = 4.0 * np.pi * rho0 ** (3.0 - m) / (3.0 - m)
+    nsub = 48  # midpoints per axis
     axes = [((np.arange(nsub) + 0.5) / nsub - 0.5) * w for w in dxi]
     mag = np.sqrt(
         axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2 + axes[2][None, None, :] ** 2
@@ -214,13 +215,13 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
     ]
 
 
-def spectral_slope(spec: MigrSpec, n_samples: int, seed0: int, n_bins: int = 12):
+def spectral_slope(spec: MigrSpec, n_samples: int, seed0: int):
     """Least-squares slope of the log radially binned ensemble power spectrum.
 
-    Fitted over |xi| in [nyquist/40, nyquist/4]; for a rough order m the
-    expected slope is -m (flat for the white-noise case m = 0). Returns
-    (slope, half_width) where half_width is the 95% confidence half-interval
-    of the fit.
+    Fitted over 12 geometric bins of |xi| in [nyquist/40, nyquist/4]; for a
+    rough order m the expected slope is -m (flat for the white-noise case
+    m = 0). Returns (slope, half_width) where half_width is the 95%
+    confidence half-interval of the fit.
     """
     grid = spec.grid
     mean = spec.mean.data if spec.mean is not None else 0.0
@@ -238,6 +239,7 @@ def spectral_slope(spec: MigrSpec, n_samples: int, seed0: int, n_bins: int = 12)
     weight = np.broadcast_to(weight, mag.shape)
     lo, hi = grid.nyquist / 40.0, grid.nyquist / 4.0
     sel = (mag >= lo) & (mag <= hi)
+    n_bins = 12
     edges = np.geomspace(lo, hi, n_bins + 1)
     which = np.digitize(mag[sel], edges) - 1
     pw = power[sel]

@@ -9,8 +9,6 @@ cannot certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -18,29 +16,12 @@ from .errors import ConfigurationError, OracleError
 from .fields import ComplexField, GridSpec, ScalarField
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and the damping schedule for conditionally convergent radial integrals."""
-
-    rel_tol: float = 1e-6
-    max_evals: int = 4_000_000
-    damping_schedule: tuple = (
-        1e-3, 2.5e-4, 6.25e-5, 1.5625e-5, 3.90625e-6, 9.765625e-7, 2.44140625e-7,
-    )
-
-    def __post_init__(self):
-        if self.rel_tol < 1e-12:
-            raise ConfigurationError("rel_tol below 1e-12 is not certifiable")
-        sched = tuple(float(e) for e in self.damping_schedule)
-        if len(sched) < 3:
-            raise ConfigurationError("damping schedule needs at least 3 entries")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ConfigurationError("damping schedule must be strictly decreasing")
-        if sched[-1] > 1e-6:
-            raise ConfigurationError("damping schedule must reach 1e-6 or below")
-        if any(e <= 0 for e in sched):
-            raise ConfigurationError("damping values must be positive")
-        object.__setattr__(self, "damping_schedule", sched)
+# riesz_kernel's quadrature: the relative tolerance it certifies, the
+# evaluation budget per damping value, and the decreasing Gaussian damping
+# schedule that is extrapolated to zero
+REL_TOL = 1e-6
+MAX_EVALS = 4_000_000
+DAMPING_SCHEDULE = (1e-3, 2.5e-4, 6.25e-5, 1.5625e-5, 3.90625e-6, 9.765625e-7, 2.44140625e-7)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -108,16 +89,16 @@ def _extrapolate_to_zero(values, rel_tol):
     return float(seq[-1]), float(err)
 
 
-def riesz_kernel(m, r, spec=None):
+def riesz_kernel(m, r):
     """Continuum power-law covariance kernel (2 pi)^(-3) int e^{i r.xi} |xi|^-m dxi.
 
     Evaluated as (2 pi^2 r)^(-1) int_0^inf sin(r rho) rho^(1-m) drho with
-    Gaussian damping on a decreasing schedule and extrapolation of the
-    damping to zero. Valid for 2 <= m < 3 (m = 2 is the closed-form anchor
-    1/(4 pi r)); at m = 3 the radial integral ceases to converge and the
-    extrapolation fails loudly.
+    Gaussian damping on the decreasing schedule ``DAMPING_SCHEDULE``, at most
+    ``MAX_EVALS`` integrand evaluations per damping value, and extrapolation
+    of the damping to zero, certified to ``REL_TOL``. Valid for 2 <= m < 3
+    (m = 2 is the closed-form anchor 1/(4 pi r)); at m = 3 the radial
+    integral ceases to converge and the extrapolation fails loudly.
     """
-    spec = spec or QuadratureSpec()
     if not (2.0 <= m <= 3.0):
         raise ConfigurationError(f"riesz kernel order must lie in [2, 3], got {m}")
     if r <= 0:
@@ -127,14 +108,11 @@ def riesz_kernel(m, r, spec=None):
             "the radial integral diverges logarithmically at m = 3; "
             "no value can be certified at the upper endpoint"
         )
-    vals = [
-        _damped_sine_integral(float(r), float(m), eps, spec.max_evals)
-        for eps in spec.damping_schedule
-    ]
-    limit, err = _extrapolate_to_zero(vals, spec.rel_tol)
-    if err > spec.rel_tol * max(abs(limit), 1e-300):
+    vals = [_damped_sine_integral(float(r), float(m), eps, MAX_EVALS) for eps in DAMPING_SCHEDULE]
+    limit, err = _extrapolate_to_zero(vals, REL_TOL)
+    if err > REL_TOL * max(abs(limit), 1e-300):
         raise OracleError(
-            f"cannot certify rel_tol={spec.rel_tol:g} at m={m}, r={r}: "
+            f"cannot certify rel_tol={REL_TOL:g} at m={m}, r={r}: "
             f"residual {err:.3e} on limit {limit:.6e}"
         )
     return limit / (2.0 * np.pi ** 2 * r)

@@ -33,20 +33,10 @@ class CorrelationEstimate:
     """One band-averaged two-frequency correlation, approximating mu_hat(tau * dir)."""
 
     tau: float
-    dir: tuple
+    dir: tuple          # the stored data direction the estimate was read at
     band: tuple
     value: complex
     n_terms: int
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ConfigurationError("tau must be nonnegative")
-        d = np.asarray(self.dir, dtype=np.float64)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ConfigurationError("correlation direction must be unit length")
-        object.__setattr__(self, "dir", tuple(float(c) for c in d))
-        object.__setattr__(self, "band", tuple(float(b) for b in self.band))
-        object.__setattr__(self, "value", complex(self.value))
 
 
 # weight scale c and shift factor a per data kind: w(k) = (c k)^m, s = a tau.
@@ -100,10 +90,11 @@ def _band_estimates(ff: FarFieldSet, m: float, taus, dir_indices, K: float):
 
 
 def _one_estimate(ff, m, tau, direction, K) -> CorrelationEstimate:
-    values, n_terms = _band_estimates(ff, m, [tau], [ff.dir_index(direction)], K)
+    d = ff.dir_index(direction)
+    values, n_terms = _band_estimates(ff, m, [tau], [d], K)
     return CorrelationEstimate(
-        tau=float(tau), dir=tuple(np.asarray(direction, dtype=float)),
-        band=(K, 2 * K), value=values[0, 0], n_terms=n_terms,
+        tau=float(tau), dir=tuple(ff.dirs[d].tolist()),
+        band=(float(K), float(2 * K)), value=complex(values[0, 0]), n_terms=n_terms,
     )
 
 
@@ -407,11 +398,8 @@ class DeterministicProcess:
 
 def make_farfield_set(dirs, freqs, values, kind="passive", **meta) -> FarFieldSet:
     """Assemble a FarFieldSet from raw arrays (synthetic data entry point)."""
-    base = {"m": None, "m_f": None, "m_q": None, "seed": None,
-            "band_lo": None, "band_hi": None, "delta": None}
-    base.update(meta)
-    return FarFieldSet(dirs=np.atleast_2d(dirs), freqs=freqs,
-                       values=np.atleast_2d(values), kind=kind, meta=base)
+    return FarFieldSet(dirs=np.atleast_2d(dirs), freqs=freqs, values=np.atleast_2d(values),
+                       kind=kind, meta={"m": None, "seed": None, **meta})
 
 
 @dataclass(frozen=True)

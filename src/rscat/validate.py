@@ -266,7 +266,7 @@ CHECKS = (
 )
 
 
-def run_all(stream=None):
+def run_all():
     """Run every check; returns True when all pass, printing one line per check."""
     all_ok = True
     for name, fn in CHECKS:
@@ -275,6 +275,5 @@ def run_all(stream=None):
         except Exception as e:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(e).__name__}: {e}"
         all_ok &= ok
-        line = f"{'PASS' if ok else 'FAIL'}  {name:<32} {detail}"
-        print(line, file=stream)
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<32} {detail}")
     return all_ok

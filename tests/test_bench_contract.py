@@ -1,27 +1,35 @@
-"""The names the benchmark reaches into must exist in the package.
+"""The names and calls the benchmark reaches into must work in the package.
 
 ``perfbench/spans.py`` patches the calls it lists in ``traced_calls`` for
 ``--trace 1``, and ``perfbench/run.py`` records ``rscat._kernels.JIT_ENABLED``
-in its environment line. A rename in ``src/`` that breaks either fails here.
+in its environment line. ``perfbench/workloads.py`` calls the library with
+positional arguments. A rename or a signature change in ``src/`` that breaks
+any of them fails here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from rscat import _kernels
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+DECLARED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_call_resolves():
-    calls = _spans_module().traced_calls()
+    calls = _load(SPANS, "perfbench_spans").traced_calls()
     assert calls
     for owner, attr, name, _ in calls:
         held = owner.__dict__ if isinstance(owner, type) else vars(owner)
@@ -31,3 +39,10 @@ def test_every_traced_call_resolves():
 
 def test_environment_record_reads_jit_flag():
     assert isinstance(_kernels.JIT_ENABLED, bool)
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_tiny_workload_passes_its_checks(name, tmp_path):
+    workload = _load(WORKLOADS, "perfbench_workloads").WORKLOADS[name](True, tmp_path)
+    checks = workload.checks(workload.run(workload.reference_seed))
+    assert checks and all(c["ok"] for c in checks), checks

@@ -170,6 +170,17 @@ def test_full_pipeline_deterministic(tmp_path):
     assert all("config_sha256=" in line and "seed=11" in line for line in log)
 
 
+def test_recover_source_in_hemisphere_mode(tmp_path):
+    # separated supports give a normal, so the recovery runs on one hemisphere
+    path = _write(tmp_path, SEPARATED)
+    assert load_config(path).separating_normal is not None
+    pre = str(tmp_path / "sweep")
+    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
+    assert run_command(["recover-source", "--config", path,
+                        "--data-prefix", pre, "--out-prefix", str(tmp_path / "rec")]) == 0
+    assert os.path.exists(str(tmp_path / "rec_summary.txt"))
+
+
 def test_recover_mesh_mismatch_exits_2(tmp_path):
     path = _write(tmp_path, MINIMAL)
     pre = str(tmp_path / "sweep")

@@ -1,24 +1,12 @@
 import numpy as np
 import pytest
 
-from rscat import (ConfigurationError, GridSpec, OracleError,
-                   QuadratureSpec, ScalarField, brute_covariance,
-                   direct_farfield, empirical_covariance,
+from rscat import (ConfigurationError, GridSpec, OracleError, ScalarField,
+                   brute_covariance, direct_farfield, empirical_covariance,
                    gaussian_bump_field, potential_kernel_integral,
                    riesz_kernel)
 
 FOUR_PI = 4.0 * np.pi
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ConfigurationError):
-        QuadratureSpec(rel_tol=1e-13)
-    with pytest.raises(ConfigurationError):
-        QuadratureSpec(damping_schedule=(1e-3, 1e-4))
-    with pytest.raises(ConfigurationError):
-        QuadratureSpec(damping_schedule=(1e-3, 1e-4, 1e-5))  # does not reach 1e-6
-    with pytest.raises(ConfigurationError):
-        QuadratureSpec(damping_schedule=(1e-4, 1e-3, 1e-6))  # not decreasing
 
 
 def test_riesz_matches_closed_form_anchor():

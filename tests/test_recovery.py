@@ -86,6 +86,18 @@ def test_band_correlation_validation(rng):
         band_correlation(ff, 0.0, 0.0, (1.0, 0.0, 0.0), 8.0)
 
 
+def test_correlation_records_the_matched_stored_direction(rng):
+    # dir_index matches within 1e-12 per component; the estimate keeps the stored direction
+    stored = np.full(3, 1.0) / np.sqrt(3.0)
+    freqs = 8.0 + (np.arange(34) + 0.5) * 0.25
+    ff = make_farfield_set([stored], freqs, rng.standard_normal((1, len(freqs))) + 0j)
+    near = ff.dirs[0] + 0.9e-12
+    assert ff.dir_index(near) == 0
+    est = band_correlation(ff, 0.0, 0.5, near, 8.0)
+    assert est.dir == tuple(ff.dirs[0])
+    assert est.value == band_correlation(ff, 0.0, 0.5, ff.dirs[0], 8.0).value
+
+
 def test_mesh_refinement_stability():
     # halving delta changes the Monte-Carlo mean by less than its standard error
     c0, m, K = 1.0, 2.5, 16.0
@@ -221,6 +233,56 @@ def test_completed_samples_have_conjugate_partners(rng):
         assert np.array_equal(out_dirs[2 * d + 1], -dirs[d])
         assert np.array_equal(completed[2 * d], values[d])
         assert np.array_equal(completed[2 * d + 1], np.conj(values[d]))
+
+
+# ------------------------------------------------------------ hemisphere recovery
+
+HEMI_TAUS = [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+def _mirrored_set(rng):
+    """Passive data closed under d -> -d, each row at -d the conjugate of the row at d.
+
+    A real source gives such data: its far field at -d is the conjugate of the far
+    field at d. Two of the five upper directions lie on the equator z = 0.
+    """
+    upper = np.array([(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, -0.8, 0.6),
+                      (0.6, 0.8, 0.0), (0.8, -0.6, 0.0)])
+    freqs = midpoint_mesh(8.0, 18.0, 0.25)
+    vals = rng.standard_normal((5, len(freqs))) + 1j * rng.standard_normal((5, len(freqs)))
+    return make_farfield_set(np.vstack([upper, -upper]), freqs, np.vstack([vals, np.conj(vals)]))
+
+
+def test_hemisphere_recovery_equals_full_sphere(grid16, rng):
+    ff = _mirrored_set(rng)
+    full = recover_source_strength(ff, 2.5, HEMI_TAUS, None, 8.0, grid=grid16)
+    half = recover_source_strength(ff, 2.5, HEMI_TAUS, None, 8.0, normal_n=(0.0, 0.0, 1.0),
+                                   grid=grid16)
+    assert half.mu_hat.shape == full.mu_hat.shape
+    a, b = half.mu_rec_unclipped.data, full.mu_rec_unclipped.data
+    assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_recovery_dirs_subset_equals_subset_data(grid16, rng):
+    ff = _mirrored_set(rng)
+    rows = [1, 3, 6]
+    sub = make_farfield_set(ff.dirs[rows], ff.freqs, ff.values[rows])
+    picked = recover_source_strength(ff, 2.5, HEMI_TAUS, ff.dirs[rows], 8.0, grid=grid16)
+    alone = recover_source_strength(sub, 2.5, HEMI_TAUS, None, 8.0, grid=grid16)
+    assert np.array_equal(picked.dirs, alone.dirs)
+    assert np.array_equal(picked.mu_hat, alone.mu_hat)
+    assert np.array_equal(picked.mu_rec_unclipped.data, alone.mu_rec_unclipped.data)
+
+
+def test_hemisphere_normal_errors(grid16, rng):
+    ff = _mirrored_set(rng)
+    with pytest.raises(ConfigurationError, match="unit"):
+        recover_source_strength(ff, 2.5, HEMI_TAUS, None, 8.0, normal_n=(0.0, 0.0, 2.0),
+                                grid=grid16)
+    upper = make_farfield_set(ff.dirs[:3], ff.freqs, ff.values[:3])
+    with pytest.raises(ConfigurationError, match="hemisphere"):
+        recover_source_strength(upper, 2.5, HEMI_TAUS, None, 8.0, normal_n=(0.0, 0.0, -1.0),
+                                grid=grid16)
 
 
 # ---------------------------------------------------------------- reconstruction
