@@ -234,22 +234,24 @@ def _even_spectrum(octant: np.ndarray) -> np.ndarray:
     return spec[np.ix_(*idx)]
 
 
-def _padded_fftn(arr: np.ndarray, padded, box) -> np.ndarray:
-    """Standard-normalization DFT of ``arr`` zero-padded to ``padded``, for ``arr`` zero outside ``box``.
+def _padded_fftn(block: np.ndarray, padded, offset) -> np.ndarray:
+    """Standard-normalization DFT of ``block`` placed at ``offset`` in a zero lattice of shape ``padded``.
 
-    ``box`` holds per-axis (first, last) indices, as ``_support_box`` gives
-    them. One axis at a time from the last: the axis-2 pass transforms only
-    the box rows and the axis-1 pass only the box slabs, each result embedded
-    at the box offset before the next pass. The arithmetic is complex, so a
-    real input takes the transform of its complex copy; ``arr`` is not
-    written to.
+    Axis i of the block starts at index ``offset[i]`` and wraps past the end
+    of the lattice, so the placement is periodic. One axis at a time from
+    the last: the axis-2 pass transforms only the block rows and the axis-1
+    pass only the block slabs, each result placed before the next pass. The
+    arithmetic is complex, so a real block takes the transform of its
+    complex copy; ``block`` is not written to.
     """
-    out = arr[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    out = block
     for axis in (2, 1, 0):
-        lo, hi = box[axis]
-        emb = np.zeros(out.shape[:axis] + (padded[axis],) + out.shape[axis + 1:],
-                       dtype=np.complex128)
-        emb[(slice(None),) * axis + (slice(lo, hi + 1),)] = out
+        size, start, length = padded[axis], offset[axis], out.shape[axis]
+        emb = np.zeros(out.shape[:axis] + (size,) + out.shape[axis + 1:], dtype=np.complex128)
+        head = min(length, size - start)
+        at = (slice(None),) * axis
+        emb[at + (slice(start, start + head),)] = out[at + (slice(0, head),)]
+        emb[at + (slice(0, length - head),)] = out[at + (slice(head, length),)]
         out = _sfft.fft(emb, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
     return out
 

@@ -44,20 +44,39 @@ def _self_cell_integral(k: float, h: float) -> complex:
     return complex((np.exp(1j * k * rho) * (1.0 - 1j * k * rho) - 1.0) / (k * k))
 
 
+def _whole(grid: GridSpec):
+    """The box (per-axis inclusive index ranges) of every cell of ``grid``."""
+    return tuple((0, n - 1) for n in grid.dims)
+
+
+def _box_shape(box):
+    return tuple(hi - lo + 1 for lo, hi in box)
+
+
+def _crop(box, outer=None):
+    """Slices that cut ``box`` out of whole-grid data, or out of data on a box ``outer`` holding it."""
+    corner = (0, 0, 0) if outer is None else tuple(lo for lo, _ in outer)
+    return tuple(slice(lo - c, hi - c + 1) for (lo, hi), c in zip(box, corner))
+
+
 class ResolventOperator:
     """Convolution with the singularity-corrected outgoing kernel, via a zero-padded FFT.
 
     Off-center cells carry the kernel at cell centers times h^3; the self
-    cell carries the exact ball integral. Each apply pads axis i to
-    P_i = 2 m_i, where m_i = next_fast_len(max(hi, n_i - 1 - lo)) over the
-    input's support box [lo, hi]: every offset between an output cell and an
-    input cell is then at most m_i, where the period-P_i even extension of
-    the kernel holds the kernel itself, so the circular convolution is
-    exactly the aperiodic one. P_i <= 2 n_i for any input.
+    cell carries the exact ball integral. An apply maps data on an input box
+    [li, hi] to the result on an output box [lo, ho] (per-axis inclusive
+    index ranges). Axis i pads to P_i = 2 m_i with
+    m_i = next_fast_len(max(ho - li, hi - lo, ceil(L_out / 2), ceil(L_in / 2))):
+    every offset between an output cell and an input cell is then at most
+    m_i, where the period-P_i even extension of the kernel holds the kernel
+    itself, and neither box wraps onto itself, so the circular convolution
+    is exactly the aperiodic one. The input goes in at (li - lo) mod P_i and
+    the inverse keeps the leading L_out. P_i is even and at most 2 n_i.
 
-    The kernel spectrum is built by the first apply and rebuilt at the
-    elementwise maximum when a later input needs a larger m, so it only
-    grows; inputs it covers reuse it.
+    The kernel spectrum is built by the first apply, or by a Born solve for
+    every box pair it will meet, and rebuilt at the elementwise maximum when
+    a later pair of boxes needs a larger m, so it only grows; pairs it
+    covers reuse it.
     """
 
     def __init__(self, grid: GridSpec, k: float):
@@ -79,16 +98,31 @@ class ResolventOperator:
         self._kernel_hat = _even_spectrum(octant)
         return self._kernel_hat
 
-    def apply(self, arr: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _half(in_box, out_box):
+        """Per-axis m of the lattice that maps ``in_box`` to ``out_box`` exactly."""
+        return tuple(next_fast_len(max(ho - li, hi - lo, (ho - lo + 2) // 2, (hi - li + 2) // 2))
+                     for (li, hi), (lo, ho) in zip(in_box, out_box))
+
+    def apply(self, arr, in_box=None, out_box=None) -> np.ndarray:
+        """R applied to ``arr``, on ``out_box`` (the whole grid when None).
+
+        With ``in_box`` None, ``arr`` is whole-grid data, read on its support
+        box; otherwise ``arr`` holds exactly the cells of ``in_box``.
+        """
         arr = np.asarray(arr)
-        box = _support_box(arr)
-        if box is None:
-            return np.zeros(self.grid.dims, dtype=np.complex128)
-        kernel_hat = self._spectrum(tuple(
-            next_fast_len(max(hi, n - 1 - lo)) for (lo, hi), n in zip(box, self.grid.dims)))
-        spec = _padded_fftn(arr, kernel_hat.shape, box)
+        if out_box is None:
+            out_box = _whole(self.grid)
+        if in_box is None:
+            in_box = _support_box(arr)
+            if in_box is None:
+                return np.zeros(_box_shape(out_box), dtype=np.complex128)
+            arr = arr[_crop(in_box)]
+        kernel_hat = self._spectrum(self._half(in_box, out_box))
+        offset = tuple((li - lo) % p for (li, _), (lo, _), p in zip(in_box, out_box, kernel_hat.shape))
+        spec = _padded_fftn(arr, kernel_hat.shape, offset)
         spec *= kernel_hat
-        return _cropped_ifftn(spec, self.grid.dims)
+        return _cropped_ifftn(spec, _box_shape(out_box))
 
 
 def resolvent_apply(k: float, phi) -> ComplexField:
@@ -112,7 +146,7 @@ def incident_plane_wave(k: float, direction, grid: GridSpec) -> ComplexField:
     d = np.asarray(direction, dtype=np.float64)
     if abs(np.linalg.norm(d) - 1.0) > 1e-12:
         raise ConfigurationError(f"incident direction must be unit length, got |d|={np.linalg.norm(d)}")
-    return ComplexField(grid, _plane_wave(k, d, grid, tuple((0, n - 1) for n in grid.dims)))
+    return ComplexField(grid, _plane_wave(k, d, grid, _whole(grid)))
 
 
 def _as_field_or_none(obj):
@@ -207,6 +241,10 @@ class ScatteringConfig:
 class ConvergenceReport:
     """Outcome of one Born iteration.
 
+    Every norm is taken over the solve's output box: the whole grid for
+    :func:`lippmann_schwinger_solve`, the potential's support box in
+    :func:`band_sweep`.
+
     converged : whether the last relative update fell below the tolerance.
     iterations : Born orders applied (1 when the series truncates for q = 0).
     update_norms : |u_{n+1} - u_n| of every iteration, in order.
@@ -226,9 +264,11 @@ class ConvergenceReport:
 def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[ResolventOperator] = None):
     """Solve (I - R_k M_q) u_sc = R_k f + alpha R_k[q u_in] by Born iteration.
 
-    Returns (u_sc, report). Raises SolverDivergenceError once the estimated
-    contraction factor reaches 1 after three iterations, and
-    SolverConvergenceError if the order budget runs out above tolerance.
+    Returns (u_sc, report), u_sc on the whole grid. The stop rule measures
+    the relative update |u_{n+1} - u_n| / |u_{n+1}| over the whole grid.
+    Raises SolverDivergenceError once the estimated contraction factor
+    reaches 1 after three iterations, and SolverConvergenceError if the
+    order budget runs out above tolerance.
     """
     if operator is not None and (operator.grid != cfg.grid or operator.k != cfg.k):
         raise ConfigurationError(
@@ -236,26 +276,38 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
             f"match the config's k={cfg.k} on {cfg.grid.dims}"
         )
     op = operator if operator is not None else ResolventOperator(cfg.grid, cfg.k)
-    q = cfg._potential_data
-    rhs = np.zeros(cfg.grid.dims, dtype=np.complex128)
-    if cfg._source_data is not None:
-        rhs += op.apply(cfg._source_data)
-    if q is not None and cfg.alpha == 1:
-        # q u_in vanishes outside q's box, so the wave is formed on that box only
-        box = cfg._potential_box
-        crop = tuple(slice(lo, hi + 1) for lo, hi in box)
-        qu_in = np.zeros(cfg.grid.dims, dtype=np.complex128)
-        qu_in[crop] = q[crop] * _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, box)
-        rhs += op.apply(qu_in)
+    u, report = _born_solve(cfg, op, _whole(cfg.grid))
+    return ComplexField(cfg.grid, u), report
+
+
+def _born_solve(cfg: ScatteringConfig, op: ResolventOperator, out_box):
+    """The Born iteration of :func:`lippmann_schwinger_solve` with u_sc kept on ``out_box``.
+
+    ``out_box`` must hold the potential's support box. Returns (u_sc on
+    ``out_box``, report); every norm, the stop rule's included, is taken
+    over ``out_box``. q u vanishes outside q's box, so each update reads u
+    there only.
+    """
+    q, q_box, f_box = cfg._potential_data, cfg._potential_box, cfg._source_box
+    # one spectrum for every apply below: the source box and q's box to out_box
+    halves = [op._half(b, out_box) for b in (f_box, q_box) if b is not None]
+    if halves:
+        op._spectrum(tuple(map(max, zip(*halves))))
+    rhs = np.zeros(_box_shape(out_box), dtype=np.complex128)
+    if f_box is not None:
+        rhs += op.apply(cfg._source_data[_crop(f_box)], f_box, out_box)
     if q is None:
         # the series truncates: u_sc = RHS exactly, first update is zero
-        report = ConvergenceReport(True, 1, (0.0,), None, 0.0)
-        return ComplexField(cfg.grid, rhs), report
+        return rhs, ConvergenceReport(True, 1, (0.0,), None, 0.0)
+    q = q[_crop(q_box)]
+    if cfg.alpha == 1:
+        rhs += op.apply(q * _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, q_box), q_box, out_box)
+    on_q = _crop(q_box, out_box)
     u = rhs
     updates = []
     contraction = None
     for _ in range(cfg.max_born_order):
-        u_next = rhs + op.apply(q * u)
+        u_next = rhs + op.apply(q * u[on_q], q_box, out_box)
         upd = float(np.linalg.norm(u_next - u))
         updates.append(upd)
         norm = float(np.linalg.norm(u_next))
@@ -264,9 +316,7 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
         if len(updates) >= 2 and updates[-2] > 0:
             contraction = updates[-1] / updates[-2]
         if rel < cfg.tol:
-            return ComplexField(cfg.grid, u), ConvergenceReport(
-                True, len(updates), tuple(updates), contraction, rel
-            )
+            return u, ConvergenceReport(True, len(updates), tuple(updates), contraction, rel)
         if len(updates) >= 3 and contraction is not None and contraction >= 1.0:
             raise SolverDivergenceError(
                 f"Born iteration diverges at k={cfg.k}: contraction estimate "
@@ -306,31 +356,41 @@ def _box_hull(a, b):
 def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
     """Far-field coefficients of the outgoing expansion, one per direction.
 
-    u_sc (field or data) is read only when cfg has a potential; without one it
-    may be None, with one None raises ConfigurationError. The density vanishes
-    outside the hull of the source and potential support boxes, so only that
-    hull is summed.
+    u_sc is read only when cfg has a potential, and then only on the
+    potential's support box: it is a field or whole-grid data, or data
+    holding exactly the cells of that box (as :func:`band_sweep` keeps it).
+    Without a potential it may be None; with one None raises
+    ConfigurationError. The density vanishes outside the hull of the source
+    and potential support boxes, so only that hull is summed.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ConfigurationError("far-field directions must be unit length")
-    f = cfg._source_data
-    q = cfg._potential_data
+    f, q = cfg._source_data, cfg._potential_data
     if q is not None and u_sc is None:
         raise ConfigurationError("the far field of a config with a potential needs u_sc")
     box = _box_hull(cfg._source_box, cfg._potential_box)
     if box is None:
         return np.zeros(dirs.shape[0], dtype=np.complex128)
-    crop = tuple(slice(lo, hi + 1) for lo, hi in box)
     # one pass casts a real source and packs the crop; left to tensordot, the
     # crop would be copied and then cast
-    g = None if f is None else np.asarray(f[crop], dtype=np.complex128)
+    g = None if f is None else np.array(f[_crop(box)], dtype=np.complex128)
     if q is not None:
-        total = (u_sc.data if isinstance(u_sc, ComplexField) else u_sc)[crop]
+        q_box = cfg._potential_box
+        total = np.asarray(u_sc.data if isinstance(u_sc, ComplexField) else u_sc)
+        if total.shape == cfg.grid.dims:
+            total = total[_crop(q_box)]
+        elif total.shape != _box_shape(q_box):
+            raise ConfigurationError(
+                f"u_sc of shape {total.shape} is neither whole-grid data nor the potential's box"
+            )
         if cfg.alpha == 1:
-            total = total + _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, box)
-        g = q[crop] * total if g is None else g + q[crop] * total
+            total = total + _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, q_box)
+        if g is None:
+            g = q[_crop(q_box)] * total
+        else:
+            g[_crop(q_box, box)] += q[_crop(q_box)] * total
     return _farfield_batch(g, cfg.grid, cfg.k, dirs, box)
 
 
@@ -415,6 +475,13 @@ class FarFieldSet:
             )
         return idx
 
+    def _band(self):
+        """(band_lo, band_hi, delta) as the manifest holds them: all None for a single frequency."""
+        delta = self._delta
+        if delta is None:
+            return None, None, None
+        return self.freqs[0] - delta / 2, self.freqs[-1] + delta / 2, delta
+
     def save(self, prefix):
         """Write manifest (key=value) and CSV with 17-significant-digit floats.
 
@@ -422,9 +489,9 @@ class FarFieldSet:
         left empty for a single frequency.
         """
         prefix = str(prefix)
-        meta, freqs, delta = self.meta, self.freqs, self._delta
+        meta = self.meta
         fmt = lambda x: "" if x is None else f"{float(x):.17g}"
-        lo, hi = (None, None) if delta is None else (freqs[0] - delta / 2, freqs[-1] + delta / 2)
+        lo, hi, delta = self._band()
         lines = [
             f"kind={self.kind}",
             f"m={fmt(meta.get('m'))}",
@@ -491,7 +558,16 @@ class FarFieldSet:
                 "CSV rows break the layout: each direction must list the same frequencies in order"
             )
         values = (arr[:, 4] + 1j * arr[:, 5]).reshape(n_dirs, n_freq)
-        return cls(dirs=dirs, freqs=freqs, values=values, kind=kind, meta=parsed)
+        ff = cls(dirs=dirs, freqs=freqs, values=values, kind=kind, meta=parsed)
+        # the band edges and the spacing follow from the frequencies, as save writes them
+        for key, want in zip(("band_lo", "band_hi", "delta"), ff._band()):
+            got = parsed[key]
+            if (got is None) != (want is None) or (
+                    want is not None and abs(got - want) > 1e-9 * ff._delta):
+                raise FieldFormatError(
+                    f"manifest {key}={got} contradicts the CSV frequencies, which give {want}"
+                )
+        return ff
 
 
 def draw_realization(source, potential, seed):
@@ -524,6 +600,12 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     list of shots, one solve each: passive data is a single shot without an
     incident wave observed in every direction, and active-backscatter data is
     one shot per far-field direction xhat, lit from -xhat and observed at xhat.
+
+    A shot's far field reads u_sc only on the potential's support box, so
+    its Born iteration keeps u_sc on that box: every apply maps the source
+    box or q's box to q's box, and the stop rule measures the relative
+    update over q's box. One operator per frequency serves every shot; it is
+    sized once for both box pairs.
     """
     if mode not in _KINDS:
         raise ConfigurationError(f"sweep mode must be one of {_KINDS}")
@@ -552,7 +634,8 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                 potential=q_obj, source=f_obj, max_born_order=max_born_order, tol=tol,
             )
             try:
-                u = lippmann_schwinger_solve(cfg, op)[0] if solve_needed else None
+                # far_field reads u_sc on q's box only, so the solve stays there
+                u = _born_solve(cfg, op, cfg._potential_box)[0] if solve_needed else None
             except (SolverDivergenceError, SolverConvergenceError) as e:
                 raise type(e)(f"{e} ({label} sweep, k={k}{where})") from e
             values[rows, j] = far_field(cfg, u, observed)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataCoverageError
 from .fields import GridSpec, ScalarField, _ifftn_raw
-from .forward import FarFieldSet
+from .forward import FarFieldSet, _mesh_spacing
 
 PREFACTOR = 4.0 * math.sqrt(2.0 * math.pi)
 
@@ -347,10 +347,12 @@ def nearfield_second_moment(samples, m: float) -> float:
         raise DataCoverageError("near-field estimate needs at least 2 mesh points")
     ks = np.array([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
-    d = np.diff(ks)
-    delta = float(d[0])
-    if np.max(np.abs(d - delta)) > 1e-9 * delta:
-        raise DataCoverageError("near-field mesh must be uniform", gaps=list(ks[1:][np.abs(d - delta) > 1e-9 * delta]))
+    try:
+        delta = _mesh_spacing(ks)
+    except ConfigurationError as e:
+        # report the points that follow a step longer than the shortest one by half
+        d = np.diff(ks)
+        raise DataCoverageError(f"near-field {e}", gaps=[float(k) for k in ks[1:][d > 1.5 * d.min()]]) from None
     lo = ks[0] - delta / 2.0
     if abs(lo - 1.0) > 1e-6:
         raise DataCoverageError(f"near-field mesh must start at 1 (midpoints from 1 + delta/2), got {lo}")

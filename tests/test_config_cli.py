@@ -191,6 +191,20 @@ def test_recover_mesh_mismatch_exits_2(tmp_path):
                         "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
 
 
+def test_recover_contradicting_manifest_exits_2(tmp_path):
+    path = _write(tmp_path, MINIMAL)
+    pre = str(tmp_path / "sweep")
+    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
+    manifest = pre + ".manifest.txt"
+    lines = open(manifest).read().splitlines()
+    edited = ["delta=0.7" if ln.startswith("delta=") else "band_lo=9" if ln.startswith("band_lo=")
+              else ln for ln in lines]
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(edited) + "\n")
+    assert run_command(["recover-source", "--config", path,
+                        "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
+
+
 def test_recover_kind_mismatch_exits_2(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     pre = str(tmp_path / "sweep")

@@ -10,7 +10,7 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
                    lippmann_schwinger_solve, resolvent_apply,
                    make_farfield_set, resolvent_point_values,
                    separating_normal, synthesize_migr)
-from rscat import _kernels
+from rscat import _kernels, forward
 from rscat.cli import run_command
 from rscat.forward import (_COLLAR, ResolventOperator, _farfield_batch, _self_cell_integral,
                            draw_realization)
@@ -204,11 +204,49 @@ def test_resolvent_spectrum_grows_and_stays_exact(rng):
     assert op._kernel_hat is grown
 
 
+def _unpruned_box_apply(grid, k, data, in_box, out_box):
+    """Reference box-to-box resolvent: ``data`` put on the whole grid, convolved unpruned, cropped."""
+    x = np.zeros(grid.dims, dtype=np.asarray(data).dtype)
+    x[tuple(slice(lo, hi + 1) for lo, hi in in_box)] = data
+    return _unpruned_apply(grid, k, x)[tuple(slice(lo, hi + 1) for lo, hi in out_box)]
+
+
+# (input box, output box) pairs on NONCUBIC
+BOX_PAIRS = {
+    "same-box": (((1, 5), (3, 12), (6, 25)), ((1, 5), (3, 12), (6, 25))),
+    # a source box to a separated potential box
+    "disjoint": (((1, 3), (2, 5), (4, 9)), ((4, 6), (9, 14), (18, 29))),
+    # the input starts before the output box, so its placement wraps
+    "overlapping": (((0, 5), (2, 9), (3, 20)), ((2, 7), (5, 15), (10, 31))),
+    # without the length guards axis 1 would get P = L_out - 1 = 14
+    "one-cell-wider-output": (((4, 4), (7, 7), (15, 15)), ((1, 7), (0, 14), (3, 27))),
+    "whole-grid": (((1, 6), (4, 11), (9, 30)), ((0, 7), (0, 15), (0, 31))),
+}
+
+
+@pytest.mark.parametrize("pair", BOX_PAIRS)
+def test_resolvent_box_to_box_matches_unpruned_convolution(rng, pair):
+    k = 5.0
+    in_box, out_box = BOX_PAIRS[pair]
+    inside = tuple(slice(lo, hi + 1) for lo, hi in in_box)
+    for complex_data in (False, True):
+        x = _box_input(rng, in_box, complex_data)
+        op = ResolventOperator(NONCUBIC, k)
+        got = op.apply(x[inside], in_box, out_box)
+        lattice = op._kernel_hat.shape
+        assert all(p % 2 == 0 and p <= 2 * n for p, n in zip(lattice, NONCUBIC.dims))
+        assert got.shape == tuple(hi - lo + 1 for lo, hi in out_box)
+        assert _rel(got, _unpruned_box_apply(NONCUBIC, k, x[inside], in_box, out_box)) <= 1e-13
+        if pair == "whole-grid":
+            assert np.array_equal(got, ResolventOperator(NONCUBIC, k).apply(x))
+
+
 class _UnprunedResolvent(ResolventOperator):
     """The resolvent on the full 2n-padded lattice, as a reference operator."""
 
-    def apply(self, arr):
-        return _unpruned_apply(self.grid, self.k, arr)
+    def apply(self, arr, in_box=None, out_box=None):
+        whole = tuple((0, n - 1) for n in self.grid.dims)
+        return _unpruned_box_apply(self.grid, self.k, arr, in_box or whole, out_box or whole)
 
 
 def test_backscatter_born_solve_matches_2n_padding(grid32):
@@ -533,7 +571,83 @@ def test_band_sweep_active_backscatter(grid16):
     cfg = ScatteringConfig(grid=grid16, k=k, alpha=1, incident_dir=(0, 0, -1.0), potential=q)
     u, _ = lippmann_schwinger_solve(cfg)
     v = far_field(cfg, u, [dirs[0]])[0]
-    assert v == ff.values[0, 0]
+    # the sweep iterates on q's box, the solve on the whole grid
+    assert abs(v - ff.values[0, 0]) <= 1e-12 * abs(v)
+
+
+def test_band_sweep_backscatter_matches_full_grid_solves(grid32, monkeypatch):
+    # each shot of a sweep on q's box against a whole-grid solve plus its far field
+    mu = gaussian_bump_field(grid32, (0, 0, 0), 0.3, 0.22, cutoff_radii=3.0)
+    spec = MigrSpec(order=3.5, strength=mu)
+    freqs = 8.0 + (np.arange(3) + 0.5) * 4.0
+    dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0], [-0.48, 0.6, -0.64]])
+    reports = []
+    born_solve = forward._born_solve
+
+    def recording(cfg, op, out_box):
+        u, rep = born_solve(cfg, op, out_box)
+        reports.append((out_box, rep))
+        return u, rep
+
+    monkeypatch.setattr(forward, "_born_solve", recording)
+    ff = band_sweep(grid32, None, spec, freqs, dirs, "active-backscatter", seed=11, tol=1e-8,
+                    max_born_order=30)
+    monkeypatch.undo()
+    q = draw_realization(None, spec, 11)[1]
+    assert len(reports) == len(freqs) * len(dirs)
+    # the stop rule of every shot measured its update over q's box
+    assert {box for box, _ in reports} == {q.support_box}
+    shots = iter(rep for _, rep in reports)
+    for j, k in enumerate(freqs):
+        for d, xhat in enumerate(dirs):
+            cfg = ScatteringConfig(grid=grid32, k=float(k), alpha=1, incident_dir=tuple(-xhat),
+                                   potential=q, tol=1e-8, max_born_order=30)
+            u, rep = lippmann_schwinger_solve(cfg)
+            v = far_field(cfg, u, [xhat])[0]
+            assert abs(v - ff.values[d, j]) <= 1e-12 * abs(v)
+            assert rep.iterations == next(shots).iterations
+
+
+def _box_data(grid, box, rng, scale):
+    data = np.zeros(grid.dims)
+    inside = tuple(slice(lo, hi + 1) for lo, hi in box)
+    data[inside] = scale * (1.0 + rng.random(data[inside].shape))
+    return ScalarField(grid, data)
+
+
+def test_band_sweep_sizes_one_operator_per_frequency(grid32, rng, monkeypatch):
+    # a source box and a potential box that need different lattices
+    f = _box_data(grid32, ((6, 12), (12, 19), (12, 19)), rng, 1.0)
+    q = _box_data(grid32, ((17, 25), (13, 21), (11, 20)), rng, 0.5)
+    freqs = np.array([4.0, 4.5])
+    dirs = np.array([[0, 0, 1.0], [1.0, 0, 0], [0, 0.6, 0.8]])
+    calls = []
+    kernel_block = _kernels.kernel_block
+
+    def counting(half, *args):
+        calls.append(tuple(half))
+        return kernel_block(half, *args)
+
+    monkeypatch.setattr(_kernels, "kernel_block", counting)
+    ff = band_sweep(grid32, f, q, freqs, dirs, "passive", seed=0, tol=1e-12)
+    assert len(calls) == len(freqs)
+    monkeypatch.undo()
+    for j, k in enumerate(freqs):
+        cfg = ScatteringConfig(grid=grid32, k=float(k), source=f, potential=q, tol=1e-12)
+        want = far_field(cfg, lippmann_schwinger_solve(cfg)[0], dirs)
+        assert _rel(ff.values[:, j], want) <= 1e-12
+
+
+def test_far_field_reads_the_potential_box(grid32):
+    f = gaussian_bump_field(grid32, (-0.35, 0.1, 0), 1.0, 0.08, cutoff_radii=3.0)
+    q = gaussian_bump_field(grid32, (0.35, 0, -0.1), 0.5, 0.08, cutoff_radii=3.0)
+    cfg = ScatteringConfig(grid=grid32, k=4.0, source=f, potential=q)
+    u = lippmann_schwinger_solve(cfg)[0].data
+    on_q = tuple(slice(lo, hi + 1) for lo, hi in q.support_box)
+    dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0]])
+    assert np.array_equal(far_field(cfg, u[on_q], dirs), far_field(cfg, u, dirs))
+    with pytest.raises(ConfigurationError, match="potential's box"):
+        far_field(cfg, u[1:], dirs)
 
 
 @pytest.mark.parametrize("with_potential", [False, True])
@@ -641,6 +755,26 @@ def test_farfieldset_load_rejects_unparsable_manifest(tmp_path):
                       f"output = {tmp_path}\n")
     assert run_command(["diagnose-ergodic", "--config", str(config), "--data-prefix", prefix,
                         "--out", str(tmp_path / "e.csv")]) == 2
+
+
+def test_farfieldset_load_rejects_contradicting_manifest(tmp_path):
+    prefix = _saved_pair(tmp_path)
+    manifest = prefix + ".manifest.txt"
+    text = open(manifest).read()
+    assert "band_lo=0.75\n" in text and "band_hi=2.25\n" in text
+    for good, bad in (("delta=0.5", "delta=0.7"), ("band_lo=0.75", "band_lo=9"),
+                      ("band_hi=2.25", "band_hi=2.5"), ("delta=0.5", "delta=")):
+        with open(manifest, "w") as fh:
+            fh.write(text.replace(good, bad))
+        with pytest.raises(FieldFormatError, match="contradicts"):
+            FarFieldSet.load(prefix)
+    with open(manifest, "w") as fh:
+        fh.write(text.replace("delta=0.5", "delta=0.7").replace("band_lo=0.75", "band_lo=9"))
+    with pytest.raises(FieldFormatError, match="contradicts"):
+        FarFieldSet.load(prefix)
+    with open(manifest, "w") as fh:
+        fh.write(text)
+    assert np.array_equal(FarFieldSet.load(prefix).values, np.arange(6).reshape(2, 3) * (1 + 0.5j))
 
 
 def test_farfieldset_load_rejects_broken_layout(tmp_path):

@@ -388,6 +388,14 @@ def test_nearfield_mesh_validation():
         nearfield_second_moment([(k + 1.0, 1.0) for k in ks], 0.0)  # starts at 2
 
 
+def test_nearfield_gap_is_reported():
+    ks = list(midpoint_mesh(1.0, 9.0, 0.25))
+    samples = [(k, 1.0) for k in ks]
+    with pytest.raises(DataCoverageError, match="uniform") as info:
+        nearfield_second_moment(samples[:10] + samples[11:], 0.0)
+    assert info.value.gaps == pytest.approx([ks[11]], abs=1e-12)
+
+
 # ---------------------------------------------------------------- diagnostics
 
 def test_ergodic_zero_and_deterministic():
