@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
                      OracleError, RscatError, SolverConvergenceError,
                      SolverDivergenceError)
-from .fields import (ComplexField, GridSpec, ScalarField, fft_forward,
-                     fft_inverse, fractional_laplacian, frequency_lattice)
+from .fields import ComplexField, GridSpec, ScalarField
 from .rsgf import read_field, write_field
 from .migr import (MigrSpec, Realization, ball_indicator_field,
                    empirical_covariance, gaussian_bump_field, spectral_slope,
@@ -20,13 +19,11 @@ from .migr import (MigrSpec, Realization, ball_indicator_field,
 from .forward import (ConvergenceReport, FarFieldSet, ResolventOperator,
                       ScatteringConfig, band_sweep, far_field,
                       fundamental_solution, incident_plane_wave,
-                      lippmann_schwinger_solve, resolvent_apply,
-                      separating_normal)
-from .recovery import (CorrelationEstimate, DeterministicProcess,
-                       IndependentPowerLawProcess, RecoveryReport,
-                       backscatter_band_correlation, band_correlation,
-                       ergodic_diagnostic, hermitian_complete,
-                       make_farfield_set, midpoint_mesh,
+                      lippmann_schwinger_solve)
+from .recovery import (CorrelationEstimate, IndependentPowerLawProcess,
+                       RecoveryReport, backscatter_band_correlation,
+                       band_correlation, ergodic_diagnostic,
+                       hermitian_complete, make_farfield_set, midpoint_mesh,
                        nearfield_second_moment, recover_potential_strength,
                        recover_source_strength)
 from .oracles import (brute_covariance, direct_farfield,

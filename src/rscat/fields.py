@@ -1,8 +1,8 @@
-"""Uniform 3-D grids, immutable field containers, and the Fourier-transform contract.
+"""Uniform 3-D grids, immutable field containers, and the Fourier transforms the pipeline runs.
 
-Every transform in the package is defined here. Field spectra (``fft_forward``,
-synthesis, the fractional Laplacian) use the unitary pair, so Parseval holds
-without constants. The resolvent's padded convolution (``_padded_fftn``,
+Three transforms are defined here. Rough-field synthesis and
+``spectral_slope`` use the unitary real pair ``_rfftn`` / ``_irfftn`` on the
+half lattice. The resolvent's padded convolution (``_padded_fftn``,
 ``_cropped_ifftn``), its kernel spectrum (a DCT-I in ``_even_spectrum``) and
 the strength reconstruction (``_ifftn_raw``) use the standard normalization.
 Physical-convention factors such as (2 pi)^(-3/2) are applied explicitly at
@@ -191,26 +191,6 @@ class ComplexField(_SupportedField):
         object.__setattr__(self, "data", _check_payload(self.grid, self.data, np.complex128, "complex field"))
 
 
-def frequency_lattice(grid: GridSpec) -> np.ndarray:
-    """All dual-lattice frequency vectors, row-major, matching spectral data order."""
-    fx, fy, fz = (grid.axis_frequencies(a) for a in range(3))
-    out = np.empty(grid.dims + (3,))
-    out[..., 0] = fx[:, None, None]
-    out[..., 1] = fy[None, :, None]
-    out[..., 2] = fz[None, None, :]
-    return out.reshape(-1, 3)
-
-
-def _fftn(arr: np.ndarray) -> np.ndarray:
-    """Unitary forward DFT (Parseval holds with no extra constants)."""
-    return _sfft.fftn(arr, norm="ortho", workers=_FFT_WORKERS)
-
-
-def _ifftn(arr: np.ndarray) -> np.ndarray:
-    """Unitary inverse DFT, exact inverse of :func:`_fftn`."""
-    return _sfft.ifftn(arr, norm="ortho", workers=_FFT_WORKERS)
-
-
 def _rfftn(arr: np.ndarray) -> np.ndarray:
     """Unitary forward DFT of real data, on the half lattice (last axis 0 .. n/2)."""
     return _sfft.rfftn(arr, norm="ortho", workers=_FFT_WORKERS)
@@ -270,30 +250,3 @@ def _cropped_ifftn(spec: np.ndarray, dims) -> np.ndarray:
 
 def _ifftn_raw(arr: np.ndarray) -> np.ndarray:
     return _sfft.ifftn(arr, workers=_FFT_WORKERS)
-
-
-def fft_forward(field: ComplexField) -> ComplexField:
-    """Unitary spectral transform of a field."""
-    return ComplexField(field.grid, _fftn(field.data))
-
-
-def fft_inverse(field: ComplexField) -> ComplexField:
-    """Inverse of :func:`fft_forward` to within roundoff."""
-    return ComplexField(field.grid, _ifftn(field.data))
-
-
-def fractional_laplacian(field, order: float):
-    """Apply the spectral multiplier |xi|^order (zero at the xi=0 bin).
-
-    For order in (0, 2) this realizes the fractional Laplacian to that
-    power of |xi|; negative orders give the corresponding smoothing
-    multiplier used in rough-field synthesis.
-    """
-    if isinstance(field, ScalarField):
-        field = field.as_complex()
-    grid = field.grid
-    mag = grid.frequency_magnitude()
-    mult = np.zeros_like(mag)
-    nz = mag > 0
-    mult[nz] = mag[nz] ** order
-    return ComplexField(grid, _ifftn(mult * _fftn(field.data)))

@@ -125,13 +125,6 @@ class ResolventOperator:
         return _cropped_ifftn(spec, _box_shape(out_box))
 
 
-def resolvent_apply(k: float, phi) -> ComplexField:
-    """Apply the outgoing volume operator to a compactly supported field."""
-    require_collar(phi, "resolvent input")
-    op = ResolventOperator(phi.grid, k)
-    return ComplexField(phi.grid, op.apply(phi.data))
-
-
 def _plane_wave(k: float, d, grid: GridSpec, box) -> np.ndarray:
     """e^{i k d . x} at the cell centers of ``box`` (per-axis inclusive index ranges)."""
     xs, ys, zs = (c[lo:hi + 1] for c, (lo, hi) in zip(grid.coords(), box))
@@ -159,13 +152,11 @@ def _as_field_or_none(obj):
     raise ConfigurationError(f"expected a field or realization, got {type(obj).__name__}")
 
 
-def separating_normal(f_mask, q_mask) -> np.ndarray:
-    """Axis-aligned unit normal separating two support boxes, pointing source to potential."""
-    return _box_normal(_support_box(f_mask), _support_box(q_mask))
-
-
 def _box_normal(bf, bq) -> np.ndarray:
-    """:func:`separating_normal` of two support boxes (``support_box`` values)."""
+    """Axis-aligned unit normal separating two support boxes, pointing source to potential.
+
+    ``bf`` and ``bq`` are ``support_box`` values of the source and the potential.
+    """
     if bf is None or bq is None:
         raise ConfigurationError("separating normal needs two nonempty supports")
     best = None

@@ -388,16 +388,6 @@ class IndependentPowerLawProcess:
         return np.sqrt(self.c0) * np.asarray(freqs, float) ** (-self.m / 2.0) * z
 
 
-@dataclass(frozen=True)
-class DeterministicProcess:
-    """Seed-independent synthetic process (zero ergodic spread by construction)."""
-
-    fn: object
-
-    def draw(self, seed, freqs):
-        return np.asarray([self.fn(k) for k in freqs], dtype=np.complex128)
-
-
 def make_farfield_set(dirs, freqs, values, kind="passive", **meta) -> FarFieldSet:
     """Assemble a FarFieldSet from raw arrays (synthetic data entry point)."""
     return FarFieldSet(dirs=np.atleast_2d(dirs), freqs=freqs, values=np.atleast_2d(values),

@@ -1,10 +1,13 @@
 """Built-in invariant suite: fast oracle cross-checks runnable from the CLI.
 
-Each check returns (name, passed, detail). The suite covers the per-module
-invariants: transform unitarity and ordering, container roundtrips, synthesis
-support/reality/symmetry/scaling, kernel anchors, solver identities,
-dual-path far fields, estimator positivity and scaling, and hemisphere
-completion against the full-sphere reconstruction.
+Each check returns (passed, detail); ``CHECKS`` names them. The suite
+certifies the three transforms the pipeline runs (the real pair behind
+synthesis and ``spectral_slope``, the resolvent's padded pair with its
+DCT-I kernel spectrum, and the phase convention of the strength
+reconstruction), container roundtrips, synthesis support/reality/symmetry/
+scaling, kernel anchors, solver identities, dual-path far fields, estimator
+positivity and scaling, and hemisphere completion against the full-sphere
+reconstruction.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ import numpy as np
 
 from . import oracles
 from .errors import FieldFormatError
-from .fields import (ComplexField, GridSpec, ScalarField, fft_forward,
-                     fft_inverse, frequency_lattice)
+from .fields import (ComplexField, GridSpec, ScalarField, _cropped_ifftn, _even_spectrum,
+                     _irfftn, _padded_fftn, _rfftn)
 from .forward import (ResolventOperator, ScatteringConfig, far_field,
                       fundamental_solution, incident_plane_wave,
                       lippmann_schwinger_solve)
 from .migr import MigrSpec, empirical_covariance, gaussian_bump_field, synthesize_migr
 from .recovery import (band_correlation, hermitian_complete, make_farfield_set,
-                       _assemble_report)
+                       _assemble_report, _inverse_strength_transform)
 from .rsgf import read_field, write_field
 
 _G16 = GridSpec.centered(16, 2.0 / 16)
@@ -34,30 +37,54 @@ def _bump_spec(grid=_G16, m=2.5, amplitude=1.0, width=0.14):
     return MigrSpec(order=m, strength=mu)
 
 
-def check_fft_unitarity():
+def check_real_transform_pair():
     rng = np.random.default_rng(11)
-    data = rng.standard_normal(_G16.dims) + 1j * rng.standard_normal(_G16.dims)
-    f = ComplexField(_G16, data)
-    spec = fft_forward(f)
-    back = fft_inverse(spec)
-    r1 = np.linalg.norm(back.data - f.data) / np.linalg.norm(f.data)
-    r2 = abs(np.linalg.norm(spec.data) - np.linalg.norm(f.data)) / np.linalg.norm(f.data)
+    data = rng.standard_normal(_G16.dims)
+    spec = _rfftn(data)
+    back = _irfftn(spec, _G16.dims)
+    if back.shape != data.shape:
+        return False, f"round trip gave shape {back.shape}, not {data.shape}"
+    norm = np.linalg.norm(data)
+    r1 = np.linalg.norm(back - data) / norm
+    # an interior plane of the half lattice's last axis stands for its mirror too
+    weight = np.full(spec.shape[-1], 2.0)
+    weight[[0, -1]] = 1.0
+    r2 = abs(np.sqrt(np.sum(weight * np.abs(spec) ** 2)) - norm) / norm
     ok = r1 < 1e-12 and r2 < 1e-12
-    return ok, f"roundtrip {r1:.2e}, Parseval drift {r2:.2e}"
+    return ok, f"roundtrip {r1:.2e}, half-lattice Parseval drift {r2:.2e}"
 
 
-def check_fft_shift_ordering():
+def check_resolvent_transform_pair():
+    # an even kernel on a 12 x 10 x 16 lattice, and a block placed so it wraps on every axis
     rng = np.random.default_rng(12)
-    data = rng.standard_normal(_G16.dims) + 1j * rng.standard_normal(_G16.dims)
-    shift = (2, 3, 5)
-    xi = frequency_lattice(_G16).reshape(_G16.dims + (3,))
-    a = np.asarray(shift) * _G16.spacing
-    phase = np.exp(1j * (xi @ a))
-    spec = fft_forward(ComplexField(_G16, data)).data
-    rolled = fft_inverse(ComplexField(_G16, spec * phase)).data
-    expect = np.roll(data, tuple(-s for s in shift), axis=(0, 1, 2))
-    err = np.max(np.abs(rolled - expect))
-    return err < 1e-12, f"cyclic-shift identity error {err:.2e}"
+    octant = rng.standard_normal((7, 6, 9))
+    block = rng.standard_normal((5, 4, 6)) + 1j * rng.standard_normal((5, 4, 6))
+    offset, dims = (9, 8, 13), (6, 5, 7)
+    kernel_hat = _even_spectrum(octant)
+    padded = kernel_hat.shape
+    got = _cropped_ifftn(_padded_fftn(block, padded, offset) * kernel_hat, dims)
+    idx = [np.minimum(np.arange(p), p - np.arange(p)) for p in padded]
+    kernel = octant[np.ix_(*idx)]
+    ref = np.zeros(padded, dtype=np.complex128)
+    for j in np.ndindex(block.shape):
+        cell = tuple((o + i) % p for o, i, p in zip(offset, j, padded))
+        ref += block[j] * np.roll(kernel, cell, axis=(0, 1, 2))
+    ref = ref[: dims[0], : dims[1], : dims[2]]
+    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    return err < 1e-12, f"padded pair vs circular convolution {err:.2e}"
+
+
+def check_reconstruction_phase():
+    # the spectrum of a point at cell c inverts to that cell alone
+    c = (3, 10, 12)
+    ph = [_G16.axis_frequencies(a) * _G16.axis_coords(a)[c[a]] for a in range(3)]
+    spec = np.exp(-1j * (ph[0][:, None, None] + ph[1][None, :, None] + ph[2][None, None, :]))
+    dxi3 = np.prod([2.0 * np.pi / (n * _G16.spacing) for n in _G16.dims])
+    expect = np.zeros(_G16.dims)
+    expect[c] = (2.0 * np.pi) ** -1.5 * dxi3 * _G16.n_cells
+    got = _inverse_strength_transform(spec, _G16)
+    err = np.max(np.abs(got - expect)) / expect[c]
+    return err < 1e-12, f"point spectrum inverts to its cell, error {err:.2e}"
 
 
 def check_rsgf_roundtrip():
@@ -249,8 +276,9 @@ def check_hermitian_completion():
 
 
 CHECKS = (
-    ("fft-unitarity", check_fft_unitarity),
-    ("fft-shift-ordering", check_fft_shift_ordering),
+    ("real-transform-pair", check_real_transform_pair),
+    ("resolvent-transform-pair", check_resolvent_transform_pair),
+    ("reconstruction-phase", check_reconstruction_phase),
     ("rsgf-roundtrip", check_rsgf_roundtrip),
     ("synthesis-support-reality", check_synthesis_support_reality),
     ("covariance-symmetry-scaling", check_covariance_symmetry_scaling),

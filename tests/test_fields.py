@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from rscat import (ComplexField, ConfigurationError, GridSpec, ScalarField,
-                   fft_forward, fft_inverse, fractional_laplacian,
-                   frequency_lattice)
-from rscat.fields import _support_box
+from rscat import ComplexField, ConfigurationError, GridSpec, ScalarField
+from rscat.fields import _irfftn, _rfftn, _support_box
 
 
 def test_grid_rejects_bad_dims():
@@ -27,57 +25,56 @@ def test_axis_frequencies_dft_convention():
 
 
 def test_nyquist_is_max_component():
-    g = GridSpec(dims=(8, 8, 8), origin=(0, 0, 0), spacing=0.25)
-    lattice = frequency_lattice(g)
-    assert np.isclose(np.max(np.abs(lattice)), np.pi / 0.25, rtol=1e-15)
-    assert lattice.shape == (8 ** 3, 3)
-
-
-def test_frequency_lattice_row_major_order():
-    g = GridSpec(dims=(8, 8, 8), origin=(0, 0, 0), spacing=1.0)
-    lattice = frequency_lattice(g).reshape(8, 8, 8, 3)
-    fx = g.axis_frequencies(0)
-    assert np.all(lattice[3, 0, 0] == (fx[3], 0, 0))
-    assert np.all(lattice[0, 5, 2] == (0, fx[5], fx[2]))
-
-
-def test_fft_roundtrip_and_parseval(grid16, rng):
-    data = rng.standard_normal(grid16.dims) + 1j * rng.standard_normal(grid16.dims)
-    f = ComplexField(grid16, data)
-    spec = fft_forward(f)
-    back = fft_inverse(spec)
-    assert np.linalg.norm(back.data - data) <= 1e-12 * np.linalg.norm(data)
-    assert abs(np.linalg.norm(spec.data) - np.linalg.norm(data)) <= 1e-12 * np.linalg.norm(data)
+    g = GridSpec(dims=(8, 16, 32), origin=(0, 0, 0), spacing=0.25)
+    for a in range(3):
+        assert np.max(np.abs(g.axis_frequencies(a))) == g.nyquist == np.pi / 0.25
 
 
 def test_fft_constant_concentrates_at_dc():
     g = GridSpec(dims=(8, 8, 8), origin=(0, 0, 0), spacing=1.0)
-    spec = fft_forward(ComplexField(g, np.ones(g.dims, dtype=complex)))
-    assert abs(spec.data[0, 0, 0] - np.sqrt(8 ** 3)) < 1e-12
-    rest = spec.data.copy()
+    spec = _rfftn(np.ones(g.dims))
+    assert spec.shape == (8, 8, 5)
+    assert abs(spec[0, 0, 0] - np.sqrt(8 ** 3)) < 1e-12
+    rest = spec.copy()
     rest[0, 0, 0] = 0
     assert np.max(np.abs(rest)) < 1e-12
 
 
 def test_fft_plane_wave_single_bin(grid16):
+    # the cosine's mirror bin has last-axis index -5, outside the half lattice
     xs, ys, zs = grid16.coords()
     n = (3, 14, 5)
     fx = [grid16.axis_frequencies(a) for a in range(3)]
     xi = (fx[0][n[0]], fx[1][n[1]], fx[2][n[2]])
-    wave = np.exp(1j * (xi[0] * xs[:, None, None] + xi[1] * ys[None, :, None] + xi[2] * zs[None, None, :]))
-    spec = fft_forward(ComplexField(grid16, wave)).data.copy()
+    wave = np.cos(xi[0] * xs[:, None, None] + xi[1] * ys[None, :, None] + xi[2] * zs[None, None, :])
+    spec = _rfftn(wave)
     peak = abs(spec[n])
+    assert np.isclose(peak, np.sqrt(grid16.n_cells) / 2, rtol=1e-12)
     spec[n] = 0
     assert np.max(np.abs(spec)) <= 1e-10 * peak
 
 
+def test_fft_roundtrip_and_parseval(rng):
+    g = GridSpec(dims=(8, 16, 32), origin=(0, 0, 0), spacing=0.1)
+    data = rng.standard_normal(g.dims)
+    spec = _rfftn(data)
+    assert spec.shape == (8, 16, 17)
+    assert np.linalg.norm(_irfftn(spec, g.dims) - data) <= 1e-12 * np.linalg.norm(data)
+    # interior planes of the half lattice's last axis stand for their mirrors too
+    weight = np.full(17, 2.0)
+    weight[[0, -1]] = 1.0
+    assert abs(np.sum(weight * np.abs(spec) ** 2) - np.sum(data ** 2)) <= 1e-12 * np.sum(data ** 2)
+
+
 def test_spectral_shift_matches_cyclic_roll(grid16, rng):
-    data = rng.standard_normal(grid16.dims) + 1j * rng.standard_normal(grid16.dims)
+    # the half lattice is laid out in axis_frequencies order, last axis cut at n/2
+    data = rng.standard_normal(grid16.dims)
     shift = (2, 5, 11)
     a = np.asarray(shift) * grid16.spacing
-    xi = frequency_lattice(grid16).reshape(grid16.dims + (3,))
-    spec = fft_forward(ComplexField(grid16, data)).data
-    rolled = fft_inverse(ComplexField(grid16, spec * np.exp(1j * (xi @ a)))).data
+    fx, fy, fz = (grid16.axis_frequencies(i) for i in range(3))
+    fz = fz[: grid16.dims[2] // 2 + 1]
+    phase = np.exp(1j * (fx[:, None, None] * a[0] + fy[None, :, None] * a[1] + fz[None, None, :] * a[2]))
+    rolled = _irfftn(_rfftn(data) * phase, grid16.dims)
     expected = np.roll(data, tuple(-s for s in shift), axis=(0, 1, 2))
     assert np.max(np.abs(rolled - expected)) < 1e-12 * np.max(np.abs(data))
 
@@ -130,25 +127,3 @@ def test_support_box_is_computed_once(grid16):
     data[6, 7, 8] = 1.0
     f = ScalarField(grid16, data)
     assert f.support_box is f.support_box == ((6, 6), (7, 7), (8, 8))
-
-
-def test_fractional_laplacian_plane_wave_eigenvalue(grid16):
-    xs, ys, zs = grid16.coords()
-    fx = [grid16.axis_frequencies(a) for a in range(3)]
-    n = (2, 0, 15)
-    xi = np.array([fx[0][n[0]], fx[1][n[1]], fx[2][n[2]]])
-    wave = np.exp(1j * (xi[0] * xs[:, None, None] + xi[1] * ys[None, :, None] + xi[2] * zs[None, None, :]))
-    for s in (0.5, 0.9):
-        out = fractional_laplacian(ComplexField(grid16, wave), s)
-        expected = np.linalg.norm(xi) ** s * wave
-        assert np.max(np.abs(out.data - expected)) < 1e-10 * np.linalg.norm(xi) ** s
-
-
-def test_fractional_laplacian_inverse_pair(grid16, rng):
-    data = rng.standard_normal(grid16.dims)
-    f = ScalarField(grid16, data)
-    up = fractional_laplacian(f, 0.7)
-    back = fractional_laplacian(up, -0.7)
-    # the xi = 0 bin is annihilated in both directions; compare mean-free parts
-    centered = data - data.mean()
-    assert np.max(np.abs(back.data.real - centered)) < 1e-10

@@ -7,13 +7,12 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
                    SolverConvergenceError, SolverDivergenceError, band_sweep,
                    direct_farfield, far_field, fundamental_solution,
                    gaussian_bump_field, incident_plane_wave,
-                   lippmann_schwinger_solve, resolvent_apply,
-                   make_farfield_set, resolvent_point_values,
-                   separating_normal, synthesize_migr)
+                   lippmann_schwinger_solve, make_farfield_set,
+                   resolvent_point_values, synthesize_migr)
 from rscat import _kernels, forward
 from rscat.cli import run_command
-from rscat.forward import (_COLLAR, ResolventOperator, _farfield_batch, _self_cell_integral,
-                           draw_realization)
+from rscat.forward import (_COLLAR, ResolventOperator, _box_normal, _farfield_batch,
+                           _self_cell_integral, draw_realization)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -49,31 +48,20 @@ def test_resolvent_linearity(grid16, rng):
     b = ComplexField(grid16, inner * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
     k = 2.0
     combo = ComplexField(grid16, 2.5 * a.data - 1.5j * b.data)
-    lhs = resolvent_apply(k, combo).data
-    rhs = 2.5 * resolvent_apply(k, a).data - 1.5j * resolvent_apply(k, b).data
+    op = ResolventOperator(grid16, k)
+    lhs = op.apply(combo.data)
+    rhs = 2.5 * op.apply(a.data) - 1.5j * op.apply(b.data)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 def test_resolvent_delta_reproduces_kernel(grid16):
     k = 3.0
     c = (8, 8, 8)
-    out = resolvent_apply(k, _delta_field(grid16, c)).data
+    out = ResolventOperator(grid16, k).apply(_delta_field(grid16, c).data)
     for off in ((3, 0, 0), (0, 4, 2), (5, 5, 5), (-6, 2, -3)):
         idx = tuple(c[i] + off[i] for i in range(3))
         r = grid16.spacing * np.linalg.norm(off)
         assert abs(out[idx] - fundamental_solution(k, r)) < 1e-12
-
-
-@pytest.mark.parametrize("axis,high", [(a, h) for a in range(3) for h in (False, True)])
-def test_resolvent_collar_guard(grid16, axis, high):
-    for depth, violates in ((_COLLAR - 1, True), (_COLLAR, False)):
-        data = np.zeros(grid16.dims)
-        data[_face_cell(grid16, axis, high, depth)] = 1.0
-        if violates:
-            with pytest.raises(ConfigurationError, match="collar"):
-                resolvent_apply(2.0, ScalarField(grid16, data))
-        else:
-            resolvent_apply(2.0, ScalarField(grid16, data))
 
 
 def test_resolvent_pde_residual():
@@ -94,7 +82,7 @@ def test_resolvent_pde_residual():
 
 def test_outgoing_phase_advance(grid16):
     k = 4.0
-    out = resolvent_apply(k, _delta_field(grid16, (8, 8, 8))).data
+    out = ResolventOperator(grid16, k).apply(_delta_field(grid16, (8, 8, 8)).data)
     for n in (3, 4, 5, 6):
         got = np.angle(out[8 + n, 8, 8])
         expect = np.angle(np.exp(1j * k * n * grid16.spacing))
@@ -489,17 +477,18 @@ def test_born_reciprocity(grid16):
 
 def test_separating_normal_and_config():
     g = GridSpec.centered(32, 2.0 / 32)
-    f_mask = np.zeros(g.dims, bool)
-    q_mask = np.zeros(g.dims, bool)
-    f_mask[6:12, 10:20, 10:20] = True
-    q_mask[20:26, 10:20, 10:20] = True
-    n = separating_normal(f_mask, q_mask)
+    f_mask = np.zeros(g.dims)
+    q_mask = np.zeros(g.dims)
+    f_mask[6:12, 10:20, 10:20] = 1.0
+    q_mask[20:26, 10:20, 10:20] = 1.0
+    f_box, q_box = ScalarField(g, f_mask).support_box, ScalarField(g, q_mask).support_box
+    n = _box_normal(f_box, q_box)
     assert np.allclose(n, [1.0, 0, 0])
-    assert np.allclose(separating_normal(q_mask, f_mask), [-1.0, 0, 0])
-    overlap = np.zeros(g.dims, bool)
-    overlap[10:22, 10:20, 10:20] = True
+    assert np.allclose(_box_normal(q_box, f_box), [-1.0, 0, 0])
+    overlap = np.zeros(g.dims)
+    overlap[10:22, 10:20, 10:20] = 1.0
     with pytest.raises(ConfigurationError, match="separation|overlap"):
-        separating_normal(f_mask, overlap)
+        _box_normal(f_box, ScalarField(g, overlap).support_box)
 
 
 def test_config_separation_check(grid32):
@@ -509,7 +498,7 @@ def test_config_separation_check(grid32):
     q = synthesize_migr(MigrSpec(order=3.5, strength=mu_q), 2)
     ff = band_sweep(grid32, f, q, [4.0], [[0, 0, 1.0]], "passive", seed=0)
     assert ff.values.shape == (1, 1) and np.isfinite(ff.values).all()
-    n = separating_normal(f.field.data != 0, q.field.data != 0)
+    n = _box_normal(f.field.support_box, q.field.support_box)
     assert np.allclose(n, [1.0, 0, 0])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rscat import fields, migr
+from rscat import migr
 from rscat import (ConfigurationError, GridSpec, MigrSpec, ScalarField,
                    ball_indicator_field, empirical_covariance,
                    gaussian_bump_field, riesz_kernel, spectral_slope,
@@ -216,11 +216,11 @@ def test_synthesis_matches_full_lattice_reference():
 
 
 def _full_lattice_slope(spec, n_samples, seed0, n_bins=12):
-    """spectral_slope computed on the full dual lattice with the complex transform."""
+    """spectral_slope computed on the full dual lattice with the unitary complex transform."""
     grid = spec.grid
     power = np.zeros(grid.dims)
     for i in range(n_samples):
-        power += np.abs(fields._fftn(synthesize_migr(spec, seed0 + i).field.data)) ** 2
+        power += np.abs(np.fft.fftn(synthesize_migr(spec, seed0 + i).field.data, norm="ortho")) ** 2
     power /= n_samples
     mag = grid.frequency_magnitude()
     lo, hi = grid.nyquist / 40.0, grid.nyquist / 4.0

@@ -1,13 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from rscat import (ConfigurationError, DataCoverageError,
-                   DeterministicProcess, GridSpec, IndependentPowerLawProcess,
-                   backscatter_band_correlation, band_correlation,
-                   direct_farfield, ergodic_diagnostic, gaussian_bump_field,
-                   hermitian_complete, make_farfield_set, midpoint_mesh,
-                   nearfield_second_moment, recover_potential_strength,
-                   recover_source_strength)
+from rscat import (ConfigurationError, DataCoverageError, GridSpec,
+                   IndependentPowerLawProcess, backscatter_band_correlation,
+                   band_correlation, direct_farfield, ergodic_diagnostic,
+                   gaussian_bump_field, hermitian_complete, make_farfield_set,
+                   midpoint_mesh, nearfield_second_moment,
+                   recover_potential_strength, recover_source_strength)
 from rscat.recovery import PREFACTOR, _assemble_report
 
 UP = (0.0, 0.0, 1.0)
@@ -400,10 +401,11 @@ def test_nearfield_gap_is_reported():
 
 def test_ergodic_zero_and_deterministic():
     bands = [(8.0, 0.25), (16.0, 0.25), (32.0, 0.25)]
-    zero = DeterministicProcess(lambda k: 0.0)
+    # seed-independent processes: zero ergodic spread by construction
+    zero = SimpleNamespace(draw=lambda seed, freqs: np.zeros(len(freqs), dtype=np.complex128))
     rows = ergodic_diagnostic(zero, 0.0, 0.0, bands, n_rep=10, seed0=0, known_mean=0.0)
     assert all(r.spread == 0.0 for r in rows)
-    det = DeterministicProcess(lambda k: 1.0 / k)
+    det = SimpleNamespace(draw=lambda seed, freqs: (1.0 / np.asarray(freqs)).astype(np.complex128))
     rows = ergodic_diagnostic(det, 0.0, 0.0, bands, n_rep=10, seed0=0)
     assert all(r.spread <= 1e-12 for r in rows)
 

@@ -1,0 +1,63 @@
+import pytest
+
+from rscat import GridSpec, validate
+from rscat.cli import run_command
+
+# each certified transform, and a mutant of it that its check must reject
+_PADDED = validate._padded_fftn
+_INVERSE = validate._inverse_strength_transform
+_IRFFTN = validate._irfftn
+
+
+def _flipped_offset(block, padded, offset):
+    return _PADDED(block, padded, tuple(-o % p for o, p in zip(offset, padded)))
+
+
+def _no_origin_phase(spec, grid):
+    return _INVERSE(spec, GridSpec(grid.dims, (0.0, 0.0, 0.0), grid.spacing))
+
+
+def _short_last_axis(arr, dims):
+    return _IRFFTN(arr, tuple(dims[:2]) + (dims[2] - 1,))
+
+
+MUTANTS = {
+    "offset-sign-flipped": ("_padded_fftn", _flipped_offset, validate.check_resolvent_transform_pair),
+    "origin-phase-dropped": ("_inverse_strength_transform", _no_origin_phase,
+                             validate.check_reconstruction_phase),
+    "wrong-last-axis-length": ("_irfftn", _short_last_axis, validate.check_real_transform_pair),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_transform_check_fails_under_its_mutation(monkeypatch, mutant):
+    name, replacement, check = MUTANTS[mutant]
+    monkeypatch.setattr(validate, name, replacement)
+    ok, detail = check()
+    assert not ok, detail
+
+
+def _status_lines(out):
+    return [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+
+
+def test_validate_cli_passes(capsys):
+    assert run_command(["validate"]) == 0
+    lines = _status_lines(capsys.readouterr().out)
+    assert [line.split()[:2] for line in lines] == [["PASS", name] for name, _ in validate.CHECKS]
+
+
+def _raising():
+    raise FloatingPointError("forced crash")
+
+
+@pytest.mark.parametrize("broken", [lambda: (False, "forced failure"), _raising],
+                         ids=["returns-false", "raises"])
+def test_validate_cli_reports_a_failed_check(monkeypatch, capsys, broken):
+    target = validate.CHECKS[1][0]
+    monkeypatch.setattr(validate, "CHECKS",
+                        tuple((name, broken if name == target else fn) for name, fn in validate.CHECKS))
+    assert run_command(["validate"]) == 1
+    lines = _status_lines(capsys.readouterr().out)
+    assert len(lines) == len(validate.CHECKS)
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [target]
