@@ -154,6 +154,12 @@ class _SupportedField:
         """Per-axis (first, last) index of the nonzero cells, or None for an all-zero field."""
         return _support_box(self.data)
 
+    @cached_property
+    def box_data(self):
+        """The data on ``support_box``, C-contiguous and read-only, or None for an all-zero field."""
+        box = self.support_box
+        return None if box is None else _freeze(self.data[tuple(slice(lo, hi + 1) for lo, hi in box)])
+
 
 def require_collar(field, what):
     """Raise ConfigurationError unless the support of ``field`` keeps COLLAR empty cells at every face."""

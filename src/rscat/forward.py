@@ -10,6 +10,7 @@ formula depends on this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -125,12 +126,24 @@ class ResolventOperator:
         return _cropped_ifftn(spec, _box_shape(out_box))
 
 
+def _axis_phases(k: float, grid: GridSpec, box, dirs) -> list:
+    """e^{i k d_a x_a} on the cell centers x_a of ``box``: one (L_a, D) table per axis a.
+
+    The three tables are the leading rows of one (3, max L_a, D) complex
+    array, whose real and imaginary parts are written by one cos and one sin.
+    """
+    lengths = [hi - lo + 1 for lo, hi in box]
+    first = np.array([lo for lo, _ in box])[:, None]
+    x = np.array(grid.origin)[:, None] + grid.spacing * (first + np.arange(max(lengths)))
+    theta = x[:, :, None] * (k * np.asarray(dirs).T)[:, None, :]
+    table = np.empty(theta.shape, dtype=np.complex128)
+    table.real, table.imag = np.cos(theta), np.sin(theta)
+    return [t[:n] for t, n in zip(table, lengths)]
+
+
 def _plane_wave(k: float, d, grid: GridSpec, box) -> np.ndarray:
     """e^{i k d . x} at the cell centers of ``box`` (per-axis inclusive index ranges)."""
-    xs, ys, zs = (c[lo:hi + 1] for c, (lo, hi) in zip(grid.coords(), box))
-    px = np.exp(1j * k * d[0] * xs)
-    py = np.exp(1j * k * d[1] * ys)
-    pz = np.exp(1j * k * d[2] * zs)
+    px, py, pz = (t[:, 0] for t in _axis_phases(k, grid, box, np.asarray(d)[None, :]))
     return px[:, None, None] * py[None, :, None] * pz[None, None, :]
 
 
@@ -185,7 +198,8 @@ def _box_normal(bf, bq) -> np.ndarray:
 class ScatteringConfig:
     """One forward solve: frequency, incident wave, and the material fields.
 
-    Keeps a reference to each ingredient's data and its support box, both
+    Keeps each ingredient's support box and its data on that box (the
+    field's cached ``box_data``, so building a config copies nothing), both
     None when the ingredient is absent or all zero.
     """
 
@@ -221,11 +235,14 @@ class ScatteringConfig:
                 if fld.grid != self.grid:
                     raise ConfigurationError(f"{name} lives on a different grid")
                 require_collar(fld, name)
-                box = fld.support_box
-                if box is not None:
-                    data = fld.data
+                box, data = fld.support_box, fld.box_data
             object.__setattr__(self, f"_{name}_data", data)
             object.__setattr__(self, f"_{name}_box", box)
+
+    @cached_property
+    def _incident_on_q(self) -> np.ndarray:
+        """u_in on the potential's support box, formed once for the Born solve and the far field."""
+        return _plane_wave(self.k, self.incident_dir, self.grid, self._potential_box)
 
 
 @dataclass(frozen=True)
@@ -286,13 +303,12 @@ def _born_solve(cfg: ScatteringConfig, op: ResolventOperator, out_box):
         op._spectrum(tuple(map(max, zip(*halves))))
     rhs = np.zeros(_box_shape(out_box), dtype=np.complex128)
     if f_box is not None:
-        rhs += op.apply(cfg._source_data[_crop(f_box)], f_box, out_box)
+        rhs += op.apply(cfg._source_data, f_box, out_box)
     if q is None:
         # the series truncates: u_sc = RHS exactly, first update is zero
         return rhs, ConvergenceReport(True, 1, (0.0,), None, 0.0)
-    q = q[_crop(q_box)]
     if cfg.alpha == 1:
-        rhs += op.apply(q * _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, q_box), q_box, out_box)
+        rhs += op.apply(q * cfg._incident_on_q, q_box, out_box)
     on_q = _crop(q_box, out_box)
     u = rhs
     updates = []
@@ -322,18 +338,27 @@ def _born_solve(cfg: ScatteringConfig, op: ResolventOperator, out_box):
 
 
 def _farfield_batch(g: np.ndarray, grid: GridSpec, k: float, dirs: np.ndarray, box) -> np.ndarray:
-    """(1/4 pi) sum_cells e^{-i k d . y} g(y) h^3 for many directions, separably.
+    """(1/4 pi) sum_cells e^{-i k d . y} g(y) h^3 for many directions, as one real matrix product.
 
     ``g`` holds the cells of ``box`` (per-axis inclusive index ranges), the
-    only cells the sum visits.
+    only cells the sum visits; it may be real or complex. The y and z phase
+    tables multiply into one (L1 L2, D) table, and g, reshaped to
+    (L0, L1 L2), meets the float64 view (L1 L2, 2D) of that table in one
+    real GEMM. A complex g sends its real and imaginary parts through that
+    GEMM as a stack of two, each at the shape a real g takes, so a real g
+    is never cast and gives the same bits as its complex copy. One
+    reduction against the x table finishes the sum.
     """
-    xs, ys, zs = (c[lo:hi + 1] for c, (lo, hi) in zip(grid.coords(), box))
-    px = np.exp(-1j * k * xs[:, None] * dirs[None, :, 0])
-    py = np.exp(-1j * k * ys[:, None] * dirs[None, :, 1])
-    pz = np.exp(-1j * k * zs[:, None] * dirs[None, :, 2])
-    t1 = np.tensordot(g, pz, axes=([2], [0]))      # (nx, ny, D)
-    t2 = np.einsum("ijd,jd->id", t1, py)           # (nx, D)
-    vals = np.einsum("id,id->d", t2, px)
+    px, py, pz = _axis_phases(-k, grid, box, dirs)
+    n0, n_dirs = g.shape[0], dirs.shape[0]
+    yz = (py[:, None, :] * pz[None, :, :]).reshape(-1, n_dirs).view(np.float64)
+    rows = g.reshape(n0, -1)
+    if np.iscomplexobj(rows):
+        parts = (np.stack((rows.real, rows.imag)) @ yz).view(np.complex128)
+        t = parts[0] + 1j * parts[1]
+    else:
+        t = (rows @ yz).view(np.complex128)
+    vals = np.einsum("id,id->d", t, px)
     return vals * grid.cell_volume / (4.0 * np.pi)
 
 
@@ -361,14 +386,12 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
     f, q = cfg._source_data, cfg._potential_data
     if q is not None and u_sc is None:
         raise ConfigurationError("the far field of a config with a potential needs u_sc")
-    box = _box_hull(cfg._source_box, cfg._potential_box)
+    f_box, q_box = cfg._source_box, cfg._potential_box
+    box = _box_hull(f_box, q_box)
     if box is None:
         return np.zeros(dirs.shape[0], dtype=np.complex128)
-    # one pass casts a real source and packs the crop; left to tensordot, the
-    # crop would be copied and then cast
-    g = None if f is None else np.array(f[_crop(box)], dtype=np.complex128)
+    g = f
     if q is not None:
-        q_box = cfg._potential_box
         total = np.asarray(u_sc.data if isinstance(u_sc, ComplexField) else u_sc)
         if total.shape == cfg.grid.dims:
             total = total[_crop(q_box)]
@@ -377,11 +400,14 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
                 f"u_sc of shape {total.shape} is neither whole-grid data nor the potential's box"
             )
         if cfg.alpha == 1:
-            total = total + _plane_wave(cfg.k, cfg.incident_dir, cfg.grid, q_box)
-        if g is None:
-            g = q[_crop(q_box)] * total
+            total = total + cfg._incident_on_q
+        on_q = q * total
+        if f is None:
+            g = on_q
         else:
-            g[_crop(q_box, box)] += q[_crop(q_box)] * total
+            g = np.zeros(_box_shape(box), dtype=np.complex128)
+            g[_crop(f_box, box)] = f
+            g[_crop(q_box, box)] += on_q
     return _farfield_batch(g, cfg.grid, cfg.k, dirs, box)
 
 
@@ -567,9 +593,9 @@ def draw_realization(source, potential, seed):
     A MigrSpec source draws from the first child of ``seed`` and a MigrSpec
     potential from the second, so every run with one seed sees one
     realization. Two random ingredients must have separated supports. A real
-    source stays real: the resolvent and the far-field sum cast it where they
-    meet complex data. m_f and m_q are the rough orders of random
-    ingredients, None for the others.
+    source stays real: the resolvent casts it where it meets complex data,
+    and the far-field sum takes it as it is. m_f and m_q are the rough
+    orders of random ingredients, None for the others.
     """
     seeds = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     drawn = [synthesize_migr(x, int(s)) if isinstance(x, MigrSpec) else x

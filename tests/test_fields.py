@@ -127,3 +127,17 @@ def test_support_box_is_computed_once(grid16):
     data[6, 7, 8] = 1.0
     f = ScalarField(grid16, data)
     assert f.support_box is f.support_box == ((6, 6), (7, 7), (8, 8))
+
+
+@pytest.mark.parametrize("kind", [ScalarField, ComplexField])
+def test_box_data_is_the_support_crop(grid16, rng, kind):
+    data = np.zeros(grid16.dims, dtype=complex if kind is ComplexField else float)
+    data[3:9, 5, 7:12] = 1.0 + rng.random((6, 5))
+    if kind is ComplexField:
+        data[4, 10, 9] = 2j
+    f = kind(grid16, data)
+    got = f.box_data
+    assert np.array_equal(got, data[tuple(slice(lo, hi + 1) for lo, hi in f.support_box)])
+    assert got.dtype == f.data.dtype and got.flags.c_contiguous and not got.flags.writeable
+    assert f.box_data is got
+    assert kind(grid16, np.zeros(grid16.dims)).box_data is None

@@ -11,6 +11,7 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
                    resolvent_point_values, synthesize_migr)
 from rscat import _kernels, forward
 from rscat.cli import run_command
+from rscat.config import fibonacci_sphere
 from rscat.forward import (_COLLAR, ResolventOperator, _box_normal, _farfield_batch,
                            _self_cell_integral, draw_realization)
 
@@ -288,6 +289,16 @@ def test_config_collar_guard(grid16, which, axis, high):
                 ScatteringConfig(grid=grid16, k=2.0, **kwargs)
         else:
             ScatteringConfig(grid=grid16, k=2.0, **kwargs)
+
+
+@pytest.mark.parametrize("which", ["source", "potential"])
+def test_config_keeps_the_box_data(grid16, bump_spec, which):
+    bump = gaussian_bump_field(grid16, (0, 0, 0), 1.0, 0.15, cutoff_radii=3.0)
+    real = synthesize_migr(bump_spec, 3)
+    for fld, field in ((bump, bump), (real, real.field)):
+        cfg = ScatteringConfig(grid=grid16, k=2.0, **{which: fld})
+        assert getattr(cfg, f"_{which}_data") is field.box_data
+        assert getattr(cfg, f"_{which}_box") == field.support_box
 
 
 @pytest.mark.parametrize("which", ["source", "potential"])
@@ -597,6 +608,23 @@ def test_band_sweep_backscatter_matches_full_grid_solves(grid32, monkeypatch):
             assert rep.iterations == next(shots).iterations
 
 
+def test_backscatter_shot_forms_its_incident_wave_once(grid16, monkeypatch):
+    # the Born solve's right-hand side and the far field share one plane wave
+    q = gaussian_bump_field(grid16, (0, 0, 0), 0.5, 0.16, cutoff_radii=3.0)
+    freqs = np.array([3.0, 3.5])
+    dirs = np.array([[0, 0, 1.0], [1.0, 0, 0], [0, 0.6, 0.8]])
+    calls = []
+    plane_wave = forward._plane_wave
+
+    def counting(*args):
+        calls.append(args)
+        return plane_wave(*args)
+
+    monkeypatch.setattr(forward, "_plane_wave", counting)
+    band_sweep(grid16, None, q, freqs, dirs, "active-backscatter", seed=1)
+    assert len(calls) == len(freqs) * len(dirs)
+
+
 def _box_data(grid, box, rng, scale):
     data = np.zeros(grid.dims)
     inside = tuple(slice(lo, hi + 1) for lo, hi in box)
@@ -650,6 +678,20 @@ def test_band_sweep_real_source_matches_complex_copy(grid16, with_potential):
     real = band_sweep(grid16, f, q, freqs, dirs, "passive", seed=4, tol=1e-11)
     cplx = band_sweep(grid16, f.as_complex(), q, freqs, dirs, "passive", seed=4, tol=1e-11)
     assert real.values.tobytes() == cplx.values.tobytes()
+
+
+@pytest.mark.parametrize("side", [30, 38])
+def test_far_field_real_source_matches_complex_copy_at_blas_sizes(rng, side):
+    # 16 directions on a 30^3 or 38^3 box, where the GEMM runs its blocked
+    # kernels; at 30^3 a product over the real and imaginary rows stacked
+    # into one matrix already rounds otherwise than the real rows alone
+    grid = GridSpec.centered(64, 2.0 / 64)
+    f = _box_data(grid, ((13, 12 + side),) * 3, rng, 1.0)
+    dirs = fibonacci_sphere(16)
+    for k in (20.0, 47.3):
+        real = far_field(ScatteringConfig(grid=grid, k=k, source=f), None, dirs)
+        cplx = far_field(ScatteringConfig(grid=grid, k=k, source=f.as_complex()), None, dirs)
+        assert real.tobytes() == cplx.tobytes()
 
 
 def test_band_sweep_error_annotation(grid16):

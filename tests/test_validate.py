@@ -1,12 +1,14 @@
 import pytest
 
-from rscat import GridSpec, validate
+from rscat import GridSpec, forward, validate
 from rscat.cli import run_command
 
-# each certified transform, and a mutant of it that its check must reject
+# each certified transform, the far-field sum among them, and a mutant of it
+# that its check must reject
 _PADDED = validate._padded_fftn
 _INVERSE = validate._inverse_strength_transform
 _IRFFTN = validate._irfftn
+_FARFIELD = forward._farfield_batch
 
 
 def _flipped_offset(block, padded, offset):
@@ -21,18 +23,26 @@ def _short_last_axis(arr, dims):
     return _IRFFTN(arr, tuple(dims[:2]) + (dims[2] - 1,))
 
 
+def _no_imaginary_product(g, *args):
+    return _FARFIELD(g.real, *args)
+
+
 MUTANTS = {
-    "offset-sign-flipped": ("_padded_fftn", _flipped_offset, validate.check_resolvent_transform_pair),
-    "origin-phase-dropped": ("_inverse_strength_transform", _no_origin_phase,
+    "offset-sign-flipped": (validate, "_padded_fftn", _flipped_offset,
+                            validate.check_resolvent_transform_pair),
+    "origin-phase-dropped": (validate, "_inverse_strength_transform", _no_origin_phase,
                              validate.check_reconstruction_phase),
-    "wrong-last-axis-length": ("_irfftn", _short_last_axis, validate.check_real_transform_pair),
+    "wrong-last-axis-length": (validate, "_irfftn", _short_last_axis,
+                               validate.check_real_transform_pair),
+    "imaginary-product-dropped": (forward, "_farfield_batch", _no_imaginary_product,
+                                  validate.check_farfield_dual_path),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_transform_check_fails_under_its_mutation(monkeypatch, mutant):
-    name, replacement, check = MUTANTS[mutant]
-    monkeypatch.setattr(validate, name, replacement)
+    module, name, replacement, check = MUTANTS[mutant]
+    monkeypatch.setattr(module, name, replacement)
     ok, detail = check()
     assert not ok, detail
 
