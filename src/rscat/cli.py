@@ -22,8 +22,8 @@ from .config import ExperimentConfig, load_config
 from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
                      OracleError, RscatError, SolverConvergenceError,
                      SolverDivergenceError)
-from .forward import (FarFieldSet, ResolventOperator, ScatteringConfig,
-                      band_sweep, draw_realization, lippmann_schwinger_solve)
+from .forward import (FarFieldSet, ResolventOperator, ScatteringConfig, _born_solve,
+                      _box_hull, band_sweep, draw_realization)
 from .migr import MigrSpec
 from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
                        midpoint_mesh, nearfield_second_moment,
@@ -142,23 +142,25 @@ def _cmd_nearfield(args):
     # the same realization a sweep with this seed would draw
     source, potential, _, _ = draw_realization(obj, cfg.potential, cfg.seed)
     ks = midpoint_mesh(1.0, nf.k_hi, nf.delta)
-    cells = [cfg.grid.nearest_cell(p) for p in nf.probes]
+    cells = np.array([cfg.grid.nearest_cell(p) for p in nf.probes])
     # each trace is read at a cell centre, so the oracle is evaluated and reported there
-    centres = np.asarray(cfg.grid.origin) + cfg.grid.spacing * np.asarray(cells)
-    traces = {p: [] for p in range(len(cells))}
-    for k in ks:
+    centres = np.asarray(cfg.grid.origin) + cfg.grid.spacing * cells
+    # u_sc is solved on the hull of the probes and of q's box, which the Born update reads
+    probe_box = tuple(zip(cells.min(axis=0).tolist(), cells.max(axis=0).tolist()))
+    out_box = _box_hull(probe_box, None if potential is None else potential.support_box)
+    at = tuple((cells - [lo for lo, _ in out_box]).T)
+    traces = np.empty((len(cells), len(ks)), dtype=np.complex128)
+    for j, k in enumerate(ks):
         op = ResolventOperator(cfg.grid, float(k))
         scfg = ScatteringConfig(
             grid=cfg.grid, k=float(k), potential=potential,
             source=source, max_born_order=cfg.solver.max_born_order, tol=cfg.solver.tol,
         )
-        u, _ = lippmann_schwinger_solve(scfg, op)
-        for p, cell in enumerate(cells):
-            traces[p].append((float(k), complex(u.data[cell])))
+        traces[:, j] = _born_solve(scfg, op, out_box)[0][at]
     with open(args.out, "w") as fh:
         fh.write("probe_x,probe_y,probe_z,estimate,oracle,ratio\n")
         for p, point in enumerate(centres):
-            est = nearfield_second_moment(traces[p], obj.order)
+            est = nearfield_second_moment(zip(ks, traces[p]), obj.order)
             orc = oracles.potential_kernel_integral(obj.strength, point)
             ratio = est / orc if orc != 0 else float("nan")
             fh.write(

@@ -2,11 +2,12 @@
 
 Three transforms are defined here. Rough-field synthesis and
 ``spectral_slope`` use the unitary real pair ``_rfftn`` / ``_irfftn`` on the
-half lattice. The resolvent's padded convolution (``_padded_fftn``,
-``_cropped_ifftn``), its kernel spectrum (a DCT-I in ``_even_spectrum``) and
-the strength reconstruction (``_ifftn_raw``) use the standard normalization.
-Physical-convention factors such as (2 pi)^(-3/2) are applied explicitly at
-call sites.
+half lattice; synthesis inverts onto the strength's support box only, each
+axis cropped right after its pass. The resolvent's padded convolution
+(``_padded_fftn``, ``_cropped_ifftn``), its kernel spectrum (a DCT-I in
+``_even_spectrum``) and the strength reconstruction (``_ifftn_raw``) use the
+standard normalization. Physical-convention factors such as (2 pi)^(-3/2)
+are applied explicitly at call sites.
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ def _check_payload(grid, data, dtype, what):
     return _freeze(arr.copy())
 
 
+def _crop(box, outer=None):
+    """Slices that cut ``box`` out of whole-grid data, or out of data on a box ``outer`` holding it."""
+    corner = (0, 0, 0) if outer is None else tuple(lo for lo, _ in outer)
+    return tuple(slice(lo - c, hi - c + 1) for (lo, hi), c in zip(box, corner))
+
+
 def _support_box(data):
     """Per-axis (first, last) index of the nonzero cells of a 3-D array, or None if all are zero."""
     mask = data != 0
@@ -158,7 +165,7 @@ class _SupportedField:
     def box_data(self):
         """The data on ``support_box``, C-contiguous and read-only, or None for an all-zero field."""
         box = self.support_box
-        return None if box is None else _freeze(self.data[tuple(slice(lo, hi + 1) for lo, hi in box)])
+        return None if box is None else _freeze(self.data[_crop(box)])
 
 
 def require_collar(field, what):
@@ -202,9 +209,22 @@ def _rfftn(arr: np.ndarray) -> np.ndarray:
     return _sfft.rfftn(arr, norm="ortho", workers=_FFT_WORKERS)
 
 
-def _irfftn(arr: np.ndarray, dims) -> np.ndarray:
-    """Real inverse of :func:`_rfftn` onto a lattice of shape ``dims``."""
-    return _sfft.irfftn(arr, s=dims, norm="ortho", workers=_FFT_WORKERS)
+def _irfftn(arr: np.ndarray, dims, box=None) -> np.ndarray:
+    """Real inverse of :func:`_rfftn` onto a lattice of shape ``dims``, kept on ``box``.
+
+    ``box`` (per-axis inclusive index ranges) defaults to the whole lattice.
+    One axis at a time, as in :func:`_cropped_ifftn`: a complex inverse on
+    axis 0, then on axis 1, then the real inverse of length ``dims[2]`` on
+    axis 2, each cropped to ``box`` right after its pass so later passes
+    skip the rows that are dropped. ``arr`` is not written to.
+    """
+    s0, s1, s2 = (slice(None),) * 3 if box is None else _crop(box)
+    out = _sfft.ifft(arr, n=dims[0], axis=0, norm="ortho", workers=_FFT_WORKERS)[s0]
+    out = _sfft.ifft(out, n=dims[1], axis=1, norm="ortho", overwrite_x=True,
+                     workers=_FFT_WORKERS)[:, s1]
+    out = _sfft.irfft(out, n=dims[2], axis=2, norm="ortho", overwrite_x=True,
+                      workers=_FFT_WORKERS)[:, :, s2]
+    return np.ascontiguousarray(out)
 
 
 def _even_spectrum(octant: np.ndarray) -> np.ndarray:

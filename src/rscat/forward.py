@@ -25,7 +25,7 @@ from .errors import (
     SolverDivergenceError,
 )
 from .fields import COLLAR as _COLLAR  # noqa: F401  (re-exported)
-from .fields import (ComplexField, GridSpec, ScalarField, _cropped_ifftn, _even_spectrum,
+from .fields import (ComplexField, GridSpec, ScalarField, _crop, _cropped_ifftn, _even_spectrum,
                      _padded_fftn, _support_box, require_collar)
 from .migr import MigrSpec, Realization, synthesize_migr
 
@@ -52,12 +52,6 @@ def _whole(grid: GridSpec):
 
 def _box_shape(box):
     return tuple(hi - lo + 1 for lo, hi in box)
-
-
-def _crop(box, outer=None):
-    """Slices that cut ``box`` out of whole-grid data, or out of data on a box ``outer`` holding it."""
-    corner = (0, 0, 0) if outer is None else tuple(lo for lo, _ in outer)
-    return tuple(slice(lo - c, hi - c + 1) for (lo, hi), c in zip(box, corner))
 
 
 class ResolventOperator:

@@ -6,6 +6,12 @@ sqrt(mu) pins the spatially varying strength, the power-law multiplier pins
 the rough order, and the h^(-3/2) scaling makes the discrete white noise a
 consistent approximation of the identity covariance so continuum kernels are
 matched without grid-dependent constants.
+
+sqrt(mu) vanishes outside the strength's support box, so the inverse
+transform lands on that box only (``fields._irfftn`` with a box) and the
+fluctuation ``sqrt(mu) * rough`` is formed there. ``synthesize_migr`` places
+it in a zero grid; ``empirical_covariance`` and ``spectral_slope`` read it on
+the box and never build a whole-grid realization.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import GridSpec, ScalarField, _irfftn, _rfftn, require_collar
+from .fields import GridSpec, ScalarField, _crop, _irfftn, _rfftn, require_collar
 
 _SYMBOL_DECAY_TOL = 1e-3
 
@@ -95,11 +101,24 @@ class MigrSpec:
         return self.strength.grid
 
     @cached_property
-    def _half_filter(self) -> np.ndarray:
-        """The synthesis multiplier on the half lattice of :func:`fields._rfftn`, built once per spec."""
+    def _half_filter(self) -> Optional[np.ndarray]:
+        """The synthesis multiplier times h^(-3/2), on the half lattice of :func:`fields._rfftn`.
+
+        Built once per spec, after the resolution check; the white-noise
+        scaling rides on it, so the noise itself is never scaled. None for
+        m = 0, whose multiplier is the identity.
+        """
         _check_resolution(self)
+        if self.order == 0.0:
+            return None
         n2 = self.grid.dims[2]
-        return np.ascontiguousarray(_rough_multiplier(self.grid, self.order)[..., : n2 // 2 + 1])
+        mult = _rough_multiplier(self.grid, self.order)[..., : n2 // 2 + 1]
+        return mult * self.grid.spacing ** -1.5
+
+    @cached_property
+    def _root_strength(self) -> np.ndarray:
+        """sqrt(mu) on the strength's support box."""
+        return np.sqrt(self.strength.box_data)
 
 
 @dataclass(frozen=True)
@@ -166,20 +185,40 @@ def _rough_multiplier(grid: GridSpec, m: float) -> np.ndarray:
     return mult
 
 
-def synthesize_migr(spec: MigrSpec, seed: int) -> Realization:
-    """Draw one realization of the rough field for the given seed."""
+def _fluctuation(spec: MigrSpec, seed: int):
+    """sqrt(mu) * rough of the draw from ``seed``, on the strength's support box.
+
+    None when the strength is zero. The rough field is inverted onto the
+    box only. For m = 0 the multiplier is the identity and the transforms
+    would cancel, so the box's noise is scaled elementwise instead. The
+    whole-grid noise is never named, so it is freed as soon as it is used.
+    """
+    half_filter = spec._half_filter
+    box = spec.strength.support_box
+    if box is None:
+        return None
     grid = spec.grid
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal(grid.dims) * grid.spacing ** -1.5
-    if spec.order == 0.0:
-        rough = w  # identity multiplier, transforms cancel exactly
+    if half_filter is None:
+        rough = rng.standard_normal(grid.dims)[_crop(box)] * grid.spacing ** -1.5
     else:
         # real noise and a real even filter: the half-lattice transform pair keeps the field real
-        rough = _irfftn(spec._half_filter * _rfftn(w), grid.dims)
-    data = np.sqrt(spec.strength.data) * rough
+        spectrum = _rfftn(rng.standard_normal(grid.dims))
+        spectrum *= half_filter
+        rough = _irfftn(spectrum, grid.dims, box)
+    return spec._root_strength * rough
+
+
+def synthesize_migr(spec: MigrSpec, seed: int) -> Realization:
+    """Draw one realization of the rough field for the given seed."""
+    fluct = _fluctuation(spec, seed)
+    # allocated only now, when the transforms' temporaries are gone
+    data = np.zeros(spec.grid.dims)
+    if fluct is not None:
+        data[_crop(spec.strength.support_box)] = fluct
     if spec.mean is not None:
-        data = data + spec.mean.data
-    return Realization(field=ScalarField(grid, data), seed=int(seed), spec=spec)
+        data += spec.mean.data
+    return Realization(field=ScalarField(spec.grid, data), seed=int(seed), spec=spec)
 
 
 @dataclass(frozen=True)
@@ -193,19 +232,30 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
 
     For each point pair (x, y) the estimate is the sample mean of
     (f(x) - mean(x)) (f(y) - mean(y)) over seeds seed0 .. seed0 + n - 1,
-    returned with its standard error.
+    returned with its standard error. The fluctuation is read on the
+    strength's support box; a pair with a cell outside it has product 0.
     """
     if n_samples < 2:
         raise ConfigurationError("covariance estimation needs n_samples >= 2")
     grid = spec.grid
     cells = np.array([(grid.nearest_cell(x), grid.nearest_cell(y)) for x, y in pairs],
                      dtype=int).reshape(-1, 2, 3)
-    cx, cy = tuple(cells[:, 0].T), tuple(cells[:, 1].T)
-    mean = spec.mean.data if spec.mean is not None else 0.0
-    prods = np.empty((len(cells), n_samples))
-    for i in range(n_samples):
-        fluct = synthesize_migr(spec, seed0 + i).field.data - mean
-        prods[:, i] = fluct[cx] * fluct[cy]
+    prods = np.zeros((len(cells), n_samples))
+    _check_resolution(spec)
+    box = spec.strength.support_box
+    if box is not None:
+        lo, hi = np.array(box).T
+        inside = np.all((cells >= lo) & (cells <= hi), axis=(1, 2))
+        at = cells[inside] - lo
+        cx, cy = tuple(at[:, 0].T), tuple(at[:, 1].T)
+        mx = my = 0.0
+        if spec.mean is not None:
+            mean = spec.mean.data[_crop(box)]
+            mx, my = mean[cx], mean[cy]
+        for i in range(n_samples):
+            fluct = _fluctuation(spec, seed0 + i)
+            # f - mean with f = fluct + mean rounded as synthesize_migr rounds it
+            prods[inside, i] = ((fluct[cx] + mx) - mx) * ((fluct[cy] + my) - my)
     return [
         CovarianceEstimate(
             value=float(np.mean(row)),
@@ -224,12 +274,14 @@ def spectral_slope(spec: MigrSpec, n_samples: int, seed0: int):
     confidence half-interval of the fit.
     """
     grid = spec.grid
-    mean = spec.mean.data if spec.mean is not None else 0.0
     n_half = grid.dims[2] // 2 + 1
     power = np.zeros(grid.dims[:2] + (n_half,))
+    data = np.zeros(grid.dims)
     for i in range(n_samples):
-        f = synthesize_migr(spec, seed0 + i).field.data
-        power += np.abs(_rfftn(f - mean)) ** 2
+        fluct = _fluctuation(spec, seed0 + i)
+        if fluct is not None:
+            data[_crop(spec.strength.support_box)] = fluct
+            power += np.abs(_rfftn(data)) ** 2
     power /= n_samples
     # the samples are real: an interior plane of the half lattice's last axis
     # also stands for the mirrored plane at -xi, with the same |xi| and power

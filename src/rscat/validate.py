@@ -2,12 +2,13 @@
 
 Each check returns (passed, detail); ``CHECKS`` names them. The suite
 certifies the three transforms the pipeline runs (the real pair behind
-synthesis and ``spectral_slope``, the resolvent's padded pair with its
-DCT-I kernel spectrum, and the phase convention of the strength
-reconstruction), container roundtrips, synthesis support/reality/symmetry/
-scaling, kernel anchors, solver identities, dual-path far fields of a real
-and a complex density, estimator positivity and scaling, and hemisphere
-completion against the full-sphere reconstruction.
+synthesis and ``spectral_slope``, with its inverse onto a box, the
+resolvent's padded pair with its DCT-I kernel spectrum, and the phase
+convention of the strength reconstruction), container roundtrips,
+synthesis support/reality/symmetry/scaling, kernel anchors, solver
+identities, dual-path far fields of a real and a complex density, estimator
+positivity and scaling, and hemisphere completion against the full-sphere
+reconstruction.
 """
 
 from __future__ import annotations
@@ -50,8 +51,13 @@ def check_real_transform_pair():
     weight = np.full(spec.shape[-1], 2.0)
     weight[[0, -1]] = 1.0
     r2 = abs(np.sqrt(np.sum(weight * np.abs(spec) ** 2)) - norm) / norm
-    ok = r1 < 1e-12 and r2 < 1e-12
-    return ok, f"roundtrip {r1:.2e}, half-lattice Parseval drift {r2:.2e}"
+    # the inverse onto an off-centre box of a non-cubic lattice is the crop of the whole inverse
+    dims, box = (8, 16, 32), ((1, 4), (9, 14), (3, 27))
+    half = _rfftn(rng.standard_normal(dims))
+    whole = _irfftn(half, dims)[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    r3 = np.linalg.norm(_irfftn(half, dims, box) - whole) / np.linalg.norm(whole)
+    ok = r1 < 1e-12 and r2 < 1e-12 and r3 < 1e-12
+    return ok, f"roundtrip {r1:.2e}, half-lattice Parseval drift {r2:.2e}, box inverse {r3:.2e}"
 
 
 def check_resolvent_transform_pair():

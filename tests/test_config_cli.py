@@ -7,7 +7,8 @@ from rscat import (ConfigurationError, ScalarField, load_config,
                    potential_kernel_integral, read_field)
 from rscat.cli import run_command
 from rscat.config import config_from_text, fibonacci_sphere
-from rscat.forward import draw_realization
+from rscat.forward import ScatteringConfig, draw_realization, lippmann_schwinger_solve
+from rscat.recovery import midpoint_mesh, nearfield_second_moment
 
 MINIMAL = """
 [grid]
@@ -275,6 +276,32 @@ probes = 0.6875 0 0
     centre = (0.6875, 0.0625, 0.0625)  # cell (13, 8, 8)
     assert tuple(row[:3]) == centre
     assert row[4] == potential_kernel_integral(load_config(path).source.strength, centre)
+
+
+@pytest.mark.parametrize("base", [MINIMAL, SEPARATED], ids=["source", "source-and-potential"])
+def test_nearfield_probe_hull_solve_matches_whole_grid(tmp_path, base):
+    path = _write(tmp_path, base + """
+[nearfield]
+k_hi = 4.0
+delta = 0.5
+probes = 0 0.75 0; -0.5 -0.5 0.3
+""")
+    out = str(tmp_path / "nf.csv")
+    assert run_command(["nearfield", "--config", path, "--out", out]) == 0
+    got = [float(line.split(",")[3]) for line in open(out).read().splitlines()[1:]]
+    cfg = load_config(path)
+    f, q, _, _ = draw_realization(cfg.source, cfg.potential, cfg.seed)
+    cells = [cfg.grid.nearest_cell(p) for p in cfg.nearfield.probes]
+    ks = midpoint_mesh(1.0, cfg.nearfield.k_hi, cfg.nearfield.delta)
+    traces = [[] for _ in cells]
+    for k in ks:
+        u, _ = lippmann_schwinger_solve(ScatteringConfig(
+            grid=cfg.grid, k=float(k), potential=q, source=f,
+            max_born_order=cfg.solver.max_born_order, tol=cfg.solver.tol))
+        for trace, cell in zip(traces, cells):
+            trace.append((k, u.data[cell]))
+    want = [nearfield_second_moment(trace, cfg.source.order) for trace in traces]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_diagnose_ergodic_command(tmp_path):

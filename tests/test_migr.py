@@ -52,6 +52,15 @@ def test_zero_strength_zero_mean_gives_zero_field(grid16):
     assert np.all(r.field.data == 0.0)
 
 
+@pytest.mark.parametrize("m", [0.0, 2.5])
+def test_all_zero_strength_gives_all_zero_field_and_covariance(grid16, m):
+    spec = MigrSpec(order=m, strength=ScalarField(grid16, np.zeros(grid16.dims)))
+    r = synthesize_migr(spec, 4)
+    assert r.field.data.tobytes() == np.zeros(grid16.dims).tobytes()
+    est = empirical_covariance(spec, [((0, 0, 0), (0.1, 0, 0))], 3, 4)[0]
+    assert est.value == 0.0 and est.std_error == 0.0
+
+
 def test_determinism_bit_identical(bump_spec):
     a = synthesize_migr(bump_spec, 99)
     b = synthesize_migr(bump_spec, 99)
@@ -141,6 +150,16 @@ def test_covariance_zero_outside_support(bump_spec):
     pair = ((0.8, 0.8, 0.8), (-0.8, 0.8, 0.8))
     est = empirical_covariance(bump_spec, [pair], 50, 3)[0]
     assert est.value == 0.0 and est.std_error == 0.0
+
+
+def test_covariance_zero_for_a_pair_with_one_cell_outside_the_box(bump_spec):
+    lo, hi = bump_spec.strength.support_box[0]
+    grid = bump_spec.grid
+    x_in = (0.0, 0.0, 0.0)
+    x_out = (grid.axis_coords(0)[hi + 1], 0.0, 0.0)
+    near, straddling = empirical_covariance(bump_spec, [(x_in, x_in), (x_in, x_out)], 20, 5)
+    assert near.value > 0.0
+    assert straddling.value == 0.0 and straddling.std_error == 0.0
 
 
 def test_covariance_point_validation(bump_spec):
@@ -262,3 +281,20 @@ def test_synthesis_builds_filter_once(monkeypatch):
     b = synthesize_migr(spec, 2)
     assert len(calls) == 1
     assert a.field.data.tobytes() != b.field.data.tobytes()
+
+
+def test_covariance_matches_realization_products_on_noncubic_grid():
+    mu = _noncubic_strength()
+    grid = mu.grid
+    mean = gaussian_bump_field(grid, (0.02, 0, 0), 0.5, 0.03, cutoff_radii=3.0)
+    spec = MigrSpec(order=2.5, strength=mu, mean=mean)
+    pairs = [((0, 0, 0), (0.03, -0.03, 0.05)), ((-0.05, 0.03, 0), (0.05, 0, -0.03)),
+             ((0.02, 0, 0), (0.2, -0.3, 0.9))]
+    n, seed0 = 5, 40
+    ests = empirical_covariance(spec, pairs, n, seed0)
+    fields = [synthesize_migr(spec, seed0 + i).field.data - mean.data for i in range(n)]
+    for est, (x, y) in zip(ests, pairs):
+        row = np.array([f[grid.nearest_cell(x)] * f[grid.nearest_cell(y)] for f in fields])
+        assert abs(est.value - np.mean(row)) <= 1e-12 * np.mean(np.abs(row))
+        assert abs(est.std_error - np.std(row, ddof=1) / np.sqrt(n)) <= 1e-12 * np.mean(np.abs(row))
+    assert ests[0].value != 0.0 and ests[1].value != 0.0 and ests[2].value == 0.0

@@ -23,6 +23,12 @@ def _short_last_axis(arr, dims):
     return _IRFFTN(arr, tuple(dims[:2]) + (dims[2] - 1,))
 
 
+def _box_shifted_one_cell(arr, dims, box=None):
+    if box is not None:
+        box = tuple((lo + 1, hi + 1) for lo, hi in box)
+    return _IRFFTN(arr, dims, box)
+
+
 def _no_imaginary_product(g, *args):
     return _FARFIELD(g.real, *args)
 
@@ -34,6 +40,8 @@ MUTANTS = {
                              validate.check_reconstruction_phase),
     "wrong-last-axis-length": (validate, "_irfftn", _short_last_axis,
                                validate.check_real_transform_pair),
+    "box-shifted-one-cell": (validate, "_irfftn", _box_shifted_one_cell,
+                             validate.check_real_transform_pair),
     "imaginary-product-dropped": (forward, "_farfield_batch", _no_imaginary_product,
                                   validate.check_farfield_dual_path),
 }
