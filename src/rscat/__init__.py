@@ -20,10 +20,10 @@ from .forward import (ConvergenceReport, FarFieldSet, ResolventOperator,
                       ScatteringConfig, band_sweep, far_field,
                       fundamental_solution, incident_plane_wave,
                       lippmann_schwinger_solve)
-from .recovery import (CorrelationEstimate, IndependentPowerLawProcess,
-                       RecoveryReport, backscatter_band_correlation,
-                       band_correlation, ergodic_diagnostic,
-                       hermitian_complete, make_farfield_set, midpoint_mesh,
+from .recovery import (IndependentPowerLawProcess, RecoveryReport,
+                       backscatter_band_correlation, band_correlation,
+                       ergodic_diagnostic, hermitian_complete,
+                       make_farfield_set, midpoint_mesh,
                        nearfield_second_moment, recover_potential_strength,
                        recover_source_strength)
 from .oracles import (brute_covariance, direct_farfield,

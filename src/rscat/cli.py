@@ -30,9 +30,6 @@ from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
                        recover_potential_strength, recover_source_strength)
 from .rsgf import write_field
 
-_RECOVERY = {"source": ("passive", recover_source_strength),
-             "potential": ("active-backscatter", recover_potential_strength)}
-
 _CONFIG_ERRORS = (ConfigurationError, FieldFormatError, DataCoverageError, FileNotFoundError)
 _NUMERIC_ERRORS = (SolverConvergenceError, SolverDivergenceError, OracleError)
 
@@ -91,12 +88,8 @@ def _cmd_sweep(args):
     return 0
 
 
-def _load_data_for_recovery(cfg, prefix, expected_kind):
+def _load_data_for_recovery(cfg, prefix):
     ff = FarFieldSet.load(prefix)
-    if ff.kind != expected_kind:
-        raise ConfigurationError(
-            f"data kind mismatch: recovery needs {expected_kind!r}, data is {ff.kind!r}"
-        )
     if cfg.band is None:
         raise ConfigurationError("config has no [band] block")
     if abs(ff.delta - cfg.band.delta) > 1e-9 * cfg.band.delta:
@@ -110,12 +103,13 @@ def _load_data_for_recovery(cfg, prefix, expected_kind):
 def _cmd_recover(args, which):
     cfg = load_config(args.config)
     _log_run(cfg, f"recover-{which}")
-    kind, recover = _RECOVERY[which]
-    ff = _load_data_for_recovery(cfg, args.data_prefix, kind)
+    ff = _load_data_for_recovery(cfg, args.data_prefix)
     obj = _ingredient(cfg, which)
     if not isinstance(obj, MigrSpec):
         raise ConfigurationError(f"[{which}] must be a rough-field block")
     normal = np.asarray(cfg.separating_normal) if cfg.separating_normal is not None else None
+    # the recovery checks the data kind
+    recover = recover_source_strength if which == "source" else recover_potential_strength
     report = recover(
         ff, obj.order, cfg.band.tau_list, None, cfg.band.k_lo, normal,
         grid=cfg.grid, ground_truth=obj.strength,

@@ -211,16 +211,18 @@ class ExperimentConfig:
 
 def _build_band(sect, mode) -> BandSpec:
     k_lo = _as_float(_get(sect, "band", "k_lo"), "band.k_lo")
-    if k_lo <= 0:
+    if not k_lo > 0:
         raise ConfigurationError("band.k_lo must be positive")
     if "delta" in sect and "n_terms" in sect:
         raise ConfigurationError("band.delta and band.n_terms are mutually exclusive")
     if "delta" in sect:
         delta = _as_float(sect["delta"], "band.delta")
+        if not delta > 0:
+            raise ConfigurationError("band.delta must be positive")
         n_terms = int(round(k_lo / delta))
     else:
         n_terms = _as_int(_get(sect, "band", "n_terms"), "band.n_terms")
-        delta = k_lo / n_terms
+        delta = k_lo / max(n_terms, 1)      # fewer than 16 terms is rejected below
     if n_terms < 16:
         raise ConfigurationError(f"band.n_terms: band holds {n_terms} mesh points; at least 16 required")
     if abs(n_terms * delta - k_lo) > 1e-9 * k_lo:
@@ -231,9 +233,13 @@ def _build_band(sect, mode) -> BandSpec:
     unit_name = "delta" if half == 1.0 else f"{1.0 / half:g}*delta"
     if "tau_list" in sect:
         taus = [_as_float(t, "band.tau_list") for t in sect["tau_list"].split()]
+        if not taus:
+            raise ConfigurationError("band.tau_list: expected at least one tau")
     else:
         tau_max = _as_float(_get(sect, "band", "tau_max"), "band.tau_max")
         step = _as_float(sect.get("tau_step", str(tau_unit)), "band.tau_step")
+        if not (tau_max >= 0 and step > 0):
+            raise ConfigurationError("band.tau_max must be nonnegative and band.tau_step positive")
         n_tau = int(np.floor(tau_max / step + 1e-9))
         taus = [i * step for i in range(n_tau + 1)]
     for i, tau in enumerate(taus):
@@ -262,7 +268,7 @@ def config_from_text(text: str) -> ExperimentConfig:
     gsect = _require(sections, "grid")
     dims_raw = _get(gsect, "grid", "dims").split()
     if len(dims_raw) == 1:
-        dims = (int(dims_raw[0]),) * 3
+        dims = (_as_int(dims_raw[0], "grid.dims"),) * 3
     elif len(dims_raw) == 3:
         dims = tuple(_as_int(d, "grid.dims") for d in dims_raw)
     else:
@@ -351,7 +357,10 @@ def config_from_text(text: str) -> ExperimentConfig:
             parts = item.split(":")
             if len(parts) != 2:
                 raise ConfigurationError(f"ergodic.bands[{i}]: expected K:delta, got {item!r}")
-            bands.append((_as_float(parts[0], "ergodic.bands"), _as_float(parts[1], "ergodic.bands")))
+            K, delta = (_as_float(p, f"ergodic.bands[{i}]") for p in parts)
+            if not delta > 0:
+                raise ConfigurationError(f"ergodic.bands[{i}]: spacing must be positive, got {item!r}")
+            bands.append((K, delta))
         ergodic = ErgodicSpec(
             c0=_as_float(zsect.get("c0", "1.0"), "ergodic.c0"),
             m=_as_float(zsect.get("m", "0.0"), "ergodic.m"),

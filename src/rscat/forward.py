@@ -569,7 +569,8 @@ class FarFieldSet:
                 "CSV rows break the layout: each direction must list the same frequencies in order"
             )
         values = (arr[:, 4] + 1j * arr[:, 5]).reshape(n_dirs, n_freq)
-        ff = cls(dirs=dirs, freqs=freqs, values=values, kind=kind, meta=parsed)
+        ff = cls(dirs=dirs, freqs=freqs, values=values, kind=kind,
+                 meta={"m": parsed["m"], "seed": parsed["seed"]})
         # the band edges and the spacing follow from the frequencies, as save writes them
         for key, want in zip(("band_lo", "band_hi", "delta"), ff._band()):
             got = parsed[key]

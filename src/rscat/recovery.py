@@ -9,6 +9,10 @@ the rough strength at tau * xhat. For passive source data the weight is
 w = k^m and the shift is s = tau. For active backscatter data the measured
 spectrum lives at spatial frequency 2k, so the shift is s = tau/2 and the
 weight uses the effective frequency, w = (2k)^m.
+
+``band_correlation`` and its backscatter twin are the one public estimator:
+each returns the (direction x tau) array, and both recoveries sample through
+them. The ergodic diagnostic reads single bands through the same core.
 """
 
 from __future__ import annotations
@@ -26,17 +30,6 @@ from .forward import FarFieldSet, _mesh_spacing
 PREFACTOR = 4.0 * math.sqrt(2.0 * math.pi)
 
 _EQUATOR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """One band-averaged two-frequency correlation, approximating mu_hat(tau * dir)."""
-
-    tau: float
-    dir: tuple          # the stored data direction the estimate was read at
-    band: tuple
-    value: complex
-    n_terms: int
 
 
 # weight scale c and shift factor a per data kind: w(k) = (c k)^m, s = a tau.
@@ -89,33 +82,33 @@ def _band_estimates(ff: FarFieldSet, m: float, taus, dir_indices, K: float):
     return PREFACTOR * (delta / K) * out, n_terms
 
 
-def _one_estimate(ff, m, tau, direction, K) -> CorrelationEstimate:
-    d = ff.dir_index(direction)
-    values, n_terms = _band_estimates(ff, m, [tau], [d], K)
-    return CorrelationEstimate(
-        tau=float(tau), dir=tuple(ff.dirs[d].tolist()),
-        band=(float(K), float(2 * K)), value=complex(values[0, 0]), n_terms=n_terms,
-    )
-
-
 def _require_kind(ff: FarFieldSet, kind: str, what: str):
     if ff.kind != kind:
         raise ConfigurationError(f"{what} needs {kind} data, got kind={ff.kind!r}")
 
 
-def band_correlation(ff: FarFieldSet, m: float, tau: float, direction, K: float) -> CorrelationEstimate:
-    """Passive-data band correlation with weight k^m and shift tau.
+def _dir_indices(ff: FarFieldSet, dirs):
+    """Indices of the stored directions matching dirs (each within 1e-12); all for None."""
+    if dirs is None:
+        return list(range(ff.n_dirs))
+    return [ff.dir_index(d) for d in np.atleast_2d(np.asarray(dirs, dtype=np.float64))]
 
-    At tau = 0 the value is real and nonnegative by construction.
+
+def band_correlation(ff: FarFieldSet, m: float, taus, K: float, dirs=None):
+    """Passive-data band correlations with weight k^m and shift tau.
+
+    Returns the (directions x tau) complex array, one row per direction of
+    ``dirs`` (every data direction for None), and the number of mesh terms
+    in [K, 2K). Zero-tau values are real and nonnegative by construction.
     """
     _require_kind(ff, "passive", "band_correlation")
-    return _one_estimate(ff, m, tau, direction, K)
+    return _band_estimates(ff, m, taus, _dir_indices(ff, dirs), K)
 
 
-def backscatter_band_correlation(ff: FarFieldSet, m_q: float, tau: float, direction, K: float) -> CorrelationEstimate:
-    """Backscatter band correlation: shift tau/2 and effective-frequency weight (2k)^m."""
+def backscatter_band_correlation(ff: FarFieldSet, m_q: float, taus, K: float, dirs=None):
+    """``band_correlation`` for backscatter data: shift tau/2, weight (2k)^m."""
     _require_kind(ff, "active-backscatter", "backscatter_band_correlation")
-    return _one_estimate(ff, m_q, tau, direction, K)
+    return _band_estimates(ff, m_q, taus, _dir_indices(ff, dirs), K)
 
 
 def hermitian_complete(dirs, values, normal):
@@ -275,27 +268,24 @@ def _assemble_report(taus, dirs, values, grid, ground_truth, extra_metrics):
 
 
 def _select_dirs(ff, dirs, normal_n):
-    """Indices of the data directions to estimate on, and the completion normal or None."""
-    if dirs is None:
-        chosen = list(range(ff.n_dirs))
-    else:
-        chosen = [ff.dir_index(d) for d in np.atleast_2d(np.asarray(dirs))]
+    """The stored data directions to estimate on, and the completion normal or None."""
+    chosen = ff.dirs[_dir_indices(ff, dirs)]
     if normal_n is None:
         return chosen, None
     n = np.asarray(normal_n, dtype=np.float64)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise ConfigurationError("hemisphere mode requires a unit separating normal")
-    kept = [i for i in chosen if np.dot(ff.dirs[i], n) >= -_EQUATOR_TOL]
-    if not kept:
+    kept = chosen[chosen @ n >= -_EQUATOR_TOL]
+    if not len(kept):
         raise ConfigurationError("no data directions lie on the requested hemisphere")
     return kept, n
 
 
-def _recover_strength(ff, m, tau_list, dirs, K, normal_n, grid, ground_truth):
-    chosen, n = _select_dirs(ff, dirs, normal_n)
+def _recover_strength(estimate, ff, m, tau_list, dirs, K, normal_n, grid, ground_truth):
+    """Samples from ``estimate``, which checks the data kind, then completion and assembly."""
+    dirs, n = _select_dirs(ff, dirs, normal_n)
     taus = np.asarray(tau_list, dtype=np.float64).reshape(-1)
-    values, n_terms = _band_estimates(ff, m, taus, chosen, K)
-    dirs = ff.dirs[chosen]
+    values, n_terms = estimate(ff, m, taus, K, dirs)
     if n is not None:
         dirs, values = hermitian_complete(dirs, values, n)
     return _assemble_report(taus, dirs, values, grid, ground_truth,
@@ -307,15 +297,15 @@ def recover_source_strength(ff: FarFieldSet, m: float, tau_list, dirs, K: float,
                             ground_truth: Optional[ScalarField] = None) -> RecoveryReport:
     """Reconstruct the source rough strength from passive far-field data.
 
-    Band correlations sample mu_hat on the polar lattice {tau * xhat}; with a
-    separating normal the estimates are formed on the hemisphere
+    ``band_correlation`` samples mu_hat on the polar lattice {tau * xhat};
+    with a separating normal the estimates are formed on the hemisphere
     xhat . n >= 0 and completed by conjugate reflection, otherwise on the
     full sphere. The samples are scattered onto the Cartesian dual lattice
     and inverse transformed to the real part; negative values are clipped
     after the error metrics are taken on the unclipped field.
     """
-    _require_kind(ff, "passive", "source recovery")
-    return _recover_strength(ff, m, tau_list, dirs, K, normal_n, grid, ground_truth)
+    return _recover_strength(band_correlation, ff, m, tau_list, dirs, K, normal_n, grid,
+                             ground_truth)
 
 
 def recover_potential_strength(ff: FarFieldSet, m_q: float, tau_list, dirs, K: float,
@@ -323,11 +313,11 @@ def recover_potential_strength(ff: FarFieldSet, m_q: float, tau_list, dirs, K: f
                                ground_truth: Optional[ScalarField] = None) -> RecoveryReport:
     """Reconstruct the potential rough strength from active backscatter data.
 
-    Identical assembly to the source branch except that mu_hat(tau * xhat)
-    is sampled through the k + tau/2 data shift with the (2k)^m weight.
+    Identical assembly to the source branch, with the samples from
+    ``backscatter_band_correlation`` (k + tau/2 data shift, (2k)^m weight).
     """
-    _require_kind(ff, "active-backscatter", "potential recovery")
-    return _recover_strength(ff, m_q, tau_list, dirs, K, normal_n, grid, ground_truth)
+    return _recover_strength(backscatter_band_correlation, ff, m_q, tau_list, dirs, K,
+                             normal_n, grid, ground_truth)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 ``--trace 1``, and ``perfbench/run.py`` records ``rscat._kernels.JIT_ENABLED``
 in its environment line. ``perfbench/workloads.py`` calls the library with
 positional arguments. A rename or a signature change in ``src/`` that breaks
-any of them fails here.
+any of them fails here, and so does a recovery that reaches the band
+estimator other than through the public names the spans patch.
 """
 
 import importlib.util
@@ -46,3 +47,19 @@ def test_tiny_workload_passes_its_checks(name, tmp_path):
     workload = _load(WORKLOADS, "perfbench_workloads").WORKLOADS[name](True, tmp_path)
     checks = workload.checks(workload.run(workload.reference_seed))
     assert checks and all(c["ok"] for c in checks), checks
+
+
+@pytest.mark.parametrize("name", ["passive_recovery", "backscatter_born"])
+def test_traced_recovery_counts_its_one_estimate(name, tmp_path):
+    spans = _load(SPANS, "perfbench_spans")
+    workload = _load(WORKLOADS, "perfbench_workloads").WORKLOADS[name](True, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, recorded, first = tracer.run_iteration(0, lambda: workload.run(workload.reference_seed))
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(recorded, first)
+    # one estimator call per recovery, which looks up the band and the shifted band
+    assert metrics["recovery.estimate.calls"] == 1
+    assert metrics["recovery.freq_lookup.per_estimate"] == 2

@@ -207,18 +207,40 @@ def test_recover_contradicting_manifest_exits_2(tmp_path):
 
 
 def test_recover_kind_mismatch_exits_2(tmp_path, capsys):
-    path = _write(tmp_path, MINIMAL)
+    # the config has a rough potential, so only the data kind is wrong
+    path = _write(tmp_path, SEPARATED)
     pre = str(tmp_path / "sweep")
-    run_command(["sweep", "--config", path, "--out-prefix", pre])
+    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
     code = run_command(["recover-potential", "--config", path,
                         "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")])
     assert code == 2
+    assert "needs active-backscatter data, got kind='passive'" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path):
     bad = MINIMAL.replace("m = 2.5", "m = 1.5")
     path = _write(tmp_path, bad)
     assert run_command(["synth", "--config", path, "--out", str(tmp_path / "x.rsgf")]) == 2
+
+
+_ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("dims = 16", "dims = 3x", "grid.dims"),
+    ("k_lo = 6.0", "k_lo = nan", "band.k_lo"),
+    ("n_terms = 24", "delta = 0", "band.delta"),
+    ("n_terms = 24", "n_terms = 0", "band.n_terms"),
+    ("tau_max = 2.0", "tau_max = 2.0\ntau_step = 0", "band.tau_step"),
+    ("tau_max = 2.0", "tau_list =", "band.tau_list"),
+    ("tau_max = 2.0", "tau_max = -1", "band.tau_max"),
+    ("output = {out}", "output = {out}" + _ERGODIC, "ergodic.bands[1]"),
+], ids=["dims", "k_lo", "delta", "n_terms", "tau_step", "tau_list", "tau_max", "ergodic_spacing"])
+def test_degenerate_values_exit_2_naming_their_key(tmp_path, capsys, old, new, key):
+    # every command validates the whole config before it runs
+    path = _write(tmp_path, MINIMAL.replace(old, new))
+    assert run_command(["diagnose-ergodic", "--config", path, "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_numeric_error_exit_code(tmp_path):

@@ -21,19 +21,24 @@ def _mesh_set(K, n_terms, tau_max, values_fn, kind="passive", dirs=(UP,)):
     return make_farfield_set(np.array(dirs), freqs, vals, kind=kind)
 
 
+def _draws_set(proc, seeds, freqs):
+    """One row per draw of proc, all along UP."""
+    draws = [proc.draw(seed, freqs) for seed in seeds]
+    return make_farfield_set(np.tile(UP, (len(draws), 1)), freqs, draws)
+
+
 # ----------------------------------------------------------- band correlation
 
 def test_constant_process_returns_prefactor():
     ff = _mesh_set(16.0, 256, 4.0, lambda k: 1.0)
-    for tau in (0.0, 0.5, 4.0):
-        v = band_correlation(ff, 0.0, tau, UP, 16.0).value
-        assert abs(v - PREFACTOR) < 1e-10
+    values, _ = band_correlation(ff, 0.0, [0.0, 0.5, 4.0], 16.0)
+    assert np.max(np.abs(values - PREFACTOR)) < 1e-10
 
 
 def test_powerlaw_process_returns_prefactor():
     m = 2.5
     ff = _mesh_set(16.0, 256, 0.0, lambda k: k ** (-m / 2.0))
-    v = band_correlation(ff, m, 0.0, UP, 16.0).value
+    v = band_correlation(ff, m, [0.0], 16.0)[0][0, 0]
     assert abs(v - PREFACTOR) < 1e-6
 
 
@@ -41,7 +46,7 @@ def test_tau_zero_estimate_real_nonnegative(rng):
     freqs = 8.0 + (np.arange(32) + 0.5) * 0.25
     vals = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
     ff = make_farfield_set([UP], freqs, vals[None, :])
-    v = band_correlation(ff, 1.0 + rng.random(), 0.0, UP, 8.0).value
+    v = band_correlation(ff, 1.0 + rng.random(), [0.0], 8.0)[0][0, 0]
     assert v.imag == 0.0
     assert v.real >= 0.0
 
@@ -52,8 +57,8 @@ def test_power_scaling_exact(rng):
     ff1 = make_farfield_set([UP], freqs, vals[None, :])
     ff3 = make_farfield_set([UP], freqs, 3.0 * vals[None, :])
     tau = 0.5
-    v1 = band_correlation(ff1, 0.5, tau, UP, 8.0).value
-    v3 = band_correlation(ff3, 0.5, tau, UP, 8.0).value
+    v1 = band_correlation(ff1, 0.5, [tau], 8.0)[0][0, 0]
+    v3 = band_correlation(ff3, 0.5, [tau], 8.0)[0][0, 0]
     assert abs(v3 - 9.0 * v1) <= 1e-12 * abs(v3)
 
 
@@ -63,10 +68,8 @@ def test_monte_carlo_mean_matches_oracle():
     proc = IndependentPowerLawProcess(c0, m)
     freqs = midpoint_mesh(K, 2 * K, K / n_terms)
     n_draws = 200
-    ests = np.empty(n_draws)
-    for i in range(n_draws):
-        ff = make_farfield_set([UP], freqs, proc.draw(1000 + i, freqs)[None, :])
-        ests[i] = band_correlation(ff, m, 0.0, UP, K).value.real
+    ff = _draws_set(proc, range(1000, 1000 + n_draws), freqs)
+    ests = band_correlation(ff, m, [0.0], K)[0][:, 0].real
     mc_std = np.std(ests, ddof=1) / np.sqrt(n_draws)
     assert abs(np.mean(ests) - PREFACTOR * c0) <= 3.0 * mc_std
 
@@ -76,27 +79,51 @@ def test_band_correlation_validation(rng):
     vals = np.ones((1, len(freqs)), complex)
     ff = make_farfield_set([UP], freqs, vals)
     with pytest.raises(ConfigurationError, match="multiple"):
-        band_correlation(ff, 0.0, 0.37, UP, 8.0)
+        band_correlation(ff, 0.0, [0.37], 8.0)
     with pytest.raises(DataCoverageError) as info:
-        band_correlation(ff, 0.0, 4.0, UP, 8.0)  # shifted band leaves the mesh
+        band_correlation(ff, 0.0, [4.0], 8.0)  # shifted band leaves the mesh
     assert info.value.gaps == pytest.approx(list(freqs[16:] + 4.0), abs=1e-12)
     short = make_farfield_set([UP], freqs[:8], vals[:, :8])
     with pytest.raises(ConfigurationError, match="16"):
-        band_correlation(short, 0.0, 0.0, UP, 2.0)
+        band_correlation(short, 0.0, [0.0], 2.0)
     with pytest.raises(ConfigurationError, match="not in the data"):
-        band_correlation(ff, 0.0, 0.0, (1.0, 0.0, 0.0), 8.0)
+        band_correlation(ff, 0.0, [0.0], 8.0, [(1.0, 0.0, 0.0)])
 
 
-def test_correlation_records_the_matched_stored_direction(rng):
-    # dir_index matches within 1e-12 per component; the estimate keeps the stored direction
-    stored = np.full(3, 1.0) / np.sqrt(3.0)
+def test_correlation_reads_the_matched_stored_direction(rng):
+    # dir_index matches within 1e-12 per component; the row is read at the stored direction
+    stored = np.array([UP, np.full(3, 1.0) / np.sqrt(3.0)])
     freqs = 8.0 + (np.arange(34) + 0.5) * 0.25
-    ff = make_farfield_set([stored], freqs, rng.standard_normal((1, len(freqs))) + 0j)
-    near = ff.dirs[0] + 0.9e-12
-    assert ff.dir_index(near) == 0
-    est = band_correlation(ff, 0.0, 0.5, near, 8.0)
-    assert est.dir == tuple(ff.dirs[0])
-    assert est.value == band_correlation(ff, 0.0, 0.5, ff.dirs[0], 8.0).value
+    ff = make_farfield_set(stored, freqs, rng.standard_normal((2, len(freqs))) + 0j)
+    near = ff.dirs[1] + 0.9e-12
+    assert ff.dir_index(near) == 1
+    every, _ = band_correlation(ff, 0.0, [0.0, 0.5], 8.0)
+    values, _ = band_correlation(ff, 0.0, [0.0, 0.5], 8.0, [near])
+    assert np.array_equal(values, every[1:])
+
+
+@pytest.mark.parametrize("kind", ["passive", "active-backscatter"])
+def test_dirs_subset_reads_the_matching_rows(kind, rng):
+    twin = band_correlation if kind == "passive" else backscatter_band_correlation
+    dirs = np.array([UP, [0.6, 0.0, 0.8], [0.0, -0.8, 0.6]])
+    freqs = midpoint_mesh(8.0, 18.0, 0.25)
+    vals = rng.standard_normal((3, len(freqs))) + 1j * rng.standard_normal((3, len(freqs)))
+    ff = make_farfield_set(dirs, freqs, vals, kind=kind)
+    taus = [0.0, 0.5, 1.0, 2.0]
+    every, n_terms = twin(ff, 2.5, taus, 8.0)
+    assert every.shape == (3, len(taus)) and n_terms == 32
+    values, n_sub = twin(ff, 2.5, taus, 8.0, dirs[[2, 0]])
+    assert n_sub == n_terms
+    assert np.array_equal(values, every[[2, 0]])
+
+
+@pytest.mark.parametrize("kind", ["passive", "active-backscatter"])
+def test_each_twin_rejects_the_other_kind(kind):
+    freqs = midpoint_mesh(8.0, 18.0, 0.25)
+    ff = make_farfield_set([UP], freqs, np.ones((1, len(freqs)), complex), kind=kind)
+    other = backscatter_band_correlation if kind == "passive" else band_correlation
+    with pytest.raises(ConfigurationError, match=f"got kind={kind!r}"):
+        other(ff, 0.0, [0.0], 8.0)
 
 
 def test_mesh_refinement_stability():
@@ -107,10 +134,8 @@ def test_mesh_refinement_stability():
     errs = []
     for n_terms in (64, 128):
         freqs = midpoint_mesh(K, 2 * K, K / n_terms)
-        ests = []
-        for i in range(240):
-            ff = make_farfield_set([UP], freqs, proc.draw(101 + i, freqs)[None, :])
-            ests.append(band_correlation(ff, m, 0.0, UP, K).value.real)
+        ff = _draws_set(proc, range(101, 341), freqs)
+        ests = band_correlation(ff, m, [0.0], K)[0][:, 0].real
         means.append(np.mean(ests))
         errs.append(np.std(ests, ddof=1) / np.sqrt(len(ests)))
     assert abs(means[0] - means[1]) <= np.hypot(*errs)
@@ -139,6 +164,8 @@ def test_recovery_samples_match_direct_band_sum(kind, grid16):
         scale, half = 2.0, 0.5
     assert np.array_equal(report.dirs, dirs) and np.array_equal(report.taus, taus)
     assert report.mu_hat.shape == (3, len(taus))
+    twin = band_correlation if kind == "passive" else backscatter_band_correlation
+    assert np.array_equal(report.mu_hat, twin(ff, m, taus, K)[0])
     for d in range(3):
         for t, tau in enumerate(taus):
             got = report.mu_hat[d, t]
@@ -160,10 +187,10 @@ def test_backscatter_uses_half_shift_and_effective_frequency():
     m_q = 3.5
     # u(k) = (2k)^(-m/2): weights (2k)^m cancel it exactly
     ff = _mesh_set(K, n_terms, 2.0, lambda k: (2 * k) ** (-m_q / 2), kind="active-backscatter")
-    v = backscatter_band_correlation(ff, m_q, 0.0, UP, K).value
+    v = backscatter_band_correlation(ff, m_q, [0.0], K)[0][0, 0]
     assert abs(v - PREFACTOR) < 1e-6
     with pytest.raises(ConfigurationError):
-        backscatter_band_correlation(ff, m_q, 3 * delta, UP, K)  # tau/2 off-mesh
+        backscatter_band_correlation(ff, m_q, [3 * delta], K)  # tau/2 off-mesh
 
 
 def test_deterministic_born_backscatter_matches_quadrature(grid32):
@@ -440,7 +467,7 @@ def test_ergodic_data_mode_uses_backscatter_form(rng):
     bands = [(4.0, 0.25), (8.0, 0.25), (16.0, 0.25)]
     m, tau = 2.5, 1.0
     rows = ergodic_diagnostic(ff, m, tau, bands)
-    ests = [backscatter_band_correlation(ff, m, tau, UP, K).value for K, _ in bands]
+    ests = [backscatter_band_correlation(ff, m, [tau], K)[0][0, 0] for K, _ in bands]
     assert [r.n_terms for r in rows] == [16, 32, 64]
     for r in rows:
         assert r.spread == pytest.approx(float(np.std(ests)), rel=1e-12)

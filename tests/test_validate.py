@@ -1,14 +1,16 @@
+import numpy as np
 import pytest
 
 from rscat import GridSpec, forward, validate
 from rscat.cli import run_command
 
-# each certified transform, the far-field sum among them, and a mutant of it
-# that its check must reject
+# each certified transform, the far-field sum and the band estimator among
+# them, and a mutant of it that its check must reject
 _PADDED = validate._padded_fftn
 _INVERSE = validate._inverse_strength_transform
 _IRFFTN = validate._irfftn
 _FARFIELD = forward._farfield_batch
+_BAND = validate.band_correlation
 
 
 def _flipped_offset(block, padded, offset):
@@ -33,6 +35,17 @@ def _no_imaginary_product(g, *args):
     return _FARFIELD(g.real, *args)
 
 
+def _rotated_estimate(ff, *args):
+    values, n_terms = _BAND(ff, *args)
+    return values * np.exp(0.1j), n_terms
+
+
+def _amplitude_scaled_estimate(ff, *args):
+    # each row scaled by its own data amplitude, so the estimate grows cubically
+    values, n_terms = _BAND(ff, *args)
+    return values * np.max(np.abs(ff.values), axis=1, keepdims=True), n_terms
+
+
 MUTANTS = {
     "offset-sign-flipped": (validate, "_padded_fftn", _flipped_offset,
                             validate.check_resolvent_transform_pair),
@@ -44,6 +57,10 @@ MUTANTS = {
                              validate.check_real_transform_pair),
     "imaginary-product-dropped": (forward, "_farfield_batch", _no_imaginary_product,
                                   validate.check_farfield_dual_path),
+    "estimate-phase-rotated": (validate, "band_correlation", _rotated_estimate,
+                               validate.check_estimator_positivity_scaling),
+    "estimate-amplitude-scaled": (validate, "band_correlation", _amplitude_scaled_estimate,
+                                  validate.check_estimator_positivity_scaling),
 }
 
 
