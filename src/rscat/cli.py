@@ -22,8 +22,7 @@ from .config import ExperimentConfig, load_config
 from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
                      OracleError, RscatError, SolverConvergenceError,
                      SolverDivergenceError)
-from .forward import (FarFieldSet, ResolventOperator, ScatteringConfig, _born_solve,
-                      _box_hull, band_sweep, draw_realization)
+from .forward import FarFieldSet, band_sweep, draw_realization, probe_traces
 from .migr import MigrSpec
 from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
                        midpoint_mesh, nearfield_second_moment,
@@ -139,18 +138,8 @@ def _cmd_nearfield(args):
     cells = np.array([cfg.grid.nearest_cell(p) for p in nf.probes])
     # each trace is read at a cell centre, so the oracle is evaluated and reported there
     centres = np.asarray(cfg.grid.origin) + cfg.grid.spacing * cells
-    # u_sc is solved on the hull of the probes and of q's box, which the Born update reads
-    probe_box = tuple(zip(cells.min(axis=0).tolist(), cells.max(axis=0).tolist()))
-    out_box = _box_hull(probe_box, None if potential is None else potential.support_box)
-    at = tuple((cells - [lo for lo, _ in out_box]).T)
-    traces = np.empty((len(cells), len(ks)), dtype=np.complex128)
-    for j, k in enumerate(ks):
-        op = ResolventOperator(cfg.grid, float(k))
-        scfg = ScatteringConfig(
-            grid=cfg.grid, k=float(k), potential=potential,
-            source=source, max_born_order=cfg.solver.max_born_order, tol=cfg.solver.tol,
-        )
-        traces[:, j] = _born_solve(scfg, op, out_box)[0][at]
+    traces = probe_traces(cfg.grid, source, potential, ks, cells,
+                          tol=cfg.solver.tol, max_born_order=cfg.solver.max_born_order)
     with open(args.out, "w") as fh:
         fh.write("probe_x,probe_y,probe_z,estimate,oracle,ratio\n")
         for p, point in enumerate(centres):

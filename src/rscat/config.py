@@ -209,7 +209,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 
-def _build_band(sect, mode) -> BandSpec:
+def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
     k_lo = _as_float(_get(sect, "band", "k_lo"), "band.k_lo")
     if not k_lo > 0:
         raise ConfigurationError("band.k_lo must be positive")
@@ -238,18 +238,23 @@ def _build_band(sect, mode) -> BandSpec:
     else:
         tau_max = _as_float(_get(sect, "band", "tau_max"), "band.tau_max")
         step = _as_float(sect.get("tau_step", str(tau_unit)), "band.tau_step")
-        if not (tau_max >= 0 and step > 0):
-            raise ConfigurationError("band.tau_max must be nonnegative and band.tau_step positive")
+        if not 0 <= tau_max < grid.nyquist:
+            raise ConfigurationError(f"band.tau_max: {tau_max} is not in [0, grid Nyquist {grid.nyquist})")
+        # checked before the list is built, so a tiny step cannot make a huge one
+        units = step / tau_unit
+        if not (0.5 <= units < np.inf and abs(units - np.rint(units)) <= 1e-9):
+            raise ConfigurationError(
+                f"band.tau_step: {step} is not a positive multiple of {unit_name} = {tau_unit}")
         n_tau = int(np.floor(tau_max / step + 1e-9))
         taus = [i * step for i in range(n_tau + 1)]
     for i, tau in enumerate(taus):
+        if not 0 <= tau < grid.nyquist:
+            raise ConfigurationError(f"band.tau_list[{i}]: {tau} is not in [0, grid Nyquist {grid.nyquist})")
         steps = tau / tau_unit
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
                 f"band.tau_list[{i}]: {tau} is not a multiple of {unit_name} = {tau_unit}"
             )
-        if tau < 0:
-            raise ConfigurationError(f"band.tau_list[{i}]: negative tau")
     freqs = midpoint_mesh(k_lo, 2.0 * k_lo + half * max(taus), delta)
     return BandSpec(k_lo=k_lo, delta=float(delta), n_terms=n_terms,
                     tau_list=tuple(sorted(set(taus))), freqs=freqs)
@@ -306,7 +311,7 @@ def config_from_text(text: str) -> ExperimentConfig:
                 "a positive distance so a separating normal exists)"
             ) from None
 
-    band = _build_band(sections["band"], mode) if "band" in sections else None
+    band = _build_band(sections["band"], mode, grid) if "band" in sections else None
 
     dirs = None
     if "directions" in sections:

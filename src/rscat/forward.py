@@ -24,7 +24,6 @@ from .errors import (
     SolverConvergenceError,
     SolverDivergenceError,
 )
-from .fields import COLLAR as _COLLAR  # noqa: F401  (re-exported)
 from .fields import (ComplexField, GridSpec, ScalarField, _crop, _cropped_ifftn, _even_spectrum,
                      _padded_fftn, _support_box, require_collar)
 from .migr import MigrSpec, Realization, synthesize_migr
@@ -243,9 +242,9 @@ class ScatteringConfig:
 class ConvergenceReport:
     """Outcome of one Born iteration.
 
-    Every norm is taken over the solve's output box: the whole grid for
-    :func:`lippmann_schwinger_solve`, the potential's support box in
-    :func:`band_sweep`.
+    Every norm is taken over the output box of
+    :func:`lippmann_schwinger_solve`: the whole grid by default, the
+    potential's support box in :func:`band_sweep`.
 
     converged : whether the last relative update fell below the tolerance.
     iterations : Born orders applied (1 when the series truncates for q = 0).
@@ -263,14 +262,19 @@ class ConvergenceReport:
     residual: float
 
 
-def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[ResolventOperator] = None):
+def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[ResolventOperator] = None,
+                             out_box=None):
     """Solve (I - R_k M_q) u_sc = R_k f + alpha R_k[q u_in] by Born iteration.
 
-    Returns (u_sc, report), u_sc on the whole grid. The stop rule measures
-    the relative update |u_{n+1} - u_n| / |u_{n+1}| over the whole grid.
-    Raises SolverDivergenceError once the estimated contraction factor
-    reaches 1 after three iterations, and SolverConvergenceError if the
-    order budget runs out above tolerance.
+    Returns (u_sc, report): u_sc as a field on the whole grid when
+    ``out_box`` is None, else as the array of exactly the cells of
+    ``out_box`` (per-axis inclusive index ranges), which must lie in the
+    grid and hold the potential's support box. q u vanishes outside q's
+    box, so each update reads u there only. Every norm, the stop rule's
+    relative update |u_{n+1} - u_n| / |u_{n+1}| included, is taken over the
+    output box. Raises SolverDivergenceError once the estimated contraction
+    factor reaches 1 after three iterations, and SolverConvergenceError if
+    the order budget runs out above tolerance.
     """
     if operator is not None and (operator.grid != cfg.grid or operator.k != cfg.k):
         raise ConfigurationError(
@@ -278,37 +282,27 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
             f"match the config's k={cfg.k} on {cfg.grid.dims}"
         )
     op = operator if operator is not None else ResolventOperator(cfg.grid, cfg.k)
-    u, report = _born_solve(cfg, op, _whole(cfg.grid))
-    return ComplexField(cfg.grid, u), report
-
-
-def _born_solve(cfg: ScatteringConfig, op: ResolventOperator, out_box):
-    """The Born iteration of :func:`lippmann_schwinger_solve` with u_sc kept on ``out_box``.
-
-    ``out_box`` must hold the potential's support box. Returns (u_sc on
-    ``out_box``, report); every norm, the stop rule's included, is taken
-    over ``out_box``. q u vanishes outside q's box, so each update reads u
-    there only.
-    """
     q, q_box, f_box = cfg._potential_data, cfg._potential_box, cfg._source_box
-    # one spectrum for every apply below: the source box and q's box to out_box
-    halves = [op._half(b, out_box) for b in (f_box, q_box) if b is not None]
+    box = _whole(cfg.grid) if out_box is None else _checked_box(cfg.grid, out_box, q_box)
+    shaped = (lambda u: ComplexField(cfg.grid, u)) if out_box is None else (lambda u: u)
+    # one spectrum for every apply below: the source box and q's box to the output box
+    halves = [op._half(b, box) for b in (f_box, q_box) if b is not None]
     if halves:
         op._spectrum(tuple(map(max, zip(*halves))))
-    rhs = np.zeros(_box_shape(out_box), dtype=np.complex128)
+    rhs = np.zeros(_box_shape(box), dtype=np.complex128)
     if f_box is not None:
-        rhs += op.apply(cfg._source_data, f_box, out_box)
+        rhs += op.apply(cfg._source_data, f_box, box)
     if q is None:
         # the series truncates: u_sc = RHS exactly, first update is zero
-        return rhs, ConvergenceReport(True, 1, (0.0,), None, 0.0)
+        return shaped(rhs), ConvergenceReport(True, 1, (0.0,), None, 0.0)
     if cfg.alpha == 1:
-        rhs += op.apply(q * cfg._incident_on_q, q_box, out_box)
-    on_q = _crop(q_box, out_box)
+        rhs += op.apply(q * cfg._incident_on_q, q_box, box)
+    on_q = _crop(q_box, box)
     u = rhs
     updates = []
     contraction = None
     for _ in range(cfg.max_born_order):
-        u_next = rhs + op.apply(q * u[on_q], q_box, out_box)
+        u_next = rhs + op.apply(q * u[on_q], q_box, box)
         upd = float(np.linalg.norm(u_next - u))
         updates.append(upd)
         norm = float(np.linalg.norm(u_next))
@@ -317,7 +311,7 @@ def _born_solve(cfg: ScatteringConfig, op: ResolventOperator, out_box):
         if len(updates) >= 2 and updates[-2] > 0:
             contraction = updates[-1] / updates[-2]
         if rel < cfg.tol:
-            return u, ConvergenceReport(True, len(updates), tuple(updates), contraction, rel)
+            return shaped(u), ConvergenceReport(True, len(updates), tuple(updates), contraction, rel)
         if len(updates) >= 3 and contraction is not None and contraction >= 1.0:
             raise SolverDivergenceError(
                 f"Born iteration diverges at k={cfg.k}: contraction estimate "
@@ -329,6 +323,16 @@ def _born_solve(cfg: ScatteringConfig, op: ResolventOperator, out_box):
         f"relative update {rel:.3e} above tol {cfg.tol:g}",
         residual=rel,
     )
+
+
+def _checked_box(grid: GridSpec, box, q_box):
+    """``box`` as int pairs, once it lies in ``grid`` and holds ``q_box``."""
+    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    if len(box) != 3 or not all(0 <= lo <= hi < n for (lo, hi), n in zip(box, grid.dims)):
+        raise ConfigurationError(f"output box {box} leaves the grid of dims {grid.dims}")
+    if q_box is not None and not all(lo <= ql and qh <= hi for (lo, hi), (ql, qh) in zip(box, q_box)):
+        raise ConfigurationError(f"output box {box} does not hold the potential's support box {q_box}")
+    return box
 
 
 def _farfield_batch(g: np.ndarray, grid: GridSpec, k: float, dirs: np.ndarray, box) -> np.ndarray:
@@ -647,7 +651,7 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
             )
             try:
                 # far_field reads u_sc on q's box only, so the solve stays there
-                u = _born_solve(cfg, op, cfg._potential_box)[0] if solve_needed else None
+                u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0] if solve_needed else None
             except (SolverDivergenceError, SolverConvergenceError) as e:
                 raise type(e)(f"{e} ({label} sweep, k={k}{where})") from e
             values[rows, j] = far_field(cfg, u, observed)
@@ -655,3 +659,22 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     meta = {"m": m_q if mode == "active-backscatter" and m_q is not None else m_f,
             "seed": int(seed)}
     return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)
+
+
+def probe_traces(grid, source, potential, ks, cells, *, tol=1e-10, max_born_order=20) -> np.ndarray:
+    """u_sc at the probe ``cells`` (grid index triples) for each frequency: an (n_cells, n_k) array.
+
+    Each solve keeps u_sc on the hull of the probe cells and q's box, so its
+    lattice follows the probes rather than the grid.
+    """
+    cells = np.asarray(cells)
+    q = _as_field_or_none(potential)
+    probe_box = tuple(zip(cells.min(axis=0).tolist(), cells.max(axis=0).tolist()))
+    out_box = _box_hull(probe_box, None if q is None else q.support_box)
+    at = tuple((cells - [lo for lo, _ in out_box]).T)
+    traces = np.empty((len(cells), len(ks)), dtype=np.complex128)
+    for j, k in enumerate(ks):
+        cfg = ScatteringConfig(grid=grid, k=float(k), potential=potential, source=source,
+                               max_born_order=max_born_order, tol=tol)
+        traces[:, j] = lippmann_schwinger_solve(cfg, None, out_box)[0][at]
+    return traces

@@ -22,7 +22,7 @@ from rscat import (GridSpec, MigrSpec, ScatteringConfig, band_correlation,
                    recover_source_strength, resolvent_point_values,
                    riesz_kernel, far_field)
 from rscat.config import fibonacci_sphere
-from rscat.forward import ResolventOperator
+from rscat.forward import ResolventOperator, probe_traces
 from rscat.recovery import PREFACTOR, IndependentPowerLawProcess, ergodic_diagnostic
 from rscat import validate
 
@@ -162,14 +162,8 @@ def test_criterion_5_nearfield_universal_constant():
         cells = [grid.nearest_cell(p) for p in probes]
         # the traces are read at the cell centres, so the oracle is evaluated there
         centres = np.asarray(grid.origin) + grid.spacing * np.asarray(cells)
-        traces = {i: [] for i in range(len(probes))}
-        for k in ks:
-            op = ResolventOperator(grid, float(k))
-            cfg = ScatteringConfig(grid=grid, k=float(k), source=realization)
-            u, _ = lippmann_schwinger_solve(cfg, op)
-            for i, cell in enumerate(cells):
-                traces[i].append((float(k), complex(u.data[cell])))
-        est = np.mean([nearfield_second_moment(traces[i], m) for i in range(len(probes))])
+        traces = probe_traces(grid, realization, None, ks, cells)
+        est = np.mean([nearfield_second_moment(zip(ks, trace), m) for trace in traces])
         orc = np.mean([potential_kernel_integral(spec.strength, x) for x in centres])
         ratios[name] = est / orc
         print(f"criterion 5: config {name}: estimate/oracle = {ratios[name]:.4f}")

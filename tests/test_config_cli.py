@@ -235,7 +235,12 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
     ("tau_max = 2.0", "tau_list =", "band.tau_list"),
     ("tau_max = 2.0", "tau_max = -1", "band.tau_max"),
     ("output = {out}", "output = {out}" + _ERGODIC, "ergodic.bands[1]"),
-], ids=["dims", "k_lo", "delta", "n_terms", "tau_step", "tau_list", "tau_max", "ergodic_spacing"])
+    # grid16 Nyquist is pi/h ~ 25.1; the band's tau unit is delta = 0.25
+    ("tau_max = 2.0", "tau_max = 1e300", "band.tau_max"),
+    ("tau_max = 2.0", "tau_list = 0 1.0 30.0", "band.tau_list[2]"),
+    ("tau_max = 2.0", "tau_max = 2.0\ntau_step = 1e-300", "band.tau_step"),
+], ids=["dims", "k_lo", "delta", "n_terms", "tau_step", "tau_list", "tau_max", "ergodic_spacing",
+        "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit"])
 def test_degenerate_values_exit_2_naming_their_key(tmp_path, capsys, old, new, key):
     # every command validates the whole config before it runs
     path = _write(tmp_path, MINIMAL.replace(old, new))

@@ -12,7 +12,8 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
 from rscat import _kernels, forward
 from rscat.cli import run_command
 from rscat.config import fibonacci_sphere
-from rscat.forward import (_COLLAR, ResolventOperator, _box_normal, _farfield_batch,
+from rscat.fields import COLLAR
+from rscat.forward import (ResolventOperator, _box_normal, _farfield_batch,
                            _self_cell_integral, draw_realization)
 
 FOUR_PI = 4.0 * np.pi
@@ -150,7 +151,7 @@ def test_kernel_block_is_the_octant():
 
 SIZED_BOXES = {
     "off-centre": ((1, 3), (2, 6), (18, 27)),
-    "touches-collar": ((2, 5), (_COLLAR, 9), (20, 31 - _COLLAR)),
+    "touches-collar": ((2, 5), (COLLAR, 9), (20, 31 - COLLAR)),
     "full-grid": ((0, 7), (0, 15), (0, 31)),
     "one-cell": ((3, 3), (11, 11), (5, 5)),
 }
@@ -280,7 +281,7 @@ def test_incident_plane_wave(grid16):
 @pytest.mark.parametrize("which", ["source", "potential"])
 @pytest.mark.parametrize("axis,high", [(a, h) for a in range(3) for h in (False, True)])
 def test_config_collar_guard(grid16, which, axis, high):
-    for depth, violates in ((_COLLAR - 1, True), (_COLLAR, False)):
+    for depth, violates in ((COLLAR - 1, True), (COLLAR, False)):
         data = np.zeros(grid16.dims)
         data[_face_cell(grid16, axis, high, depth)] = 1.0
         kwargs = {which: ScalarField(grid16, data)}
@@ -317,6 +318,26 @@ def test_solver_rejects_mismatched_operator(grid16, request, k_op, grid_op):
     op = ResolventOperator(request.getfixturevalue(grid_op), k_op)
     with pytest.raises(ConfigurationError, match="does not match"):
         lippmann_schwinger_solve(cfg, op)
+
+
+@pytest.mark.parametrize("where, error", [
+    ("inside-q-box", "does not hold the potential's support box"),
+    ("past-grid", "leaves the grid"),
+    ("q-box", None),
+])
+def test_solver_checks_its_output_box(grid16, where, error):
+    q = gaussian_bump_field(grid16, (0, 0, 0), 0.3, 0.14, cutoff_radii=3.0)
+    cfg = ScatteringConfig(grid=grid16, k=3.0, alpha=1, incident_dir=(0, 0, 1.0), potential=q)
+    box = {"inside-q-box": tuple((lo + 1, hi - 1) for lo, hi in q.support_box),
+           "past-grid": tuple((-2, hi) for _, hi in q.support_box),
+           "q-box": q.support_box}[where]
+    if error is not None:
+        with pytest.raises(ConfigurationError, match=error):
+            lippmann_schwinger_solve(cfg, None, box)
+        return
+    u, _ = lippmann_schwinger_solve(cfg, None, box)
+    whole = lippmann_schwinger_solve(cfg)[0].data[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    assert np.max(np.abs(u - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 def test_solver_truncates_for_zero_potential(grid16):
@@ -582,14 +603,14 @@ def test_band_sweep_backscatter_matches_full_grid_solves(grid32, monkeypatch):
     freqs = 8.0 + (np.arange(3) + 0.5) * 4.0
     dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0], [-0.48, 0.6, -0.64]])
     reports = []
-    born_solve = forward._born_solve
+    solve = forward.lippmann_schwinger_solve
 
-    def recording(cfg, op, out_box):
-        u, rep = born_solve(cfg, op, out_box)
+    def recording(cfg, operator=None, out_box=None):
+        u, rep = solve(cfg, operator, out_box)
         reports.append((out_box, rep))
         return u, rep
 
-    monkeypatch.setattr(forward, "_born_solve", recording)
+    monkeypatch.setattr(forward, "lippmann_schwinger_solve", recording)
     ff = band_sweep(grid32, None, spec, freqs, dirs, "active-backscatter", seed=11, tol=1e-8,
                     max_born_order=30)
     monkeypatch.undo()
