@@ -19,9 +19,7 @@ import numpy as np
 
 from . import __version__, oracles, validate
 from .config import ExperimentConfig, load_config
-from .errors import (ConfigurationError, DataCoverageError, FieldFormatError,
-                     OracleError, RscatError, SolverConvergenceError,
-                     SolverDivergenceError)
+from .errors import ConfigurationError, DataCoverageError, FieldFormatError, RscatError
 from .forward import FarFieldSet, band_sweep, draw_realization, probe_traces
 from .migr import MigrSpec
 from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
@@ -30,7 +28,6 @@ from .recovery import (IndependentPowerLawProcess, ergodic_diagnostic,
 from .rsgf import write_field
 
 _CONFIG_ERRORS = (ConfigurationError, FieldFormatError, DataCoverageError, FileNotFoundError)
-_NUMERIC_ERRORS = (SolverConvergenceError, SolverDivergenceError, OracleError)
 
 
 def _log_run(cfg: ExperimentConfig, command: str):
@@ -93,8 +90,8 @@ def _load_data_for_recovery(cfg, prefix):
         raise ConfigurationError("config has no [band] block")
     if abs(ff.delta - cfg.band.delta) > 1e-9 * cfg.band.delta:
         raise ConfigurationError(
-            f"mesh mismatch: data spacing {ff.delta} differs from config band.delta "
-            f"{cfg.band.delta}; the correlation mesh would be invalid"
+            f"mesh mismatch: data spacing {ff.delta} differs from the config's spacing "
+            f"band.k_lo / band.n_terms = {cfg.band.delta}; the correlation mesh would be invalid"
         )
     return ff
 
@@ -235,9 +232,6 @@ def run_command(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _NUMERIC_ERRORS as e:
-        print(f"error[numeric]: {e}", file=sys.stderr)
-        return 1
     except _CONFIG_ERRORS as e:
         print(f"error[config]: {e}", file=sys.stderr)
         return 2

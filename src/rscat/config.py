@@ -18,7 +18,7 @@ from .errors import ConfigurationError
 from .fields import GridSpec
 from .forward import _KINDS, _box_normal
 from .migr import MigrSpec, ball_indicator_field, gaussian_bump_field
-from .recovery import _KIND_FORM, midpoint_mesh
+from .recovery import _KIND_FORM, MAX_MESH_POINTS, midpoint_mesh
 
 _SHAPE_KEYS = {
     "kind", "m", "shape", "center", "amplitude", "width", "radius", "cutoff",
@@ -29,7 +29,7 @@ ALLOWED_KEYS = {
     "grid": {"dims", "spacing", "origin"},
     "source": _SHAPE_KEYS,
     "potential": _SHAPE_KEYS,
-    "band": {"k_lo", "delta", "n_terms", "tau_max", "tau_step", "tau_list"},
+    "band": {"k_lo", "n_terms", "tau_max", "tau_step", "tau_list"},
     "directions": {"count", "distribution", "values"},
     "experiment": {"mode", "seed", "output"},
     "solver": {"tol", "max_born_order"},
@@ -211,22 +211,12 @@ class ExperimentConfig:
 
 def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
     k_lo = _as_float(_get(sect, "band", "k_lo"), "band.k_lo")
-    if not k_lo > 0:
-        raise ConfigurationError("band.k_lo must be positive")
-    if "delta" in sect and "n_terms" in sect:
-        raise ConfigurationError("band.delta and band.n_terms are mutually exclusive")
-    if "delta" in sect:
-        delta = _as_float(sect["delta"], "band.delta")
-        if not delta > 0:
-            raise ConfigurationError("band.delta must be positive")
-        n_terms = int(round(k_lo / delta))
-    else:
-        n_terms = _as_int(_get(sect, "band", "n_terms"), "band.n_terms")
-        delta = k_lo / max(n_terms, 1)      # fewer than 16 terms is rejected below
+    if not 0 < k_lo < np.inf:
+        raise ConfigurationError("band.k_lo must be positive and finite")
+    n_terms = _as_int(_get(sect, "band", "n_terms"), "band.n_terms")
     if n_terms < 16:
         raise ConfigurationError(f"band.n_terms: band holds {n_terms} mesh points; at least 16 required")
-    if abs(n_terms * delta - k_lo) > 1e-9 * k_lo:
-        raise ConfigurationError("band.delta must divide k_lo evenly")
+    delta = k_lo / n_terms
     # a tau moves the data frequency by half * tau, which must be a mesh multiple
     half = _KIND_FORM[mode][1]
     tau_unit = delta / half
@@ -235,6 +225,10 @@ def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
         taus = [_as_float(t, "band.tau_list") for t in sect["tau_list"].split()]
         if not taus:
             raise ConfigurationError("band.tau_list: expected at least one tau")
+        for i, tau in enumerate(taus):
+            if not 0 <= tau < grid.nyquist:
+                raise ConfigurationError(f"band.tau_list[{i}]: {tau} is not in [0, grid Nyquist {grid.nyquist})")
+        tau_max = max(taus)
     else:
         tau_max = _as_float(_get(sect, "band", "tau_max"), "band.tau_max")
         step = _as_float(sect.get("tau_step", str(tau_unit)), "band.tau_step")
@@ -245,11 +239,15 @@ def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
         if not (0.5 <= units < np.inf and abs(units - np.rint(units)) <= 1e-9):
             raise ConfigurationError(
                 f"band.tau_step: {step} is not a positive multiple of {unit_name} = {tau_unit}")
-        n_tau = int(np.floor(tau_max / step + 1e-9))
-        taus = [i * step for i in range(n_tau + 1)]
+    # the sweep mesh covers [k_lo, 2 k_lo + half tau_max); counted before it or a
+    # tau list is built, so a huge n_terms or a tiny k_lo fails at once
+    n_mesh = n_terms * (1.0 + half * tau_max / k_lo)
+    if n_mesh > MAX_MESH_POINTS:
+        raise ConfigurationError(
+            f"band.n_terms: the sweep mesh would hold {n_mesh:.4g} points, above the cap of {MAX_MESH_POINTS}")
+    if "tau_list" not in sect:
+        taus = [i * step for i in range(int(np.floor(tau_max / step + 1e-9)) + 1)]
     for i, tau in enumerate(taus):
-        if not 0 <= tau < grid.nyquist:
-            raise ConfigurationError(f"band.tau_list[{i}]: {tau} is not in [0, grid Nyquist {grid.nyquist})")
         steps = tau / tau_unit
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
@@ -374,6 +372,8 @@ def config_from_text(text: str) -> ExperimentConfig:
             n_rep=_as_int(zsect.get("n_rep", "50"), "ergodic.n_rep"),
             seed=_as_int(zsect.get("seed", "0"), "ergodic.seed"),
         )
+        if ergodic.n_rep < 2:
+            raise ConfigurationError(f"ergodic.n_rep: {ergodic.n_rep} repetitions; at least 2 required")
 
     return ExperimentConfig(
         grid=grid, source=source, potential=potential, band=band, dirs=dirs,

@@ -472,7 +472,7 @@ class FarFieldSet:
         d = np.asarray(direction, dtype=np.float64)
         hits = np.nonzero(np.max(np.abs(self.dirs - d[None, :]), axis=1) <= 1e-12)[0]
         if len(hits) == 0:
-            raise ConfigurationError(f"direction {tuple(d)} is not in the data set")
+            raise ConfigurationError(f"direction {tuple(d.tolist())} is not in the data set")
         return int(hits[0])
 
     def freq_indices(self, ks, what="frequency"):
@@ -490,30 +490,15 @@ class FarFieldSet:
             )
         return idx
 
-    def _band(self):
-        """(band_lo, band_hi, delta) as the manifest holds them: all None for a single frequency."""
-        delta = self._delta
-        if delta is None:
-            return None, None, None
-        return self.freqs[0] - delta / 2, self.freqs[-1] + delta / 2, delta
-
     def save(self, prefix):
-        """Write manifest (key=value) and CSV with 17-significant-digit floats.
-
-        The band edges and the spacing are written from the frequencies, and
-        left empty for a single frequency.
-        """
+        """Write manifest (key=value) and CSV with 17-significant-digit floats."""
         prefix = str(prefix)
         meta = self.meta
         fmt = lambda x: "" if x is None else f"{float(x):.17g}"
-        lo, hi, delta = self._band()
         lines = [
             f"kind={self.kind}",
             f"m={fmt(meta.get('m'))}",
             f"seed={meta['seed'] if meta.get('seed') is not None else ''}",
-            f"band_lo={fmt(lo)}",
-            f"band_hi={fmt(hi)}",
-            f"delta={fmt(delta)}",
             f"dirs_count={self.n_dirs}",
             f"n_freq={len(self.freqs)}",
         ]
@@ -542,12 +527,8 @@ class FarFieldSet:
             kind = meta.pop("kind")
             n_dirs = int(meta.pop("dirs_count"))
             n_freq = int(meta.pop("n_freq"))
-            parsed = {}
-            for key in ("m", "band_lo", "band_hi", "delta"):
-                raw = meta.pop(key, "")
-                parsed[key] = float(raw) if raw else None
-            seed_raw = meta.pop("seed", "")
-            parsed["seed"] = int(seed_raw) if seed_raw else None
+            m_raw, seed_raw = meta.pop("m", ""), meta.pop("seed", "")
+            parsed = {"m": float(m_raw) if m_raw else None, "seed": int(seed_raw) if seed_raw else None}
         except KeyError as e:
             raise FieldFormatError(f"manifest missing key {e}") from None
         except ValueError as e:
@@ -573,17 +554,7 @@ class FarFieldSet:
                 "CSV rows break the layout: each direction must list the same frequencies in order"
             )
         values = (arr[:, 4] + 1j * arr[:, 5]).reshape(n_dirs, n_freq)
-        ff = cls(dirs=dirs, freqs=freqs, values=values, kind=kind,
-                 meta={"m": parsed["m"], "seed": parsed["seed"]})
-        # the band edges and the spacing follow from the frequencies, as save writes them
-        for key, want in zip(("band_lo", "band_hi", "delta"), ff._band()):
-            got = parsed[key]
-            if (got is None) != (want is None) or (
-                    want is not None and abs(got - want) > 1e-9 * ff._delta):
-                raise FieldFormatError(
-                    f"manifest {key}={got} contradicts the CSV frequencies, which give {want}"
-                )
-        return ff
+        return cls(dirs=dirs, freqs=freqs, values=values, kind=kind, meta=parsed)
 
 
 def draw_realization(source, potential, seed):
@@ -640,7 +611,7 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     else:
         alpha, label = 1, "backscatter"
         shots = [(slice(di, di + 1), tuple(-xhat), xhat[None, :],
-                  f", dir={tuple(np.round(xhat, 6))}") for di, xhat in enumerate(dirs)]
+                  f", dir={tuple(np.round(xhat, 6).tolist())}") for di, xhat in enumerate(dirs)]
 
     for j, k in enumerate(freqs):
         op = ResolventOperator(grid, float(k)) if solve_needed else None
@@ -653,7 +624,9 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                 # far_field reads u_sc on q's box only, so the solve stays there
                 u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0] if solve_needed else None
             except (SolverDivergenceError, SolverConvergenceError) as e:
-                raise type(e)(f"{e} ({label} sweep, k={k}{where})") from e
+                # the same error, its payload kept, with the shot named in its message
+                e.args = (f"{e} ({label} sweep, k={k}{where})",)
+                raise
             values[rows, j] = far_field(cfg, u, observed)
 
     meta = {"m": m_q if mode == "active-backscatter" and m_q is not None else m_f,

@@ -248,14 +248,9 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
         inside = np.all((cells >= lo) & (cells <= hi), axis=(1, 2))
         at = cells[inside] - lo
         cx, cy = tuple(at[:, 0].T), tuple(at[:, 1].T)
-        mx = my = 0.0
-        if spec.mean is not None:
-            mean = spec.mean.data[_crop(box)]
-            mx, my = mean[cx], mean[cy]
         for i in range(n_samples):
             fluct = _fluctuation(spec, seed0 + i)
-            # f - mean with f = fluct + mean rounded as synthesize_migr rounds it
-            prods[inside, i] = ((fluct[cx] + mx) - mx) * ((fluct[cy] + my) - my)
+            prods[inside, i] = fluct[cx] * fluct[cy]
     return [
         CovarianceEstimate(
             value=float(np.mean(row)),

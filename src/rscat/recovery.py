@@ -354,9 +354,16 @@ def nearfield_second_moment(samples, m: float) -> float:
 # ergodic convergence diagnostics and synthetic band processes
 # ---------------------------------------------------------------------------
 
+MAX_MESH_POINTS = 2 ** 20
+
+
 def midpoint_mesh(k_lo: float, k_hi: float, delta: float) -> np.ndarray:
-    """Midpoint frequency mesh covering [k_lo, k_hi] with spacing delta."""
-    n = int(round((k_hi - k_lo) / delta))
+    """Midpoint frequency mesh covering [k_lo, k_hi] with spacing delta, at most MAX_MESH_POINTS long."""
+    count = (k_hi - k_lo) / delta
+    if not count <= MAX_MESH_POINTS:
+        raise ConfigurationError(
+            f"frequency mesh of {count:.4g} points (spacing {delta}) is above the cap of {MAX_MESH_POINTS}")
+    n = int(round(count))
     if n < 1:
         raise ConfigurationError("empty frequency mesh")
     return k_lo + (np.arange(n) + 0.5) * delta
@@ -426,6 +433,8 @@ def ergodic_diagnostic(source, m: float, tau: float, bands, *, n_rep: int = 50,
             BandDiagnostic(float(K), float(delta), n_terms, spread, 1)
             for (K, delta), n_terms in zip(bands, terms)
         ]
+    if n_rep < 2:
+        raise ConfigurationError(f"ergodic diagnostic needs n_rep >= 2 repetitions, got {n_rep}")
     out = []
     for K, delta in bands:
         freqs = midpoint_mesh(K, 2.0 * K + tau, delta)

@@ -192,20 +192,6 @@ def test_recover_mesh_mismatch_exits_2(tmp_path):
                         "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
 
 
-def test_recover_contradicting_manifest_exits_2(tmp_path):
-    path = _write(tmp_path, MINIMAL)
-    pre = str(tmp_path / "sweep")
-    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
-    manifest = pre + ".manifest.txt"
-    lines = open(manifest).read().splitlines()
-    edited = ["delta=0.7" if ln.startswith("delta=") else "band_lo=9" if ln.startswith("band_lo=")
-              else ln for ln in lines]
-    with open(manifest, "w") as fh:
-        fh.write("\n".join(edited) + "\n")
-    assert run_command(["recover-source", "--config", path,
-                        "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
-
-
 def test_recover_kind_mismatch_exits_2(tmp_path, capsys):
     # the config has a rough potential, so only the data kind is wrong
     path = _write(tmp_path, SEPARATED)
@@ -229,7 +215,7 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
 @pytest.mark.parametrize("old, new, key", [
     ("dims = 16", "dims = 3x", "grid.dims"),
     ("k_lo = 6.0", "k_lo = nan", "band.k_lo"),
-    ("n_terms = 24", "delta = 0", "band.delta"),
+    ("k_lo = 6.0", "k_lo = inf", "band.k_lo"),
     ("n_terms = 24", "n_terms = 0", "band.n_terms"),
     ("tau_max = 2.0", "tau_max = 2.0\ntau_step = 0", "band.tau_step"),
     ("tau_max = 2.0", "tau_list =", "band.tau_list"),
@@ -239,8 +225,16 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
     ("tau_max = 2.0", "tau_max = 1e300", "band.tau_max"),
     ("tau_max = 2.0", "tau_list = 0 1.0 30.0", "band.tau_list[2]"),
     ("tau_max = 2.0", "tau_max = 2.0\ntau_step = 1e-300", "band.tau_step"),
-], ids=["dims", "k_lo", "delta", "n_terms", "tau_step", "tau_list", "tau_max", "ergodic_spacing",
-        "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit"])
+    # the sweep mesh holds n_terms * (1 + tau_max / k_lo) points, at most 2^20
+    ("n_terms = 24", "n_terms = 1000000000000", "band.n_terms"),
+    ("k_lo = 6.0", "k_lo = 1e-9", "band.n_terms"),
+    ("output = {out}", "output = {out}\n[ergodic]\nbands = 8:0.25; 9:0.25; 10:0.25\nn_rep = -3\n",
+     "ergodic.n_rep"),
+    ("output = {out}", "output = {out}\n[ergodic]\nbands = 8:0.25; 9:0.25; 10:0.25\nn_rep = 1\n",
+     "ergodic.n_rep"),
+], ids=["dims", "k_lo", "k_lo_inf", "n_terms", "tau_step", "tau_list", "tau_max", "ergodic_spacing",
+        "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit", "n_terms_mesh_cap", "k_lo_mesh_cap",
+        "n_rep_negative", "n_rep_one"])
 def test_degenerate_values_exit_2_naming_their_key(tmp_path, capsys, old, new, key):
     # every command validates the whole config before it runs
     path = _write(tmp_path, MINIMAL.replace(old, new))
@@ -329,6 +323,16 @@ probes = 0 0.75 0; -0.5 -0.5 0.3
             trace.append((k, u.data[cell]))
     want = [nearfield_second_moment(trace, cfg.source.order) for trace in traces]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("command, block", [
+    ("nearfield", "[nearfield]\nk_hi = 5.0\ndelta = 1e-9\nprobes = 0.7 0 0\n"),
+    ("diagnose-ergodic", "[ergodic]\nbands = 8:0.25; 9:1e-9; 10:0.25\n"),
+], ids=["nearfield_delta", "ergodic_spacing"])
+def test_tiny_spacing_exits_2_before_the_mesh_is_built(tmp_path, capsys, command, block):
+    path = _write(tmp_path, MINIMAL + block)
+    assert run_command([command, "--config", path, "--out", str(tmp_path / "x")]) == 2
+    assert f"above the cap of {2 ** 20}" in capsys.readouterr().err
 
 
 def test_diagnose_ergodic_command(tmp_path):

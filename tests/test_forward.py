@@ -723,6 +723,21 @@ def test_band_sweep_error_annotation(grid16):
         band_sweep(grid16, None, q, freqs, dirs, "active-backscatter", seed=1)
 
 
+@pytest.mark.parametrize("amplitude, max_born_order, error, attr", [
+    (400.0, 20, SolverDivergenceError, "contraction"),
+    (20.0, 2, SolverConvergenceError, "residual"),
+], ids=["diverges", "budget"])
+def test_band_sweep_error_keeps_its_payload(grid16, amplitude, max_born_order, error, attr):
+    q = gaussian_bump_field(grid16, (0, 0, 0), amplitude, 0.15, cutoff_radii=3.0)
+    freqs = 4.0 + (np.arange(2) + 0.5) * 0.5
+    with pytest.raises(error) as e:
+        band_sweep(grid16, None, q, freqs, [[0, 0, 1.0]], "active-backscatter", seed=1,
+                   max_born_order=max_born_order)
+    assert getattr(e.value, attr) is not None and getattr(e.value, attr) > 0
+    assert "(backscatter sweep, k=4.25, dir=(0.0, 0.0, 1.0))" in str(e.value)
+    assert "np.float64" not in str(e.value)
+
+
 def test_band_sweep_validates_mesh(grid16):
     zero = ScalarField(grid16, np.zeros(grid16.dims))
     with pytest.raises(ConfigurationError, match="uniform"):
@@ -794,7 +809,7 @@ def test_farfieldset_load_rejects_unparsable_manifest(tmp_path):
     prefix = _saved_pair(tmp_path)
     manifest = prefix + ".manifest.txt"
     text = open(manifest).read()
-    for good, bad in (("seed=3", "seed=None"), ("delta=0.5", "delta=half"),
+    for good, bad in (("seed=3", "seed=None"), ("m=\n", "m=half\n"),
                       ("n_freq=3", "n_freq=three")):
         with open(manifest, "w") as fh:
             fh.write(text.replace(good, bad))
@@ -809,24 +824,20 @@ def test_farfieldset_load_rejects_unparsable_manifest(tmp_path):
                         "--out", str(tmp_path / "e.csv")]) == 2
 
 
-def test_farfieldset_load_rejects_contradicting_manifest(tmp_path):
-    prefix = _saved_pair(tmp_path)
-    manifest = prefix + ".manifest.txt"
-    text = open(manifest).read()
-    assert "band_lo=0.75\n" in text and "band_hi=2.25\n" in text
-    for good, bad in (("delta=0.5", "delta=0.7"), ("band_lo=0.75", "band_lo=9"),
-                      ("band_hi=2.25", "band_hi=2.5"), ("delta=0.5", "delta=")):
-        with open(manifest, "w") as fh:
-            fh.write(text.replace(good, bad))
-        with pytest.raises(FieldFormatError, match="contradicts"):
-            FarFieldSet.load(prefix)
-    with open(manifest, "w") as fh:
-        fh.write(text.replace("delta=0.5", "delta=0.7").replace("band_lo=0.75", "band_lo=9"))
-    with pytest.raises(FieldFormatError, match="contradicts"):
-        FarFieldSet.load(prefix)
-    with open(manifest, "w") as fh:
-        fh.write(text)
-    assert np.array_equal(FarFieldSet.load(prefix).values, np.arange(6).reshape(2, 3) * (1 + 0.5j))
+def test_farfieldset_loads_a_manifest_with_the_old_band_keys(tmp_path):
+    # manifests once also held band_lo, band_hi and delta; load ignores them
+    ff = make_farfield_set([[0, 0, 1.0], [0.6, 0.8, 0]], [1.0, 1.5, 2.0],
+                           np.arange(6).reshape(2, 3) * (1 + 0.5j), m=2.5, seed=3)
+    prefix = str(tmp_path / "sweep")
+    ff.save(prefix)
+    text = open(prefix + ".manifest.txt").read()
+    assert "band_lo" not in text and "delta" not in text
+    with open(prefix + ".manifest.txt", "a") as fh:
+        fh.write("band_lo=0.75\nband_hi=2.25\ndelta=0.5\n")
+    back = FarFieldSet.load(prefix)
+    assert back.kind == ff.kind and back.meta == ff.meta
+    for name in ("dirs", "freqs", "values"):
+        assert np.array_equal(getattr(back, name), getattr(ff, name))
 
 
 def test_farfieldset_load_rejects_broken_layout(tmp_path):

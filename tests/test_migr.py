@@ -141,9 +141,11 @@ def test_covariance_matches_per_pair_products(grid16, with_mean):
         for p, (x, y) in enumerate(pairs):
             prods[p, i] = fluct[grid16.nearest_cell(x)] * fluct[grid16.nearest_cell(y)]
     assert len(ests) == len(pairs)
+    # synthesize_migr rounds f = fluct + mean, so with a mean f - mean matches fluct to roundoff
+    rel = 1e-12 if with_mean else 0.0
     for est, row in zip(ests, prods):
-        assert est.value == float(np.mean(row))
-        assert est.std_error == float(np.std(row, ddof=1) / np.sqrt(n))
+        assert est.value == pytest.approx(float(np.mean(row)), rel=rel, abs=0.0)
+        assert est.std_error == pytest.approx(float(np.std(row, ddof=1) / np.sqrt(n)), rel=rel, abs=0.0)
 
 
 def test_covariance_zero_outside_support(bump_spec):

@@ -435,6 +435,17 @@ def test_ergodic_zero_and_deterministic():
     det = SimpleNamespace(draw=lambda seed, freqs: (1.0 / np.asarray(freqs)).astype(np.complex128))
     rows = ergodic_diagnostic(det, 0.0, 0.0, bands, n_rep=10, seed0=0)
     assert all(r.spread <= 1e-12 for r in rows)
+    # one repetition has no spread to measure
+    for n_rep in (1, 0, -3):
+        with pytest.raises(ConfigurationError, match="n_rep"):
+            ergodic_diagnostic(zero, 0.0, 0.0, bands, n_rep=n_rep)
+
+
+def test_midpoint_mesh_is_capped():
+    assert len(midpoint_mesh(1.0, 2.0, 2.0 ** -20)) == 2 ** 20
+    for delta in (2.0 ** -21, 1e-300, float("nan")):
+        with pytest.raises(ConfigurationError, match="cap"):
+            midpoint_mesh(1.0, 2.0, delta)
 
 
 def test_ergodic_inverse_sqrt_law():
