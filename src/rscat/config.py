@@ -209,6 +209,13 @@ class ExperimentConfig:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 
+def _check_mesh(count, key):
+    """Exit 2 naming ``key`` when the mesh it sets would hold more than MAX_MESH_POINTS."""
+    if not count <= MAX_MESH_POINTS:
+        raise ConfigurationError(
+            f"{key}: the frequency mesh would hold {count:.4g} points, above the cap of {MAX_MESH_POINTS}")
+
+
 def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
     k_lo = _as_float(_get(sect, "band", "k_lo"), "band.k_lo")
     if not 0 < k_lo < np.inf:
@@ -241,10 +248,7 @@ def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
                 f"band.tau_step: {step} is not a positive multiple of {unit_name} = {tau_unit}")
     # the sweep mesh covers [k_lo, 2 k_lo + half tau_max); counted before it or a
     # tau list is built, so a huge n_terms or a tiny k_lo fails at once
-    n_mesh = n_terms * (1.0 + half * tau_max / k_lo)
-    if n_mesh > MAX_MESH_POINTS:
-        raise ConfigurationError(
-            f"band.n_terms: the sweep mesh would hold {n_mesh:.4g} points, above the cap of {MAX_MESH_POINTS}")
+    _check_mesh(n_terms * (1.0 + half * tau_max / k_lo), "band.n_terms")
     if "tau_list" not in sect:
         taus = [i * step for i in range(int(np.floor(tau_max / step + 1e-9)) + 1)]
     for i, tau in enumerate(taus):
@@ -348,10 +352,13 @@ def config_from_text(text: str) -> ExperimentConfig:
         )
         if nearfield.k_hi <= 1.0 or nearfield.delta <= 0:
             raise ConfigurationError("nearfield.k_hi must exceed 1 and nearfield.delta be positive")
+        # the probe traces run on the mesh of [1, k_hi); counted before it is built
+        _check_mesh((nearfield.k_hi - 1.0) / nearfield.delta, "nearfield.delta")
 
     ergodic = None
     if "ergodic" in sections:
         zsect = sections["ergodic"]
+        tau = _as_float(zsect.get("tau", "0.0"), "ergodic.tau")
         bands = []
         for i, item in enumerate(_get(zsect, "ergodic", "bands").split(";")):
             item = item.strip()
@@ -363,11 +370,13 @@ def config_from_text(text: str) -> ExperimentConfig:
             K, delta = (_as_float(p, f"ergodic.bands[{i}]") for p in parts)
             if not delta > 0:
                 raise ConfigurationError(f"ergodic.bands[{i}]: spacing must be positive, got {item!r}")
+            # a band's mesh covers [K, 2 K + tau)
+            _check_mesh((K + tau) / delta, f"ergodic.bands[{i}]")
             bands.append((K, delta))
         ergodic = ErgodicSpec(
             c0=_as_float(zsect.get("c0", "1.0"), "ergodic.c0"),
             m=_as_float(zsect.get("m", "0.0"), "ergodic.m"),
-            tau=_as_float(zsect.get("tau", "0.0"), "ergodic.tau"),
+            tau=tau,
             bands=tuple(bands),
             n_rep=_as_int(zsect.get("n_rep", "50"), "ergodic.n_rep"),
             seed=_as_int(zsect.get("seed", "0"), "ergodic.seed"),

@@ -119,16 +119,19 @@ class ResolventOperator:
         return _cropped_ifftn(spec, _box_shape(out_box))
 
 
-def _axis_phases(k: float, grid: GridSpec, box, dirs) -> list:
-    """e^{i k d_a x_a} on the cell centers x_a of ``box``: one (L_a, D) table per axis a.
+def _axis_phases(ks, grid: GridSpec, box, dirs) -> list:
+    """e^{i k d_a x_a} on the cell centers x_a of ``box``: one (L_a, K D) table per axis a.
 
-    The three tables are the leading rows of one (3, max L_a, D) complex
-    array, whose real and imaginary parts are written by one cos and one sin.
+    ``ks`` is one frequency or a 1-D array of K; column j D + d holds
+    frequency j and direction d. The three tables are the leading rows of
+    one (3, max L_a, K D) complex array, whose real and imaginary parts are
+    written by one cos and one sin.
     """
     lengths = [hi - lo + 1 for lo, hi in box]
     first = np.array([lo for lo, _ in box])[:, None]
     x = np.array(grid.origin)[:, None] + grid.spacing * (first + np.arange(max(lengths)))
-    theta = x[:, :, None] * (k * np.asarray(dirs).T)[:, None, :]
+    kd = (np.atleast_1d(ks)[:, None, None] * np.asarray(dirs)[None]).reshape(-1, 3).T
+    theta = x[:, :, None] * kd[:, None, :]
     table = np.empty(theta.shape, dtype=np.complex128)
     table.real, table.imag = np.cos(theta), np.sin(theta)
     return [t[:n] for t, n in zip(table, lengths)]
@@ -335,28 +338,49 @@ def _checked_box(grid: GridSpec, box, q_box):
     return box
 
 
-def _farfield_batch(g: np.ndarray, grid: GridSpec, k: float, dirs: np.ndarray, box) -> np.ndarray:
-    """(1/4 pi) sum_cells e^{-i k d . y} g(y) h^3 for many directions, as one real matrix product.
+# byte budget of the (L1 L2, Kc D) complex phase table of one chunk of frequencies
+_FARFIELD_TABLE_BYTES = 4 * 2 ** 20
+
+
+def _chunk_length(box, n_dirs: int) -> int:
+    """Frequencies per chunk of a far-field sum over ``box``: as many as fit the budget, at least one.
+
+    A table of max(L0, L1 L2) rows is held to the budget, so the x table and
+    the GEMM output stay within it too when L0 is the longer.
+    """
+    n0, n1, n2 = _box_shape(box)
+    return max(1, _FARFIELD_TABLE_BYTES // (16 * max(n0, n1 * n2) * n_dirs))
+
+
+def _farfield_batch(g: np.ndarray, grid: GridSpec, ks, dirs: np.ndarray, box) -> np.ndarray:
+    """(1/4 pi) sum_cells e^{-i k d . y} g(y) h^3 for every direction and frequency: a (D, K) array.
 
     ``g`` holds the cells of ``box`` (per-axis inclusive index ranges), the
-    only cells the sum visits; it may be real or complex. The y and z phase
-    tables multiply into one (L1 L2, D) table, and g, reshaped to
-    (L0, L1 L2), meets the float64 view (L1 L2, 2D) of that table in one
-    real GEMM. A complex g sends its real and imaginary parts through that
-    GEMM as a stack of two, each at the shape a real g takes, so a real g
-    is never cast and gives the same bits as its complex copy. One
-    reduction against the x table finishes the sum.
+    only cells the sum visits; it may be real or complex. ``ks`` is a 1-D
+    array of K frequencies, taken a chunk at a time; a chunk's y and z phase
+    tables multiply into one (L1 L2, Kc D) table of at most
+    ``_FARFIELD_TABLE_BYTES``, and g, reshaped to (L0, L1 L2), meets the
+    float64 view (L1 L2, 2 Kc D) of that table in one real GEMM. A complex g
+    sends its real and imaginary parts through that GEMM as a stack of two,
+    each at the shape a real g takes, so a real g is never cast and gives the
+    same bits as its complex copy. One reduction against the x table
+    finishes each chunk.
     """
-    px, py, pz = _axis_phases(-k, grid, box, dirs)
+    ks = np.asarray(ks, dtype=np.float64)
     n0, n_dirs = g.shape[0], dirs.shape[0]
-    yz = (py[:, None, :] * pz[None, :, :]).reshape(-1, n_dirs).view(np.float64)
     rows = g.reshape(n0, -1)
     if np.iscomplexobj(rows):
-        parts = (np.stack((rows.real, rows.imag)) @ yz).view(np.complex128)
-        t = parts[0] + 1j * parts[1]
-    else:
+        rows = np.stack((rows.real, rows.imag))
+    chunk = _chunk_length(box, n_dirs)
+    vals = np.empty((n_dirs, len(ks)), dtype=np.complex128)
+    for start in range(0, len(ks), chunk):
+        part = ks[start:start + chunk]
+        px, py, pz = _axis_phases(-part, grid, box, dirs)
+        yz = (py[:, None, :] * pz[None, :, :]).reshape(-1, px.shape[1]).view(np.float64)
         t = (rows @ yz).view(np.complex128)
-    vals = np.einsum("id,id->d", t, px)
+        if t.ndim == 3:
+            t = t[0] + 1j * t[1]
+        vals[:, start:start + chunk] = np.einsum("id,id->d", t, px).reshape(len(part), n_dirs).T
     return vals * grid.cell_volume / (4.0 * np.pi)
 
 
@@ -367,7 +391,7 @@ def _box_hull(a, b):
     return tuple((min(pa[0], pb[0]), max(pa[1], pb[1])) for pa, pb in zip(a, b))
 
 
-def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
+def far_field(cfg: ScatteringConfig, u_sc, dirs, freqs=None) -> np.ndarray:
     """Far-field coefficients of the outgoing expansion, one per direction.
 
     u_sc is read only when cfg has a potential, and then only on the
@@ -376,18 +400,29 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
     Without a potential it may be None; with one None raises
     ConfigurationError. The density vanishes outside the hull of the source
     and potential support boxes, so only that hull is summed.
+
+    ``freqs``, a 1-D array of positive frequencies, asks for all of them in
+    one call, summed a chunk at a time, and returns a (D, len(freqs)) array;
+    cfg.k is then not read. Only a config without a potential accepts it:
+    only then is the density the same at every frequency.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ConfigurationError("far-field directions must be unit length")
     f, q = cfg._source_data, cfg._potential_data
+    if freqs is not None and q is not None:
+        raise ConfigurationError("a far field over a frequency mesh needs a config without a potential")
+    ks = np.atleast_1d(np.asarray(cfg.k if freqs is None else freqs, dtype=np.float64))
+    if ks.ndim != 1 or len(ks) < 1 or not np.all(ks > 0):
+        raise ConfigurationError("far-field frequencies must be a 1-D list of positive values")
     if q is not None and u_sc is None:
         raise ConfigurationError("the far field of a config with a potential needs u_sc")
     f_box, q_box = cfg._source_box, cfg._potential_box
     box = _box_hull(f_box, q_box)
     if box is None:
-        return np.zeros(dirs.shape[0], dtype=np.complex128)
+        vals = np.zeros((dirs.shape[0], len(ks)), dtype=np.complex128)
+        return vals if freqs is not None else vals[:, 0]
     g = f
     if q is not None:
         total = np.asarray(u_sc.data if isinstance(u_sc, ComplexField) else u_sc)
@@ -406,7 +441,8 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs) -> np.ndarray:
             g = np.zeros(_box_shape(box), dtype=np.complex128)
             g[_crop(f_box, box)] = f
             g[_crop(q_box, box)] += on_q
-    return _farfield_batch(g, cfg.grid, cfg.k, dirs, box)
+    vals = _farfield_batch(g, cfg.grid, ks, dirs, box)
+    return vals if freqs is not None else vals[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +619,14 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
 
     Random ingredients (MigrSpec) are drawn exactly once by
     :func:`draw_realization` and reused at every frequency; per-frequency solves
-    are then independent deterministic tasks. Each frequency is swept as a
-    list of shots, one solve each: passive data is a single shot without an
-    incident wave observed in every direction, and active-backscatter data is
-    one shot per far-field direction xhat, lit from -xhat and observed at xhat.
+    are then independent deterministic tasks. Without a potential the
+    scattering density is the source at every frequency and no shot needs a
+    solve, so the whole band is one :func:`far_field` call over the mesh,
+    summed a chunk of frequencies at a time. With a potential each frequency
+    is swept as a list of shots, one solve each: passive data is a single
+    shot without an incident wave observed in every direction, and
+    active-backscatter data is one shot per far-field direction xhat, lit
+    from -xhat and observed at xhat.
 
     A shot's far field reads u_sc only on the potential's support box, so
     its Born iteration keeps u_sc on that box: every apply maps the source
@@ -602,7 +642,15 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     _mesh_spacing(freqs)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     f_obj, q_obj, m_f, m_q = draw_realization(source, potential, seed)
-    solve_needed = q_obj is not None and q_obj.support_box is not None
+    meta = {"m": m_q if mode == "active-backscatter" and m_q is not None else m_f,
+            "seed": int(seed)}
+    if q_obj is None or q_obj.support_box is None:
+        # the density is f at every frequency, and a shot's incident wave meets
+        # no potential: the band of every direction is one far-field call
+        cfg = ScatteringConfig(grid=grid, k=float(freqs[0]), potential=q_obj, source=f_obj,
+                               max_born_order=max_born_order, tol=tol)
+        values = far_field(cfg, None, dirs, freqs)
+        return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)
     values = np.empty((dirs.shape[0], len(freqs)), dtype=np.complex128)
     # (value rows, incident direction, observed directions, error context)
     if mode == "passive":
@@ -614,7 +662,7 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                   f", dir={tuple(np.round(xhat, 6).tolist())}") for di, xhat in enumerate(dirs)]
 
     for j, k in enumerate(freqs):
-        op = ResolventOperator(grid, float(k)) if solve_needed else None
+        op = ResolventOperator(grid, float(k))
         for rows, d_inc, observed, where in shots:
             cfg = ScatteringConfig(
                 grid=grid, k=float(k), alpha=alpha, incident_dir=d_inc,
@@ -622,15 +670,12 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
             )
             try:
                 # far_field reads u_sc on q's box only, so the solve stays there
-                u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0] if solve_needed else None
+                u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0]
             except (SolverDivergenceError, SolverConvergenceError) as e:
                 # the same error, its payload kept, with the shot named in its message
                 e.args = (f"{e} ({label} sweep, k={k}{where})",)
                 raise
             values[rows, j] = far_field(cfg, u, observed)
-
-    meta = {"m": m_q if mode == "active-backscatter" and m_q is not None else m_f,
-            "seed": int(seed)}
     return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)
 
 

@@ -6,7 +6,8 @@ synthesis and ``spectral_slope``, with its inverse onto a box, the
 resolvent's padded pair with its DCT-I kernel spectrum, and the phase
 convention of the strength reconstruction), container roundtrips,
 synthesis support/reality/symmetry/scaling, kernel anchors, solver
-identities, dual-path far fields of a real and a complex density, estimator
+identities, dual-path far fields of a real and a complex density (one
+frequency at a time and over a band of two chunks), estimator
 positivity and scaling, and hemisphere completion against the full-sphere
 reconstruction.
 """
@@ -22,7 +23,7 @@ from . import oracles
 from .errors import FieldFormatError
 from .fields import (ComplexField, GridSpec, ScalarField, _cropped_ifftn, _even_spectrum,
                      _irfftn, _padded_fftn, _rfftn)
-from .forward import (ResolventOperator, ScatteringConfig, far_field,
+from .forward import (ResolventOperator, ScatteringConfig, _chunk_length, far_field,
                       fundamental_solution, incident_plane_wave,
                       lippmann_schwinger_solve)
 from .migr import MigrSpec, empirical_covariance, gaussian_bump_field, synthesize_migr
@@ -202,17 +203,24 @@ def check_solver_truncation():
 
 def check_farfield_dual_path():
     g = _G16
-    k = 3.0
     f = gaussian_bump_field(g, (0.1, 0.0, -0.1), 1.0, 0.15, cutoff_radii=3.0)
     # a complex density whose imaginary part is no multiple of its real part
     fc = ComplexField(g, f.data * np.exp(5j * g.axis_coords(0))[:, None, None])
     dirs = np.array([[1.0, 0, 0], [0, 0.6, 0.8], [-1 / np.sqrt(3)] * 3])
+    # a band one chunk and two frequencies long, read at its ends and around
+    # the chunk boundary
+    chunk = _chunk_length(f.support_box, len(dirs))
+    freqs = 3.0 + 1e-3 * np.arange(chunk + 2)
+    picks = [0, chunk - 1, chunk, chunk + 1]
     errs = []
     for src in (f, fc):
-        fast = far_field(ScatteringConfig(grid=g, k=k, source=src), None, dirs)
-        slow = np.array([oracles.direct_farfield(src, k, d) for d in dirs])
-        errs.append(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
-    detail = f"matrix product vs direct summation: real {errs[0]:.2e}, complex {errs[1]:.2e}"
+        slow = np.array([[oracles.direct_farfield(src, freqs[j], d) for j in picks] for d in dirs])
+        band = far_field(ScatteringConfig(grid=g, k=3.0, source=src), None, dirs, freqs)[:, picks]
+        single = np.array([far_field(ScatteringConfig(grid=g, k=freqs[j], source=src), None, dirs)
+                           for j in picks]).T
+        errs.extend(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)) for fast in (single, band))
+    detail = (f"matrix product vs direct summation at {len(picks)} of {len(freqs)} frequencies "
+              f"(chunk {chunk}): real {max(errs[:2]):.2e}, complex {max(errs[2:]):.2e}")
     return max(errs) < 1e-12, detail
 
 

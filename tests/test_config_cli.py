@@ -325,14 +325,16 @@ probes = 0 0.75 0; -0.5 -0.5 0.3
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("command, block", [
-    ("nearfield", "[nearfield]\nk_hi = 5.0\ndelta = 1e-9\nprobes = 0.7 0 0\n"),
-    ("diagnose-ergodic", "[ergodic]\nbands = 8:0.25; 9:1e-9; 10:0.25\n"),
+@pytest.mark.parametrize("command, block, key", [
+    ("nearfield", "[nearfield]\nk_hi = 5.0\ndelta = 1e-9\nprobes = 0.7 0 0\n", "nearfield.delta"),
+    ("diagnose-ergodic", "[ergodic]\nbands = 8:0.25; 9:1e-9; 10:0.25\n", "ergodic.bands[1]"),
 ], ids=["nearfield_delta", "ergodic_spacing"])
-def test_tiny_spacing_exits_2_before_the_mesh_is_built(tmp_path, capsys, command, block):
+def test_tiny_spacing_exits_2_before_the_mesh_is_built(tmp_path, capsys, command, block, key):
     path = _write(tmp_path, MINIMAL + block)
     assert run_command([command, "--config", path, "--out", str(tmp_path / "x")]) == 2
-    assert f"above the cap of {2 ** 20}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"above the cap of {2 ** 20}" in err
+    assert key in err
 
 
 def test_diagnose_ergodic_command(tmp_path):

@@ -462,6 +462,12 @@ def test_far_field_without_scattered_field(grid16):
     with_q = ScatteringConfig(grid=grid16, k=2.0, source=f, potential=f)
     with pytest.raises(ConfigurationError, match="u_sc"):
         far_field(with_q, None, dirs)
+    # only a config without a potential takes a frequency mesh
+    with pytest.raises(ConfigurationError, match="without a potential"):
+        far_field(with_q, zero, dirs, [2.0, 2.5])
+    for bad in ([], [[2.0, 2.5]], [2.0, 0.0]):
+        with pytest.raises(ConfigurationError, match="positive"):
+            far_field(cfg, None, dirs, bad)
 
 
 @pytest.mark.parametrize("case", ["passive", "backscatter", "source+potential"])
@@ -485,7 +491,7 @@ def test_far_field_crop_matches_full_grid(grid32, case):
         g += q.data * total
     got = far_field(cfg, u_sc, dirs)
     whole = tuple((0, n - 1) for n in grid32.dims)
-    full = _farfield_batch(g, grid32, k, dirs, whole)
+    full = _farfield_batch(g, grid32, [k], dirs, whole)[:, 0]
     oracle = np.array([direct_farfield(ComplexField(grid32, g), k, d) for d in dirs])
     assert _rel(got, full) <= 1e-13
     assert _rel(got, oracle) <= 1e-13
@@ -713,6 +719,32 @@ def test_far_field_real_source_matches_complex_copy_at_blas_sizes(rng, side):
         real = far_field(ScatteringConfig(grid=grid, k=k, source=f), None, dirs)
         cplx = far_field(ScatteringConfig(grid=grid, k=k, source=f.as_complex()), None, dirs)
         assert real.tobytes() == cplx.tobytes()
+    # the band path, over a mesh that spans two chunks and a ragged tail
+    freqs = 20.0 + 0.5 * np.arange(2 * forward._chunk_length(((13, 12 + side),) * 3, len(dirs)) + 3)
+    real = far_field(ScatteringConfig(grid=grid, k=20.0, source=f), None, dirs, freqs)
+    cplx = far_field(ScatteringConfig(grid=grid, k=20.0, source=f.as_complex()), None, dirs, freqs)
+    assert real.tobytes() == cplx.tobytes()
+
+
+@pytest.mark.parametrize("extra", [0, 5, None], ids=["whole_chunks", "ragged_tail", "one_frequency"])
+def test_far_field_band_matches_per_frequency_calls(rng, extra):
+    # 16 directions on a 38^3 box: a chunk holds a few frequencies, so the
+    # mesh spans several chunks, and the one-frequency mesh is a single call
+    grid = GridSpec.centered(64, 2.0 / 64)
+    box = ((13, 50),) * 3
+    f = _box_data(grid, box, rng, 1.0)
+    dirs = fibonacci_sphere(16)
+    chunk = forward._chunk_length(box, len(dirs))
+    assert 1 < chunk < 20
+    freqs = 20.0 + 0.05 * np.arange(1 if extra is None else 2 * chunk + extra)
+    band = far_field(ScatteringConfig(grid=grid, k=1.0, source=f), None, dirs, freqs)
+    assert band.shape == (len(dirs), len(freqs))
+    for j, k in enumerate(freqs):
+        single = far_field(ScatteringConfig(grid=grid, k=float(k), source=f), None, dirs)
+        assert _rel(band[:, j], single) <= 1e-13
+        if extra is None:
+            # one frequency runs the same kernel as a single-frequency call
+            assert band[:, j].tobytes() == single.tobytes()
 
 
 def test_band_sweep_error_annotation(grid16):
