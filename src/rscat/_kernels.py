@@ -11,16 +11,16 @@ def kernel_block(half, h, k, self_value):
 
     The resolvent's convolution block on a lattice padded to 2m along an
     axis holds w(min(j, 2m - j)) at index j, so this (m0 + 1, m1 + 1, m2 + 1)
-    octant determines it.
+    octant determines it. The weight depends on the offset only through the
+    integer n = i^2 + j^2 + l^2, so it is evaluated once per n and gathered.
     """
-    ax = [np.arange(m + 1, dtype=np.float64) for m in half]
-    r = h * np.sqrt(
-        ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2 + ax[2][None, None, :] ** 2
-    )
-    r[0, 0, 0] = 1.0  # placeholder, fixed below
-    out = (h ** 3) * np.exp(1j * k * r) / (4.0 * np.pi * r)
-    out[0, 0, 0] = self_value
-    return out
+    sq = [np.arange(m + 1) ** 2 for m in half]
+    n = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
+    r = h * np.sqrt(np.arange(int(n[-1, -1, -1]) + 1, dtype=np.float64))
+    r[0] = 1.0  # placeholder, fixed below
+    table = (h ** 3) * np.exp(1j * k * r) / (4.0 * np.pi * r)
+    table[0] = self_value
+    return table[n]
 
 
 def farfield_sum(g, xs, ys, zs, kd):

@@ -85,9 +85,12 @@ def _get(sect, section_name, key, default=None):
 
 def _as_float(val, where):
     try:
-        return float(val)
+        num = float(val)
     except ValueError:
         raise ConfigurationError(f"{where}: cannot parse {val!r} as a number") from None
+    if not np.isfinite(num):
+        raise ConfigurationError(f"{where}: {val!r} is not a finite number")
+    return num
 
 
 def _as_int(val, where):
@@ -218,8 +221,8 @@ def _check_mesh(count, key):
 
 def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
     k_lo = _as_float(_get(sect, "band", "k_lo"), "band.k_lo")
-    if not 0 < k_lo < np.inf:
-        raise ConfigurationError("band.k_lo must be positive and finite")
+    if k_lo <= 0:
+        raise ConfigurationError("band.k_lo must be positive")
     n_terms = _as_int(_get(sect, "band", "n_terms"), "band.n_terms")
     if n_terms < 16:
         raise ConfigurationError(f"band.n_terms: band holds {n_terms} mesh points; at least 16 required")

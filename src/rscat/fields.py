@@ -12,6 +12,7 @@ are applied explicitly at call sites.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,9 +236,15 @@ def _even_spectrum(octant: np.ndarray) -> np.ndarray:
     input octant.
     """
     spec = _sfft.dctn(octant, type=1, workers=_FFT_WORKERS)
-    idx = [np.minimum(np.arange(2 * m), 2 * m - np.arange(2 * m))
-           for m in (s - 1 for s in octant.shape)]
-    return spec[np.ix_(*idx)]
+    ms = [s - 1 for s in octant.shape]
+    out = np.empty(tuple(2 * m for m in ms), dtype=spec.dtype)
+    # per axis, [0, m] is copied as is and [m + 1, 2m) is [m - 1 .. 1] reversed
+    halves = [((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, None), slice(m - 1, 0, -1)))
+              for m in ms]
+    for blocks in itertools.product(*halves):
+        dst, src = zip(*blocks)
+        out[dst] = spec[src]
+    return out
 
 
 def _padded_fftn(block: np.ndarray, padded, offset) -> np.ndarray:

@@ -74,8 +74,8 @@ class ResolventOperator:
     """
 
     def __init__(self, grid: GridSpec, k: float):
-        if k < 0:
-            raise ConfigurationError(f"frequency must be nonnegative, got {k}")
+        if not 0 <= k < np.inf:
+            raise ConfigurationError(f"frequency must be finite and nonnegative, got {k}")
         self.grid = grid
         self.k = float(k)
         self._kernel_hat = None
@@ -209,10 +209,10 @@ class ScatteringConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ConfigurationError(f"frequency must be positive, got {self.k}")
-        if self.tol <= 0:
-            raise ConfigurationError("solver tolerance must be positive")
+        if not 0 < self.k < np.inf:
+            raise ConfigurationError(f"frequency must be finite and positive, got {self.k}")
+        if not 0 < self.tol < np.inf:
+            raise ConfigurationError(f"solver tolerance must be finite and positive, got {self.tol}")
         if self.max_born_order < 1:
             raise ConfigurationError("max_born_order must be at least 1")
         if self.alpha not in (0, 1):
@@ -292,9 +292,8 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
     halves = [op._half(b, box) for b in (f_box, q_box) if b is not None]
     if halves:
         op._spectrum(tuple(map(max, zip(*halves))))
-    rhs = np.zeros(_box_shape(box), dtype=np.complex128)
-    if f_box is not None:
-        rhs += op.apply(cfg._source_data, f_box, box)
+    rhs = (op.apply(cfg._source_data, f_box, box) if f_box is not None
+           else np.zeros(_box_shape(box), dtype=np.complex128))
     if q is None:
         # the series truncates: u_sc = RHS exactly, first update is zero
         return shaped(rhs), ConvergenceReport(True, 1, (0.0,), None, 0.0)

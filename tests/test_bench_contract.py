@@ -69,3 +69,20 @@ def test_traced_recovery_counts_its_one_estimate(name, tmp_path):
     shots = len(workload.dirs) * len(workload.freqs) if name == "backscatter_born" else 0
     assert metrics["forward.solve.calls"] == shots
     assert metrics["forward.far_field.calls"] == max(shots, 1)
+
+
+def test_traced_nearfield_builds_one_kernel_per_frequency(tmp_path):
+    spans = _load(SPANS, "perfbench_spans")
+    workload = _load(WORKLOADS, "perfbench_workloads").WORKLOADS["nearfield_moments"](True, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, recorded, first = tracer.run_iteration(0, lambda: workload.run(workload.reference_seed))
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(recorded, first)
+    # one operator per frequency, whose one spectrum tabulates the kernel once
+    n_freqs = len(workload.ks)
+    assert sum(s["name"] == "kernels.kernel_block" for s in recorded) == n_freqs
+    assert metrics["forward.op_build.calls"] == n_freqs
+    assert metrics["forward.op_build.per_freq"] == 1

@@ -216,6 +216,9 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
     ("dims = 16", "dims = 3x", "grid.dims"),
     ("k_lo = 6.0", "k_lo = nan", "band.k_lo"),
     ("k_lo = 6.0", "k_lo = inf", "band.k_lo"),
+    ("output = {out}", "output = {out}\n[solver]\ntol = nan\n", "solver.tol"),
+    ("output = {out}", "output = {out}\n[nearfield]\nk_hi = inf\ndelta = 0.5\nprobes = 0.7 0 0\n",
+     "nearfield.k_hi"),
     ("n_terms = 24", "n_terms = 0", "band.n_terms"),
     ("tau_max = 2.0", "tau_max = 2.0\ntau_step = 0", "band.tau_step"),
     ("tau_max = 2.0", "tau_list =", "band.tau_list"),
@@ -232,9 +235,9 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
      "ergodic.n_rep"),
     ("output = {out}", "output = {out}\n[ergodic]\nbands = 8:0.25; 9:0.25; 10:0.25\nn_rep = 1\n",
      "ergodic.n_rep"),
-], ids=["dims", "k_lo", "k_lo_inf", "n_terms", "tau_step", "tau_list", "tau_max", "ergodic_spacing",
-        "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit", "n_terms_mesh_cap", "k_lo_mesh_cap",
-        "n_rep_negative", "n_rep_one"])
+], ids=["dims", "k_lo", "k_lo_inf", "solver_tol_nan", "nearfield_k_hi_inf", "n_terms", "tau_step",
+        "tau_list", "tau_max", "ergodic_spacing", "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit",
+        "n_terms_mesh_cap", "k_lo_mesh_cap", "n_rep_negative", "n_rep_one"])
 def test_degenerate_values_exit_2_naming_their_key(tmp_path, capsys, old, new, key):
     # every command validates the whole config before it runs
     path = _write(tmp_path, MINIMAL.replace(old, new))

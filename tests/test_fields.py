@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.fft as sp_fft
 
 from rscat import ComplexField, ConfigurationError, GridSpec, ScalarField
-from rscat.fields import _irfftn, _rfftn, _support_box
+from rscat.fields import _even_spectrum, _irfftn, _rfftn, _support_box
 
 
 def test_grid_rejects_bad_dims():
@@ -141,3 +142,19 @@ def test_box_data_is_the_support_crop(grid16, rng, kind):
     assert got.dtype == f.data.dtype and got.flags.c_contiguous and not got.flags.writeable
     assert f.box_data is got
     assert kind(grid16, np.zeros(grid16.dims)).box_data is None
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+def test_even_spectrum_mirrors_its_dct_octant(complex_data):
+    # a non-cubic octant with m = 1 on axis 0: the block copies give the bytes
+    # of the index gather min(j, 2m - j), and the DFT of the even extension
+    rng = np.random.default_rng(7)
+    octant = rng.standard_normal((2, 5, 4))
+    if complex_data:
+        octant = octant + 1j * rng.standard_normal(octant.shape)
+    got = _even_spectrum(octant)
+    idx = [np.minimum(np.arange(2 * m), 2 * m - np.arange(2 * m)) for m in (1, 4, 3)]
+    assert got.dtype == octant.dtype and got.shape == (2, 8, 6)
+    assert np.array_equal(got, sp_fft.dctn(octant, type=1)[np.ix_(*idx)])
+    even = octant[np.ix_(*idx)]
+    assert np.allclose(got, np.fft.fftn(even), rtol=0, atol=1e-12 * np.max(np.abs(got)))

@@ -143,10 +143,12 @@ def test_resolvent_spectrum_matches_full_block(k):
 
 
 def test_kernel_block_is_the_octant():
-    k, h = 5.0, NONCUBIC.spacing
-    octant = _kernels.kernel_block(NONCUBIC.dims, h, k, _self_cell_integral(k, h))
-    assert octant.shape == (9, 17, 33)
-    assert _rel(octant, _full_padded_block(NONCUBIC, k)[:9, :17, :33]) <= 1e-15
+    # the table of distinct squared offsets gives the very bytes of a per-cell evaluation
+    h = NONCUBIC.spacing
+    for k in (0.0, 5.0):
+        octant = _kernels.kernel_block(NONCUBIC.dims, h, k, _self_cell_integral(k, h))
+        assert octant.shape == (9, 17, 33)
+        assert np.array_equal(octant, _full_padded_block(NONCUBIC, k)[:9, :17, :33])
 
 
 SIZED_BOXES = {
@@ -277,6 +279,22 @@ def test_incident_plane_wave(grid16):
 
 
 # ------------------------------------------------------------- config guards
+
+@pytest.mark.parametrize("k", [np.nan, np.inf])
+def test_non_finite_frequency_rejected(grid16, k):
+    x = np.zeros(grid16.dims)
+    x[8, 8, 8] = 1.0
+    with pytest.raises(ConfigurationError, match="finite"):
+        ResolventOperator(grid16, k).apply(x)
+    with pytest.raises(ConfigurationError, match="finite"):
+        ScatteringConfig(grid=grid16, k=k, source=ScalarField(grid16, x))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_non_finite_tolerance_rejected(grid16, tol):
+    with pytest.raises(ConfigurationError, match="finite"):
+        ScatteringConfig(grid=grid16, k=2.0, tol=tol)
+
 
 @pytest.mark.parametrize("which", ["source", "potential"])
 @pytest.mark.parametrize("axis,high", [(a, h) for a in range(3) for h in (False, True)])
