@@ -9,6 +9,7 @@ formula depends on this choice.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Optional
@@ -213,6 +214,8 @@ class ScatteringConfig:
             raise ConfigurationError(f"frequency must be finite and positive, got {self.k}")
         if not 0 < self.tol < np.inf:
             raise ConfigurationError(f"solver tolerance must be finite and positive, got {self.tol}")
+        if isinstance(self.max_born_order, bool) or not isinstance(self.max_born_order, numbers.Integral):
+            raise ConfigurationError(f"max_born_order must be an integer, got {self.max_born_order!r}")
         if self.max_born_order < 1:
             raise ConfigurationError("max_born_order must be at least 1")
         if self.alpha not in (0, 1):
@@ -245,17 +248,27 @@ class ScatteringConfig:
 class ConvergenceReport:
     """Outcome of one Born iteration.
 
-    Every norm is taken over the output box of
-    :func:`lippmann_schwinger_solve`: the whole grid by default, the
-    potential's support box in :func:`band_sweep`.
+    A solve (:func:`lippmann_schwinger_solve`) takes every norm over its
+    output box: the whole grid by default, the potential's support box for
+    a solve inside :func:`band_sweep`.
 
-    converged : whether the last relative update fell below the tolerance.
+    converged : whether the stop rule was met.
     iterations : Born orders applied (1 when the series truncates for q = 0).
     update_norms : |u_{n+1} - u_n| of every iteration, in order.
     contraction : ratio of the last two update norms, or None before two
         nonzero updates exist.
     residual : the last relative update |u_{n+1} - u_n| / |u_{n+1}|, not
         the fixed-point residual |u - R_k f - R_k[q u]| / |u|.
+
+    A source-free backscatter shot of :func:`band_sweep` pairs the Born
+    updates v_a = (R q)^a w instead of summing them, and its report reads:
+
+    iterations : resolvent applies a, which give the far-field terms up to
+        order 2a.
+    update_norms : |v_1| .. |v_a|, over the potential's support box.
+    contraction : |v_a| / |v_{a-1}|, or None after one apply.
+    residual : |t_{2a}| / |sum_n t_n|, the newest far-field term relative
+        to their sum.
     """
 
     converged: bool
@@ -263,6 +276,37 @@ class ConvergenceReport:
     update_norms: tuple
     contraction: Optional[float]
     residual: float
+
+
+def _contraction(norms) -> Optional[float]:
+    """Ratio of the last two update norms, or None before two nonzero ones exist."""
+    return norms[-1] / norms[-2] if len(norms) >= 2 and norms[-2] > 0 else None
+
+
+def _born_series(cfg: ScatteringConfig, op: ResolventOperator, box, v, budget: int, norms: list):
+    """The Born loop: yields (v_a, q v_a) for a = 1 .. ``budget``, where v_a = R(q v_{a-1}).
+
+    ``v`` is v_0 on ``box``, which holds the potential's support box; each
+    v_a is kept on ``box`` and q v_a on q's box, the only cells the next
+    apply reads. |v_a| over ``box`` is appended to ``norms``. A caller that
+    asks for the next update after three raises SolverDivergenceError once
+    the contraction estimate, the ratio of the last two norms, has reached 1.
+    """
+    q, q_box = cfg._potential_data, cfg._potential_box
+    on_q = _crop(q_box, box)
+    qv = q * v[on_q]
+    for _ in range(budget):
+        v = op.apply(qv, q_box, box)
+        qv = q * v[on_q]
+        norms.append(float(np.linalg.norm(v)))
+        yield v, qv
+        contraction = _contraction(norms)
+        if len(norms) >= 3 and contraction is not None and contraction >= 1.0:
+            raise SolverDivergenceError(
+                f"Born iteration diverges at k={cfg.k}: contraction estimate "
+                f"{contraction:.3f} >= 1 after {len(norms)} iterations",
+                contraction=contraction,
+            )
 
 
 def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[ResolventOperator] = None,
@@ -273,7 +317,8 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
     ``out_box`` is None, else as the array of exactly the cells of
     ``out_box`` (per-axis inclusive index ranges), which must lie in the
     grid and hold the potential's support box. q u vanishes outside q's
-    box, so each update reads u there only. Every norm, the stop rule's
+    box, so each update reads u there only. u_sc is the right-hand side plus
+    the sum of its Born updates (R_k M_q)^n RHS. Every norm, the stop rule's
     relative update |u_{n+1} - u_n| / |u_{n+1}| included, is taken over the
     output box. Raises SolverDivergenceError once the estimated contraction
     factor reaches 1 after three iterations, and SolverConvergenceError if
@@ -299,30 +344,52 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
         return shaped(rhs), ConvergenceReport(True, 1, (0.0,), None, 0.0)
     if cfg.alpha == 1:
         rhs += op.apply(q * cfg._incident_on_q, q_box, box)
-    on_q = _crop(q_box, box)
     u = rhs
     updates = []
-    contraction = None
-    for _ in range(cfg.max_born_order):
-        u_next = rhs + op.apply(q * u[on_q], q_box, box)
-        upd = float(np.linalg.norm(u_next - u))
-        updates.append(upd)
-        norm = float(np.linalg.norm(u_next))
-        rel = upd / norm if norm > 0 else upd
-        u = u_next
-        if len(updates) >= 2 and updates[-2] > 0:
-            contraction = updates[-1] / updates[-2]
+    for v, _ in _born_series(cfg, op, box, rhs, cfg.max_born_order, updates):
+        u += v
+        norm = float(np.linalg.norm(u))
+        rel = updates[-1] / norm if norm > 0 else updates[-1]
         if rel < cfg.tol:
-            return shaped(u), ConvergenceReport(True, len(updates), tuple(updates), contraction, rel)
-        if len(updates) >= 3 and contraction is not None and contraction >= 1.0:
-            raise SolverDivergenceError(
-                f"Born iteration diverges at k={cfg.k}: contraction estimate "
-                f"{contraction:.3f} >= 1 after {len(updates)} iterations",
-                contraction=contraction,
-            )
+            return shaped(u), ConvergenceReport(True, len(updates), tuple(updates),
+                                                _contraction(updates), rel)
     raise SolverConvergenceError(
         f"Born order budget {cfg.max_born_order} exhausted at k={cfg.k} with "
         f"relative update {rel:.3e} above tol {cfg.tol:g}",
+        residual=rel,
+    )
+
+
+def _backscatter_far_field(cfg: ScatteringConfig, op: ResolventOperator):
+    """Far field of a source-free backscatter shot, observed at -incident_dir: (value, report).
+
+    The incident wave w = e^{-i k xhat . y} on q's box is also the far-field
+    phase at xhat, and R is symmetric (sum a R b = sum (R a) b), so the n-th
+    Born term t_n = sum w q (R q)^n w equals sum v_a q v_b for any a + b = n,
+    with v_a = (R q)^a w. After a applies the terms up to order 2a are
+    known: t_{2a-1} = sum v_{a-1} q v_a and t_{2a} = sum v_a q v_a, and the
+    value is (h^3 / 4 pi) sum_n t_n. The shot stops once
+    |t_{2a}| <= tol |sum_n t_n|. max_born_order N lets a solve reach order
+    N + 1, so it allows ceil((N + 1) / 2) applies here; running out raises
+    SolverConvergenceError. See :class:`ConvergenceReport` for the report's
+    fields in this mode.
+    """
+    q, w = cfg._potential_data, cfg._incident_on_q
+    prev = w.ravel()
+    total = np.dot(prev, (q * w).ravel())
+    norms = []
+    for v, qv in _born_series(cfg, op, cfg._potential_box, w, (cfg.max_born_order + 2) // 2, norms):
+        v, qv = v.ravel(), qv.ravel()
+        newest = np.dot(v, qv)
+        total += np.dot(prev, qv) + newest
+        rel = abs(newest) / abs(total) if total != 0 else abs(newest)
+        if rel <= cfg.tol:
+            report = ConvergenceReport(True, len(norms), tuple(norms), _contraction(norms), rel)
+            return total * cfg.grid.cell_volume / (4.0 * np.pi), report
+        prev = v
+    raise SolverConvergenceError(
+        f"Born order budget {cfg.max_born_order} exhausted at k={cfg.k} with "
+        f"relative far-field term {rel:.3e} above tol {cfg.tol:g}",
         residual=rel,
     )
 
@@ -622,16 +689,21 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     scattering density is the source at every frequency and no shot needs a
     solve, so the whole band is one :func:`far_field` call over the mesh,
     summed a chunk of frequencies at a time. With a potential each frequency
-    is swept as a list of shots, one solve each: passive data is a single
-    shot without an incident wave observed in every direction, and
-    active-backscatter data is one shot per far-field direction xhat, lit
-    from -xhat and observed at xhat.
+    is swept as a list of shots: passive data is a single shot without an
+    incident wave observed in every direction, and active-backscatter data
+    is one shot per far-field direction xhat, lit from -xhat and observed at
+    xhat. One operator per frequency serves every shot.
 
-    A shot's far field reads u_sc only on the potential's support box, so
-    its Born iteration keeps u_sc on that box: every apply maps the source
-    box or q's box to q's box, and the stop rule measures the relative
-    update over q's box. One operator per frequency serves every shot; it is
-    sized once for both box pairs.
+    A passive shot, and a backscatter shot with a source present, is one
+    Born solve whose far field reads u_sc only on the potential's support
+    box, so the solve keeps u_sc on that box: every apply maps the source box
+    or q's box to q's box, the operator is sized once for both box pairs,
+    and the stop rule measures the relative update over q's box. A
+    source-free backscatter shot evaluates its far field by the 2n+1 rule
+    instead: its incident wave is the far-field phase at xhat and R is
+    symmetric, so a resolvent applies on q's box give its far-field terms up
+    to order 2a, and the shot stops once the newest term falls below tol
+    times their sum (:func:`_backscatter_far_field`).
     """
     if mode not in _KINDS:
         raise ConfigurationError(f"sweep mode must be one of {_KINDS}")
@@ -668,13 +740,16 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
                 potential=q_obj, source=f_obj, max_born_order=max_born_order, tol=tol,
             )
             try:
-                # far_field reads u_sc on q's box only, so the solve stays there
-                u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0]
+                if alpha == 1 and cfg._source_box is None:
+                    values[rows, j] = _backscatter_far_field(cfg, op)[0]
+                else:
+                    # far_field reads u_sc on q's box only, so the solve stays there
+                    u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0]
+                    values[rows, j] = far_field(cfg, u, observed)
             except (SolverDivergenceError, SolverConvergenceError) as e:
                 # the same error, its payload kept, with the shot named in its message
                 e.args = (f"{e} ({label} sweep, k={k}{where})",)
                 raise
-            values[rows, j] = far_field(cfg, u, observed)
     return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)
 
 

@@ -5,8 +5,8 @@ certifies the three transforms the pipeline runs (the real pair behind
 synthesis and ``spectral_slope``, with its inverse onto a box, the
 resolvent's padded pair with its DCT-I kernel spectrum, and the phase
 convention of the strength reconstruction), container roundtrips,
-synthesis support/reality/symmetry/scaling, kernel anchors, solver
-identities, dual-path far fields of a real and a complex density (one
+synthesis support/reality/symmetry/scaling, kernel anchors, the
+resolvent's bilinear symmetry between boxes, solver identities, dual-path far fields of a real and a complex density (one
 frequency at a time and over a band of two chunks), estimator
 positivity and scaling, and hemisphere completion against the full-sphere
 reconstruction.
@@ -189,6 +189,26 @@ def check_outgoing_phase():
     return ok, f"outgoing phase drift {max(drift):.2e}"
 
 
+def check_resolvent_symmetry():
+    # sum a R b = sum (R a) b, bilinear: the property behind the 2n+1 backscatter far field
+    g = GridSpec((16, 32, 16), (0.0, 0.0, 0.0), 0.125)
+    rng = np.random.default_rng(14)
+    op = ResolventOperator(g, 3.0)
+    # disjoint boxes of different shapes (a source box and q's box), an
+    # overlapping pair, and one box to itself
+    pairs = [(((1, 4), (2, 9), (3, 5)), ((7, 12), (5, 7), (4, 10))),
+             (((2, 8), (3, 12), (1, 9)), ((5, 11), (6, 14), (4, 6))),
+             (((4, 9), (4, 12), (3, 8)),) * 2]
+    errs = []
+    for box_a, box_b in pairs:
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ([hi - lo + 1 for lo, hi in box] for box in (box_a, box_b)))
+        lhs = np.sum(a * op.apply(b, box_b, box_a))
+        rhs = np.sum(op.apply(a, box_a, box_b) * b)
+        errs.append(abs(lhs - rhs) / abs(rhs))
+    return max(errs) < 1e-12, f"bilinear defect over {len(pairs)} box pairs {max(errs):.2e}"
+
+
 def check_solver_truncation():
     g = _G16
     f = gaussian_bump_field(g, (0.0, 0.0, 0.0), 1.0, 0.15, cutoff_radii=3.0)
@@ -242,6 +262,11 @@ def check_farfield_point_source():
 
 
 def check_born_reciprocity():
+    """First-Born reciprocity only: u_inf(xhat, d) = u_inf(-d, -xhat) for the term q u_in.
+
+    The higher Born orders rest on the resolvent's symmetry, which
+    :func:`check_resolvent_symmetry` certifies.
+    """
     g = _G16
     q = gaussian_bump_field(g, (0.05, -0.05, 0.0), 0.5, 0.18, cutoff_radii=3.0)
     k = 3.0
@@ -301,6 +326,7 @@ CHECKS = (
     ("riesz-kernel-anchor", check_riesz_anchor),
     ("resolvent-point-response", check_resolvent_point_response),
     ("outgoing-phase", check_outgoing_phase),
+    ("resolvent-symmetry", check_resolvent_symmetry),
     ("solver-truncation", check_solver_truncation),
     ("farfield-dual-path", check_farfield_dual_path),
     ("farfield-point-source", check_farfield_point_source),

@@ -5,8 +5,8 @@
 in its environment line. ``perfbench/workloads.py`` calls the library with
 positional arguments. A rename or a signature change in ``src/`` that breaks
 any of them fails here, and so does a recovery that reaches the band
-estimator, or a sweep that reaches the Born solve or the far field, other
-than through the public names the spans patch.
+estimator, or a sweep that reaches the far field or the resolvent apply,
+other than through the public names the spans patch.
 """
 
 import importlib.util
@@ -64,11 +64,13 @@ def test_traced_recovery_counts_its_one_estimate(name, tmp_path):
     # one estimator call per recovery, which looks up the band and the shifted band
     assert metrics["recovery.estimate.calls"] == 1
     assert metrics["recovery.freq_lookup.per_estimate"] == 2
-    # every backscatter shot is one traced solve and one far field; passive
-    # data needs no solve and sums its whole band in one far-field call
+    # passive data needs no solve and sums its whole band in one far-field
+    # call; a source-free backscatter shot pairs its Born updates by the 2n+1
+    # rule, so it calls neither and shows as its two traced applies
     shots = len(workload.dirs) * len(workload.freqs) if name == "backscatter_born" else 0
-    assert metrics["forward.solve.calls"] == shots
-    assert metrics["forward.far_field.calls"] == max(shots, 1)
+    assert metrics["forward.solve.calls"] == 0
+    assert metrics["forward.far_field.calls"] == (0 if shots else 1)
+    assert metrics["forward.op_apply.calls"] == 2 * shots
 
 
 def test_traced_nearfield_builds_one_kernel_per_frequency(tmp_path):

@@ -7,7 +7,7 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
                    SolverConvergenceError, SolverDivergenceError, band_sweep,
                    direct_farfield, far_field, fundamental_solution,
                    gaussian_bump_field, incident_plane_wave,
-                   lippmann_schwinger_solve, make_farfield_set,
+                   lippmann_schwinger_solve, make_farfield_set, midpoint_mesh,
                    resolvent_point_values, synthesize_migr)
 from rscat import _kernels, forward
 from rscat.cli import run_command
@@ -294,6 +294,13 @@ def test_non_finite_frequency_rejected(grid16, k):
 def test_non_finite_tolerance_rejected(grid16, tol):
     with pytest.raises(ConfigurationError, match="finite"):
         ScatteringConfig(grid=grid16, k=2.0, tol=tol)
+
+
+@pytest.mark.parametrize("order", [2.5, 3.0, True, "3", None])
+def test_non_integer_born_order_rejected(grid16, order):
+    with pytest.raises(ConfigurationError, match="max_born_order must be an integer"):
+        ScatteringConfig(grid=grid16, k=2.0, max_born_order=order)
+    assert ScatteringConfig(grid=grid16, k=2.0, max_born_order=np.int64(3)).max_born_order == 3
 
 
 @pytest.mark.parametrize("which", ["source", "potential"])
@@ -620,37 +627,123 @@ def test_band_sweep_active_backscatter(grid16):
     assert abs(v - ff.values[0, 0]) <= 1e-12 * abs(v)
 
 
+def _recording_applies(monkeypatch):
+    """The (input box, output box) of every ResolventOperator.apply from here on."""
+    calls = []
+    apply = ResolventOperator.apply
+
+    def recording(self, arr, in_box=None, out_box=None):
+        calls.append((in_box, out_box))
+        return apply(self, arr, in_box, out_box)
+
+    monkeypatch.setattr(ResolventOperator, "apply", recording)
+    return calls
+
+
 def test_band_sweep_backscatter_matches_full_grid_solves(grid32, monkeypatch):
     # each shot of a sweep on q's box against a whole-grid solve plus its far field
     mu = gaussian_bump_field(grid32, (0, 0, 0), 0.3, 0.22, cutoff_radii=3.0)
     spec = MigrSpec(order=3.5, strength=mu)
     freqs = 8.0 + (np.arange(3) + 0.5) * 4.0
     dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0], [-0.48, 0.6, -0.64]])
-    reports = []
-    solve = forward.lippmann_schwinger_solve
-
-    def recording(cfg, operator=None, out_box=None):
-        u, rep = solve(cfg, operator, out_box)
-        reports.append((out_box, rep))
-        return u, rep
-
-    monkeypatch.setattr(forward, "lippmann_schwinger_solve", recording)
+    calls = _recording_applies(monkeypatch)
     ff = band_sweep(grid32, None, spec, freqs, dirs, "active-backscatter", seed=11, tol=1e-8,
                     max_born_order=30)
     monkeypatch.undo()
     q = draw_realization(None, spec, 11)[1]
-    assert len(reports) == len(freqs) * len(dirs)
-    # the stop rule of every shot measured its update over q's box
-    assert {box for box, _ in reports} == {q.support_box}
-    shots = iter(rep for _, rep in reports)
+    # two applies per shot give the Born terms 0-4, each from q's box to q's box
+    assert len(calls) == 2 * len(freqs) * len(dirs)
+    assert set(calls) == {(q.support_box, q.support_box)}
     for j, k in enumerate(freqs):
         for d, xhat in enumerate(dirs):
             cfg = ScatteringConfig(grid=grid32, k=float(k), alpha=1, incident_dir=tuple(-xhat),
                                    potential=q, tol=1e-8, max_born_order=30)
-            u, rep = lippmann_schwinger_solve(cfg)
-            v = far_field(cfg, u, [xhat])[0]
+            v = far_field(cfg, lippmann_schwinger_solve(cfg)[0], [xhat])[0]
             assert abs(v - ff.values[d, j]) <= 1e-12 * abs(v)
-            assert rep.iterations == next(shots).iterations
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("kind", ["random", "deterministic"])
+def test_backscatter_far_field_matches_whole_grid_solves(grid32, kind, tol):
+    # sweep values against converged whole-grid solves: they differ by roundoff
+    # and by the neglected tail, about contraction * |t_2a| <= contraction * tol
+    if kind == "random":
+        mu = gaussian_bump_field(grid32, (0, 0, 0), 0.3, 0.22, cutoff_radii=3.0)
+        potential = MigrSpec(order=3.5, strength=mu)
+    else:
+        potential = gaussian_bump_field(grid32, (0.1, -0.05, 0.08), 2.0, 0.15, cutoff_radii=3.0)
+    freqs = 8.0 + (np.arange(3) + 0.5) * 4.0
+    dirs = np.array([[0.6, 0.0, 0.8], [-0.48, 0.6, -0.64]])
+    ff = band_sweep(grid32, None, potential, freqs, dirs, "active-backscatter", seed=11, tol=tol,
+                    max_born_order=30)
+    q = draw_realization(None, potential, 11)[1]
+    for j, k in enumerate(freqs):
+        for d, xhat in enumerate(dirs):
+            cfg = ScatteringConfig(grid=grid32, k=float(k), alpha=1, incident_dir=tuple(-xhat),
+                                   potential=q, tol=tol, max_born_order=30)
+            value, rep = forward._backscatter_far_field(cfg, ResolventOperator(grid32, float(k)))
+            assert value == ff.values[d, j]
+            assert rep.converged and rep.residual <= tol and rep.contraction < 0.05
+            ref_cfg = ScatteringConfig(grid=grid32, k=float(k), alpha=1, incident_dir=tuple(-xhat),
+                                       potential=q, tol=1e-14, max_born_order=60)
+            ref = far_field(ref_cfg, lippmann_schwinger_solve(ref_cfg)[0], [xhat])[0]
+            tail = 2.0 * rep.contraction * rep.residual
+            assert abs(value - ref) <= (1e-12 + tail) * abs(ref)
+
+
+def test_backscatter_born_shape_makes_two_applies_per_shot(grid32, monkeypatch):
+    # the backscatter_born benchmark's sweep: 20 frequencies x 2 directions, tol 1e-8
+    mu = gaussian_bump_field(grid32, (0, 0, 0), 0.3, 0.22, cutoff_radii=3.0)
+    freqs = midpoint_mesh(8.0, 18.0, 0.5)
+    dirs = fibonacci_sphere(2)
+    calls = _recording_applies(monkeypatch)
+    band_sweep(grid32, None, MigrSpec(order=3.5, strength=mu), freqs, dirs, "active-backscatter",
+               seed=11, tol=1e-8, max_born_order=30)
+    assert len(calls) == 2 * len(freqs) * len(dirs) == 80
+
+
+@pytest.mark.parametrize("tol, applies", [(1e-3, 1), (1e-8, 2), (1e-12, 3)])
+def test_backscatter_shot_pairs_its_born_updates(grid32, tol, applies):
+    # the 2n+1 value and report against the unpaired terms sum w q (R q)^n w
+    q = gaussian_bump_field(grid32, (0.1, -0.05, 0.08), 0.5, 0.15, cutoff_radii=3.0)
+    k, xhat = 9.0, np.array([0.6, 0.0, 0.8])
+    cfg = ScatteringConfig(grid=grid32, k=k, alpha=1, incident_dir=tuple(-xhat), potential=q,
+                           tol=tol, max_born_order=30)
+    op = ResolventOperator(grid32, k)
+    value, rep = forward._backscatter_far_field(cfg, op)
+    box, qd = q.support_box, q.box_data
+    w = incident_plane_wave(k, -xhat, grid32).data[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    v = [w]
+    for _ in range(2 * applies):
+        v.append(op.apply(qd * v[-1], box, box))
+    terms = np.array([np.sum(w * qd * vn) for vn in v])
+    sums = np.cumsum(terms)
+    # the stop rule: the first a whose newest term t_2a is within tol of the sum
+    assert [abs(terms[2 * a]) <= tol * abs(sums[2 * a]) for a in range(1, applies + 1)] \
+        == [False] * (applies - 1) + [True]
+    norms = [np.linalg.norm(vn) for vn in v[1:applies + 1]]
+    assert rep.converged and rep.iterations == applies
+    assert np.allclose(rep.update_norms, norms, rtol=1e-12, atol=0)
+    assert rep.contraction == (None if applies == 1 else rep.update_norms[-1] / rep.update_norms[-2])
+    assert abs(rep.residual - abs(terms[2 * applies]) / abs(sums[2 * applies])) <= 1e-9 * rep.residual
+    want = sums[2 * applies] * grid32.cell_volume / FOUR_PI
+    assert abs(value - want) <= 1e-13 * abs(want)
+
+
+def test_backscatter_shot_order_budget(grid32):
+    # max_born_order N allows the far-field terms up to order N + 1: ceil((N + 1) / 2) applies
+    q = gaussian_bump_field(grid32, (0.1, -0.05, 0.08), 0.5, 0.15, cutoff_radii=3.0)
+    xhat = np.array([0.6, 0.0, 0.8])
+
+    def shot(order):
+        cfg = ScatteringConfig(grid=grid32, k=9.0, alpha=1, incident_dir=tuple(-xhat),
+                               potential=q, tol=1e-8, max_born_order=order)
+        return forward._backscatter_far_field(cfg, ResolventOperator(grid32, 9.0))
+
+    with pytest.raises(SolverConvergenceError) as e:
+        shot(1)
+    assert 1e-8 < e.value.residual < 1e-2
+    assert shot(2)[1].iterations == 2
 
 
 def test_backscatter_shot_forms_its_incident_wave_once(grid16, monkeypatch):

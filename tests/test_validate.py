@@ -10,6 +10,7 @@ _PADDED = validate._padded_fftn
 _INVERSE = validate._inverse_strength_transform
 _IRFFTN = validate._irfftn
 _FARFIELD = forward._farfield_batch
+_EVEN = forward._even_spectrum
 _BAND = validate.band_correlation
 
 
@@ -35,6 +36,21 @@ def _no_imaginary_product(g, *args):
     return _FARFIELD(g.real, *args)
 
 
+def _mirror_off_by_one(octant):
+    # axis 0's mirrored half reads the DCT-I entries [m .. 2], not [m - 1 .. 1]
+    spec = _EVEN(octant)
+    m = octant.shape[0] - 1
+    spec[m + 1:] = spec[m:1:-1].copy()
+    return spec
+
+
+def _kernel_off_centre(octant):
+    # the spectrum of the kernel placed one cell along axis 0 from the origin
+    spec = _EVEN(octant)
+    p = spec.shape[0]
+    return spec * np.exp(-2j * np.pi * np.arange(p) / p)[:, None, None]
+
+
 def _rotated_estimate(ff, *args):
     values, n_terms = _BAND(ff, *args)
     return values * np.exp(0.1j), n_terms
@@ -55,6 +71,10 @@ MUTANTS = {
                                validate.check_real_transform_pair),
     "box-shifted-one-cell": (validate, "_irfftn", _box_shifted_one_cell,
                              validate.check_real_transform_pair),
+    "spectrum-mirror-off-by-one": (forward, "_even_spectrum", _mirror_off_by_one,
+                                   validate.check_resolvent_symmetry),
+    "kernel-off-centre": (forward, "_even_spectrum", _kernel_off_centre,
+                          validate.check_resolvent_symmetry),
     "imaginary-product-dropped": (forward, "_farfield_batch", _no_imaginary_product,
                                   validate.check_farfield_dual_path),
     "estimate-phase-rotated": (validate, "band_correlation", _rotated_estimate,
