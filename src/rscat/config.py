@@ -1,9 +1,9 @@
 """Experiment configuration: strict key=value parsing and validated assembly.
 
 The format is INI-style: bracketed section headers, one ``key = value`` per
-line, ``#`` comments. Unknown sections or keys are hard errors because a
-silently ignored typo in an order or mesh key would invalidate recovery
-constants. Error messages name the offending ``section.key``.
+line, ``#`` comments. Unknown sections or keys, and keys that their section
+never reads, are hard errors: a silently ignored typo in an order or mesh
+key would invalidate recovery constants. Error messages name ``section.key``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,18 @@ ALLOWED_KEYS = {
 }
 
 
+class _Section(dict):
+    """One section's key=value pairs; ``get``, the build's only read, records each key in ``read``."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def parse_sections(text: str) -> dict:
     sections = {}
     current = None
@@ -51,7 +63,7 @@ def parse_sections(text: str) -> dict:
                 raise ConfigurationError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise ConfigurationError(f"line {lineno}: duplicate section [{name}]")
-            sections[name] = {}
+            sections[name] = _Section()
             current = name
             continue
         if current is None:
@@ -76,11 +88,10 @@ def _require(sections, name):
 
 
 def _get(sect, section_name, key, default=None):
-    if key in sect:
-        return sect[key]
-    if default is not None:
-        return default
-    raise ConfigurationError(f"missing key {section_name}.{key}")
+    val = sect.get(key, default)
+    if val is None:
+        raise ConfigurationError(f"missing key {section_name}.{key}")
+    return val
 
 
 def _as_float(val, where):
@@ -232,7 +243,7 @@ def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
     tau_unit = delta / half
     unit_name = "delta" if half == 1.0 else f"{1.0 / half:g}*delta"
     if "tau_list" in sect:
-        taus = [_as_float(t, "band.tau_list") for t in sect["tau_list"].split()]
+        taus = [_as_float(t, "band.tau_list") for t in sect.get("tau_list").split()]
         if not taus:
             raise ConfigurationError("band.tau_list: expected at least one tau")
         for i, tau in enumerate(taus):
@@ -387,6 +398,9 @@ def config_from_text(text: str) -> ExperimentConfig:
         if ergodic.n_rep < 2:
             raise ConfigurationError(f"ergodic.n_rep: {ergodic.n_rep} repetitions; at least 2 required")
 
+    unread = [f"{name}.{key}" for name, sect in sections.items() for key in sect if key not in sect.read]
+    if unread:
+        raise ConfigurationError(f"{unread[0]}: its section, as written, never reads this key")
     return ExperimentConfig(
         grid=grid, source=source, potential=potential, band=band, dirs=dirs,
         mode=mode, seed=seed, output=output, solver=solver,

@@ -246,13 +246,12 @@ class ScatteringConfig:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Outcome of one Born iteration.
+    """Outcome of one Born iteration that met its stop rule; every other outcome raises.
 
     A solve (:func:`lippmann_schwinger_solve`) takes every norm over its
     output box: the whole grid by default, the potential's support box for
     a solve inside :func:`band_sweep`.
 
-    converged : whether the stop rule was met.
     iterations : Born orders applied (1 when the series truncates for q = 0).
     update_norms : |u_{n+1} - u_n| of every iteration, in order.
     contraction : ratio of the last two update norms, or None before two
@@ -260,8 +259,8 @@ class ConvergenceReport:
     residual : the last relative update |u_{n+1} - u_n| / |u_{n+1}|, not
         the fixed-point residual |u - R_k f - R_k[q u]| / |u|.
 
-    A source-free backscatter shot of :func:`band_sweep` pairs the Born
-    updates v_a = (R q)^a w instead of summing them, and its report reads:
+    A backscatter shot's incident part (:func:`_backscatter_far_field`) pairs
+    the Born updates v_a = (R q)^a w instead of summing them; its report reads:
 
     iterations : resolvent applies a, which give the far-field terms up to
         order 2a.
@@ -271,7 +270,6 @@ class ConvergenceReport:
         to their sum.
     """
 
-    converged: bool
     iterations: int
     update_norms: tuple
     contraction: Optional[float]
@@ -341,7 +339,7 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
            else np.zeros(_box_shape(box), dtype=np.complex128))
     if q is None:
         # the series truncates: u_sc = RHS exactly, first update is zero
-        return shaped(rhs), ConvergenceReport(True, 1, (0.0,), None, 0.0)
+        return shaped(rhs), ConvergenceReport(1, (0.0,), None, 0.0)
     if cfg.alpha == 1:
         rhs += op.apply(q * cfg._incident_on_q, q_box, box)
     u = rhs
@@ -351,8 +349,7 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
         norm = float(np.linalg.norm(u))
         rel = updates[-1] / norm if norm > 0 else updates[-1]
         if rel < cfg.tol:
-            return shaped(u), ConvergenceReport(True, len(updates), tuple(updates),
-                                                _contraction(updates), rel)
+            return shaped(u), ConvergenceReport(len(updates), tuple(updates), _contraction(updates), rel)
     raise SolverConvergenceError(
         f"Born order budget {cfg.max_born_order} exhausted at k={cfg.k} with "
         f"relative update {rel:.3e} above tol {cfg.tol:g}",
@@ -361,7 +358,7 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
 
 
 def _backscatter_far_field(cfg: ScatteringConfig, op: ResolventOperator):
-    """Far field of a source-free backscatter shot, observed at -incident_dir: (value, report).
+    """Far field of a backscatter shot's incident part, observed at -incident_dir: (value, report).
 
     The incident wave w = e^{-i k xhat . y} on q's box is also the far-field
     phase at xhat, and R is symmetric (sum a R b = sum (R a) b), so the n-th
@@ -372,7 +369,7 @@ def _backscatter_far_field(cfg: ScatteringConfig, op: ResolventOperator):
     |t_{2a}| <= tol |sum_n t_n|. max_born_order N lets a solve reach order
     N + 1, so it allows ceil((N + 1) / 2) applies here; running out raises
     SolverConvergenceError. See :class:`ConvergenceReport` for the report's
-    fields in this mode.
+    fields in this mode. cfg's source is not read.
     """
     q, w = cfg._potential_data, cfg._incident_on_q
     prev = w.ravel()
@@ -384,7 +381,7 @@ def _backscatter_far_field(cfg: ScatteringConfig, op: ResolventOperator):
         total += np.dot(prev, qv) + newest
         rel = abs(newest) / abs(total) if total != 0 else abs(newest)
         if rel <= cfg.tol:
-            report = ConvergenceReport(True, len(norms), tuple(norms), _contraction(norms), rel)
+            report = ConvergenceReport(len(norms), tuple(norms), _contraction(norms), rel)
             return total * cfg.grid.cell_volume / (4.0 * np.pi), report
         prev = v
     raise SolverConvergenceError(
@@ -688,22 +685,15 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     are then independent deterministic tasks. Without a potential the
     scattering density is the source at every frequency and no shot needs a
     solve, so the whole band is one :func:`far_field` call over the mesh,
-    summed a chunk of frequencies at a time. With a potential each frequency
-    is swept as a list of shots: passive data is a single shot without an
-    incident wave observed in every direction, and active-backscatter data
-    is one shot per far-field direction xhat, lit from -xhat and observed at
-    xhat. One operator per frequency serves every shot.
-
-    A passive shot, and a backscatter shot with a source present, is one
-    Born solve whose far field reads u_sc only on the potential's support
-    box, so the solve keeps u_sc on that box: every apply maps the source box
-    or q's box to q's box, the operator is sized once for both box pairs,
-    and the stop rule measures the relative update over q's box. A
-    source-free backscatter shot evaluates its far field by the 2n+1 rule
-    instead: its incident wave is the far-field phase at xhat and R is
-    symmetric, so a resolvent applies on q's box give its far-field terms up
-    to order 2a, and the shot stops once the newest term falls below tol
-    times their sum (:func:`_backscatter_far_field`).
+    summed a chunk of frequencies at a time. With a potential the far field
+    is linear in the pair (source, incident wave), so one operator per
+    frequency serves two parts. The source's part, when the source has
+    support, is one Born solve without an incident wave, observed in every
+    direction; it runs first and sizes the operator for every later apply.
+    In active-backscatter mode each direction xhat then adds the incident
+    part of its shot lit from -xhat, by the 2n+1 rule
+    (:func:`_backscatter_far_field`). Passive data with a potential but no
+    source is zero and applies no resolvent.
     """
     if mode not in _KINDS:
         raise ConfigurationError(f"sweep mode must be one of {_KINDS}")
@@ -716,40 +706,32 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     meta = {"m": m_q if mode == "active-backscatter" and m_q is not None else m_f,
             "seed": int(seed)}
     if q_obj is None or q_obj.support_box is None:
-        # the density is f at every frequency, and a shot's incident wave meets
-        # no potential: the band of every direction is one far-field call
         cfg = ScatteringConfig(grid=grid, k=float(freqs[0]), potential=q_obj, source=f_obj,
                                max_born_order=max_born_order, tol=tol)
         values = far_field(cfg, None, dirs, freqs)
         return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)
-    values = np.empty((dirs.shape[0], len(freqs)), dtype=np.complex128)
-    # (value rows, incident direction, observed directions, error context)
-    if mode == "passive":
-        alpha, label = 0, "passive"
-        shots = [(slice(None), None, dirs, "")]
-    else:
-        alpha, label = 1, "backscatter"
-        shots = [(slice(di, di + 1), tuple(-xhat), xhat[None, :],
-                  f", dir={tuple(np.round(xhat, 6).tolist())}") for di, xhat in enumerate(dirs)]
-
+    values = np.zeros((dirs.shape[0], len(freqs)), dtype=np.complex128)
+    # (incident direction, error context) of every shot, formed once per sweep
+    shots = [] if mode == "passive" else [
+        (tuple(-xhat), f", dir={tuple(np.round(xhat, 6).tolist())}") for xhat in dirs]
     for j, k in enumerate(freqs):
         op = ResolventOperator(grid, float(k))
-        for rows, d_inc, observed, where in shots:
-            cfg = ScatteringConfig(
-                grid=grid, k=float(k), alpha=alpha, incident_dir=d_inc,
-                potential=q_obj, source=f_obj, max_born_order=max_born_order, tol=tol,
-            )
-            try:
-                if alpha == 1 and cfg._source_box is None:
-                    values[rows, j] = _backscatter_far_field(cfg, op)[0]
-                else:
-                    # far_field reads u_sc on q's box only, so the solve stays there
-                    u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0]
-                    values[rows, j] = far_field(cfg, u, observed)
-            except (SolverDivergenceError, SolverConvergenceError) as e:
-                # the same error, its payload kept, with the shot named in its message
-                e.args = (f"{e} ({label} sweep, k={k}{where})",)
-                raise
+        where = ""
+        try:
+            if f_obj is not None and f_obj.support_box is not None:
+                cfg = ScatteringConfig(grid=grid, k=float(k), potential=q_obj, source=f_obj,
+                                       max_born_order=max_born_order, tol=tol)
+                # far_field reads u_sc on q's box only, so the solve stays there
+                u = lippmann_schwinger_solve(cfg, op, cfg._potential_box)[0]
+                values[:, j] = far_field(cfg, u, dirs)
+            for di, (d_inc, where) in enumerate(shots):
+                cfg = ScatteringConfig(grid=grid, k=float(k), alpha=1, incident_dir=d_inc,
+                                       potential=q_obj, max_born_order=max_born_order, tol=tol)
+                values[di, j] += _backscatter_far_field(cfg, op)[0]
+        except (SolverDivergenceError, SolverConvergenceError) as e:
+            # the same error, its payload kept, with the shot named in its message
+            e.args = (f"{e} ({mode.removeprefix('active-')} sweep, k={k}{where})",)
+            raise
     return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)
 
 

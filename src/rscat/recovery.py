@@ -328,9 +328,12 @@ def nearfield_second_moment(samples, m: float) -> float:
     """Band average (1/(K-1)) sum_j k_j^(1+m) |u_sc(x, k_j)|^2 delta over [1, K].
 
     ``samples`` is a sequence of (k, complex scattered value) on a uniform
-    midpoint mesh of [1, K]. The comparison against the Newtonian potential
-    of the strength carries an unstated universal constant, so callers
-    compare ratios across configurations rather than absolute values.
+    midpoint mesh of [1, K]. In 3-D, k^m E|u(x, k)|^2 tends to
+    int mu(y) / (16 pi^2 |x - y|^2) dy, so the average grows like K/2 times
+    that integral, and its ratio to the Newtonian potential depends on K and
+    on the probe (0.27-0.40 per probe at K = 60): it is no universal constant.
+    Criterion 5 compares the probe-averaged ratio of two configurations that
+    share the band and the probe offsets from their strength's centre.
     """
     pts = sorted((float(k), complex(v)) for k, v in samples)
     if len(pts) < 2:

@@ -209,6 +209,32 @@ def test_config_error_exit_code(tmp_path):
     assert run_command(["synth", "--config", path, "--out", str(tmp_path / "x.rsgf")]) == 2
 
 
+@pytest.mark.parametrize("old, new, extra, key", [
+    ("tau_max = 2.0", "tau_list = 0.0 0.25", "tau_max = 2.0", "band.tau_max"),
+    ("tau_max = 2.0", "tau_list = 0.0 0.25", "tau_step = 0.25", "band.tau_step"),
+    ("count = 6", "count = 6", "values = 0 0 1", "directions.values"),
+    ("count = 6", "distribution = explicit\nvalues = 0 0 1; 1 0 0", "count = 6", "directions.count"),
+    ("cutoff = 3.0", "cutoff = 3.0", "radius = 0.3", "source.radius"),
+    ("cutoff = 3.0", "cutoff = 3.0", "mean_amplitude = 0.5", "source.mean_amplitude"),
+    ("cutoff = 3.0", "cutoff = 3.0", "mean_width = 0.1", "source.mean_width"),
+    ("m = 2.5", "kind = deterministic", "m = 2.5", "source.m"),
+], ids=["tau_max", "tau_step", "values", "count", "radius", "mean_amplitude", "mean_width", "m"])
+def test_unread_key_exits_2(tmp_path, capsys, old, new, extra, key):
+    # a known key that the chosen variant of its section never reads fails the load
+    base = MINIMAL.replace(old, new)
+    load_config(_write(tmp_path, base))
+    path = _write(tmp_path, base.replace(new, new + "\n" + extra), name="extra.ini")
+    with pytest.raises(ConfigurationError, match=rf"^{key}: "):
+        load_config(path)
+    assert run_command(["synth", "--config", path, "--out", str(tmp_path / "x.rsgf")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(os.path.dirname(__file__), "..", "configs"))))
+def test_shipped_configs_load(name):
+    load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+
+
 _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
 
 

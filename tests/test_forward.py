@@ -369,7 +369,6 @@ def test_solver_truncates_for_zero_potential(grid16):
     f = gaussian_bump_field(grid16, (0, 0, 0), 1.0, 0.15, cutoff_radii=3.0)
     cfg = ScatteringConfig(grid=grid16, k=3.0, source=f)
     u, rep = lippmann_schwinger_solve(cfg)
-    assert rep.converged
     assert rep.update_norms[-1] <= 1e-14
     direct = ResolventOperator(grid16, 3.0).apply(f.data.astype(complex))
     assert np.max(np.abs(u.data - direct)) == 0.0
@@ -378,7 +377,7 @@ def test_solver_truncates_for_zero_potential(grid16):
 def test_solver_zero_rhs(grid16):
     cfg = ScatteringConfig(grid=grid16, k=2.0, alpha=0)
     u, rep = lippmann_schwinger_solve(cfg)
-    assert np.all(u.data == 0.0) and rep.converged
+    assert np.all(u.data == 0.0) and rep.iterations == 1
 
 
 def test_solver_fixed_point_residual(grid32):
@@ -683,7 +682,7 @@ def test_backscatter_far_field_matches_whole_grid_solves(grid32, kind, tol):
                                    potential=q, tol=tol, max_born_order=30)
             value, rep = forward._backscatter_far_field(cfg, ResolventOperator(grid32, float(k)))
             assert value == ff.values[d, j]
-            assert rep.converged and rep.residual <= tol and rep.contraction < 0.05
+            assert rep.residual <= tol and rep.contraction < 0.05
             ref_cfg = ScatteringConfig(grid=grid32, k=float(k), alpha=1, incident_dir=tuple(-xhat),
                                        potential=q, tol=1e-14, max_born_order=60)
             ref = far_field(ref_cfg, lippmann_schwinger_solve(ref_cfg)[0], [xhat])[0]
@@ -722,7 +721,7 @@ def test_backscatter_shot_pairs_its_born_updates(grid32, tol, applies):
     assert [abs(terms[2 * a]) <= tol * abs(sums[2 * a]) for a in range(1, applies + 1)] \
         == [False] * (applies - 1) + [True]
     norms = [np.linalg.norm(vn) for vn in v[1:applies + 1]]
-    assert rep.converged and rep.iterations == applies
+    assert rep.iterations == applies
     assert np.allclose(rep.update_norms, norms, rtol=1e-12, atol=0)
     assert rep.contraction == (None if applies == 1 else rep.update_norms[-1] / rep.update_norms[-2])
     assert abs(rep.residual - abs(terms[2 * applies]) / abs(sums[2 * applies])) <= 1e-9 * rep.residual
@@ -771,7 +770,8 @@ def _box_data(grid, box, rng, scale):
 
 
 def test_band_sweep_sizes_one_operator_per_frequency(grid32, rng, monkeypatch):
-    # a source box and a potential box that need different lattices
+    # a source box and a potential box that need different lattices; a
+    # backscatter sweep's shots reuse the spectrum its source's part sized
     f = _box_data(grid32, ((6, 12), (12, 19), (12, 19)), rng, 1.0)
     q = _box_data(grid32, ((17, 25), (13, 21), (11, 20)), rng, 0.5)
     freqs = np.array([4.0, 4.5])
@@ -786,11 +786,53 @@ def test_band_sweep_sizes_one_operator_per_frequency(grid32, rng, monkeypatch):
     monkeypatch.setattr(_kernels, "kernel_block", counting)
     ff = band_sweep(grid32, f, q, freqs, dirs, "passive", seed=0, tol=1e-12)
     assert len(calls) == len(freqs)
+    back = band_sweep(grid32, f, q, freqs, dirs, "active-backscatter", seed=0, tol=1e-12)
+    assert len(calls) == 2 * len(freqs)
     monkeypatch.undo()
     for j, k in enumerate(freqs):
         cfg = ScatteringConfig(grid=grid32, k=float(k), source=f, potential=q, tol=1e-12)
         want = far_field(cfg, lippmann_schwinger_solve(cfg)[0], dirs)
         assert _rel(ff.values[:, j], want) <= 1e-12
+        for d, xhat in enumerate(dirs):
+            cfg = ScatteringConfig(grid=grid32, k=float(k), alpha=1, incident_dir=tuple(-xhat),
+                                   source=f, potential=q, tol=1e-12)
+            want = far_field(cfg, lippmann_schwinger_solve(cfg)[0], [xhat])[0]
+            assert abs(back.values[d, j] - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("kind", ["random", "deterministic"])
+def test_band_sweep_backscatter_with_source_matches_whole_grid_solves(grid32, kind):
+    # the source's part plus each shot's incident part against one whole-grid
+    # solve with both the source and the incident wave, within 10 tol
+    tol = 1e-8
+    f = gaussian_bump_field(grid32, (-0.4, 0.1, 0), 1.0, 0.08, cutoff_radii=3.0)
+    q = gaussian_bump_field(grid32, (0.3, 0, -0.05), 0.3 if kind == "random" else 1.5, 0.12,
+                            cutoff_radii=3.0)
+    if kind == "random":
+        source, potential = MigrSpec(order=2.5, strength=f), MigrSpec(order=3.5, strength=q)
+    else:
+        source, potential = f, q
+    freqs = 6.0 + (np.arange(3) + 0.5) * 2.0
+    dirs = np.array([[0, 0, 1.0], [0.6, 0.8, 0], [-0.48, 0.6, -0.64]])
+    ff = band_sweep(grid32, source, potential, freqs, dirs, "active-backscatter", seed=7,
+                    tol=tol, max_born_order=30)
+    f_real, q_real = draw_realization(source, potential, 7)[:2]
+    for j, k in enumerate(freqs):
+        for d, xhat in enumerate(dirs):
+            cfg = ScatteringConfig(grid=grid32, k=float(k), alpha=1, incident_dir=tuple(-xhat),
+                                   source=f_real, potential=q_real, tol=tol, max_born_order=30)
+            want = far_field(cfg, lippmann_schwinger_solve(cfg)[0], [xhat])[0]
+            assert abs(ff.values[d, j] - want) <= 10 * tol * abs(want)
+
+
+def test_band_sweep_passive_without_source_is_zero(grid16, monkeypatch):
+    # no incident wave and no source: nothing scatters, and no resolvent is applied
+    q = gaussian_bump_field(grid16, (0, 0, 0), 0.5, 0.15, cutoff_radii=3.0)
+    freqs = 4.0 + (np.arange(3) + 0.5) * 0.5
+    calls = _recording_applies(monkeypatch)
+    ff = band_sweep(grid16, None, q, freqs, [[0, 0, 1.0], [1.0, 0, 0]], "passive", seed=1)
+    assert calls == []
+    assert ff.values.shape == (2, 3) and np.all(ff.values == 0)
 
 
 def test_far_field_reads_the_potential_box(grid32):
