@@ -129,23 +129,25 @@ def _cmd_nearfield(args):
     obj = _ingredient(cfg, "source")
     if not isinstance(obj, MigrSpec):
         raise ConfigurationError("[source] must be a rough-field block for near-field runs")
-    # the same realization a sweep with this seed would draw
-    source, potential, _, _ = draw_realization(obj, cfg.potential, cfg.seed)
     ks = midpoint_mesh(1.0, nf.k_hi, nf.delta)
     cells = np.array([cfg.grid.nearest_cell(p) for p in nf.probes])
-    # each trace is read at a cell centre, so the oracle is evaluated and reported there
+    # each trace is read at a cell centre, so the oracle is evaluated and reported there;
+    # it rejects a probe too close to the support, so it runs before any trace
     centres = np.asarray(cfg.grid.origin) + cfg.grid.spacing * cells
+    oracle = [oracles.potential_kernel_integral(obj.strength, point) for point in centres]
+    # the same realization a sweep with this seed would draw
+    source, potential, _, _ = draw_realization(obj, cfg.potential, cfg.seed)
     traces = probe_traces(cfg.grid, source, potential, ks, cells,
                           tol=cfg.solver.tol, max_born_order=cfg.solver.max_born_order)
+    rows = []
+    for point, orc, trace in zip(centres, oracle, traces):
+        est = nearfield_second_moment(zip(ks, trace), obj.order)
+        ratio = est / orc if orc != 0 else float("nan")
+        rows.append(",".join(f"{v:.17g}" for v in (*point, est, orc, ratio)) + "\n")
+    # written only once every row is ready, so a failed run leaves no partial table
     with open(args.out, "w") as fh:
         fh.write("probe_x,probe_y,probe_z,estimate,oracle,ratio\n")
-        for p, point in enumerate(centres):
-            est = nearfield_second_moment(zip(ks, traces[p]), obj.order)
-            orc = oracles.potential_kernel_integral(obj.strength, point)
-            ratio = est / orc if orc != 0 else float("nan")
-            fh.write(
-                ",".join(f"{v:.17g}" for v in (*point, est, orc, ratio)) + "\n"
-            )
+        fh.writelines(rows)
     print(f"wrote {args.out}")
     return 0
 

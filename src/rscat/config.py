@@ -1,9 +1,12 @@
 """Experiment configuration: strict key=value parsing and validated assembly.
 
 The format is INI-style: bracketed section headers, one ``key = value`` per
-line, ``#`` comments. Unknown sections or keys, and keys that their section
-never reads, are hard errors: a silently ignored typo in an order or mesh
-key would invalidate recovery constants. Error messages name ``section.key``.
+line, ``#`` comments. Unknown sections, and keys that the build never reads
+(unknown, misspelt, or unused by their section as written), are hard errors:
+a silently ignored typo in an order or mesh key would invalidate recovery
+constants. Error messages name ``section.key``; an unread key's also give its
+line, and a missing key's list the unread keys of its section. Solver
+defaults and the bounds the library enforces are read from the library.
 """
 
 from __future__ import annotations
@@ -16,37 +19,27 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import GridSpec
-from .forward import _KINDS, _box_normal
+from .forward import _KIND_FORM, _KINDS, ScatteringConfig, _box_normal
 from .migr import MigrSpec, ball_indicator_field, gaussian_bump_field
-from .recovery import _KIND_FORM, MAX_MESH_POINTS, midpoint_mesh
+from .recovery import _check_band_terms, _check_mesh_size, _check_sample_radius, midpoint_mesh
 
-_SHAPE_KEYS = {
-    "kind", "m", "shape", "center", "amplitude", "width", "radius", "cutoff",
-    "mean_shape", "mean_center", "mean_amplitude", "mean_width", "mean_radius",
-}
-
-ALLOWED_KEYS = {
-    "grid": {"dims", "spacing", "origin"},
-    "source": _SHAPE_KEYS,
-    "potential": _SHAPE_KEYS,
-    "band": {"k_lo", "n_terms", "tau_max", "tau_step", "tau_list"},
-    "directions": {"count", "distribution", "values"},
-    "experiment": {"mode", "seed", "output"},
-    "solver": {"tol", "max_born_order"},
-    "nearfield": {"k_hi", "delta", "probes"},
-    "ergodic": {"c0", "m", "tau", "bands", "n_rep", "seed"},
-}
+_SECTIONS = ("grid", "source", "potential", "band", "directions", "experiment", "solver",
+             "nearfield", "ergodic")
 
 
 class _Section(dict):
-    """One section's key=value pairs; ``get``, the build's only read, records each key in ``read``."""
+    """One section's key=value pairs; ``unread`` maps each key not yet read to its line.
 
-    def __init__(self):
+    ``get`` is the build's only read of a key.
+    """
+
+    def __init__(self, name):
         super().__init__()
-        self.read = set()
+        self.name = name
+        self.unread = {}
 
     def get(self, key, default=None):
-        self.read.add(key)
+        self.unread.pop(key, None)
         return super().get(key, default)
 
 
@@ -59,12 +52,11 @@ def parse_sections(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in ALLOWED_KEYS:
+            if name not in _SECTIONS:
                 raise ConfigurationError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise ConfigurationError(f"line {lineno}: duplicate section [{name}]")
-            sections[name] = _Section()
-            current = name
+            current = sections[name] = _Section(name)
             continue
         if current is None:
             raise ConfigurationError(f"line {lineno}: key outside any section: {line!r}")
@@ -72,12 +64,10 @@ def parse_sections(text: str) -> dict:
         if not sep:
             raise ConfigurationError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
-        value = value.strip()
-        if key not in ALLOWED_KEYS[current]:
-            raise ConfigurationError(f"line {lineno}: unknown key {current}.{key}")
-        if key in sections[current]:
-            raise ConfigurationError(f"line {lineno}: duplicate key {current}.{key}")
-        sections[current][key] = value
+        if key in current:
+            raise ConfigurationError(f"line {lineno}: duplicate key {current.name}.{key}")
+        current[key] = value.strip()
+        current.unread[key] = lineno
     return sections
 
 
@@ -87,11 +77,22 @@ def _require(sections, name):
     return sections[name]
 
 
-def _get(sect, section_name, key, default=None):
+def _get(sect, key, default=None):
     val = sect.get(key, default)
     if val is None:
-        raise ConfigurationError(f"missing key {section_name}.{key}")
+        # a misspelt required key is among the unread ones
+        unread = ", ".join(f"{sect.name}.{k} (line {line})" for k, line in sect.unread.items())
+        raise ConfigurationError(f"{sect.name}.{key}: missing key"
+                                 + (f"; unread keys of [{sect.name}]: {unread}" if unread else ""))
     return val
+
+
+def _keyed(where, build, *args):
+    """``build(*args)``, with any ConfigurationError it raises prefixed by ``where``."""
+    try:
+        return build(*args)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{where}: {e}") from None
 
 
 def _as_float(val, where):
@@ -138,35 +139,36 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return dirs
 
 
-def _build_shape(grid, sect, section_name, prefix=""):
-    shape = _get(sect, section_name, prefix + "shape", default="zero" if prefix else None)
-    where = f"{section_name}.{prefix}shape"
+def _build_shape(grid, sect, prefix=""):
+    name = sect.name
+    shape = _get(sect, prefix + "shape", default="zero" if prefix else None)
+    where = f"{name}.{prefix}shape"
     if shape == "zero":
         return None
-    center = _as_vector(_get(sect, section_name, prefix + "center"), f"{section_name}.{prefix}center")
-    amplitude = _as_float(_get(sect, section_name, prefix + "amplitude"), f"{section_name}.{prefix}amplitude")
+    center = _as_vector(_get(sect, prefix + "center"), f"{name}.{prefix}center")
+    amplitude = _as_float(_get(sect, prefix + "amplitude"), f"{name}.{prefix}amplitude")
     if shape == "gaussian-bump":
-        width = _as_float(_get(sect, section_name, prefix + "width"), f"{section_name}.{prefix}width")
-        cutoff = _as_float(sect.get("cutoff", "4.0"), f"{section_name}.cutoff")
+        width = _as_float(_get(sect, prefix + "width"), f"{name}.{prefix}width")
+        cutoff = _as_float(sect.get("cutoff", "4.0"), f"{name}.cutoff")
         return gaussian_bump_field(grid, center, amplitude, width, cutoff_radii=cutoff)
     if shape == "ball-indicator":
-        radius = _as_float(_get(sect, section_name, prefix + "radius"), f"{section_name}.{prefix}radius")
+        radius = _as_float(_get(sect, prefix + "radius"), f"{name}.{prefix}radius")
         return ball_indicator_field(grid, center, radius, amplitude)
     raise ConfigurationError(f"{where}: unknown shape {shape!r}")
 
 
-def _build_ingredient(grid, sect, section_name):
+def _build_ingredient(grid, sect):
     """A [source]/[potential] block: a rough-field spec or a deterministic field."""
-    kind = _get(sect, section_name, "kind", default="migr")
-    strength = _build_shape(grid, sect, section_name)
+    kind = _get(sect, "kind", default="migr")
+    strength = _build_shape(grid, sect)
     if strength is None:
-        raise ConfigurationError(f"{section_name}.shape: 'zero' is not a valid strength shape")
+        raise ConfigurationError(f"{sect.name}.shape: 'zero' is not a valid strength shape")
     if kind == "deterministic":
         return strength
     if kind != "migr":
-        raise ConfigurationError(f"{section_name}.kind: expected migr or deterministic, got {kind!r}")
-    m = _as_float(_get(sect, section_name, "m"), f"{section_name}.m")
-    mean = _build_shape(grid, sect, section_name, prefix="mean_")
+        raise ConfigurationError(f"{sect.name}.kind: expected migr or deterministic, got {kind!r}")
+    m = _as_float(_get(sect, "m"), f"{sect.name}.m")
+    mean = _build_shape(grid, sect, prefix="mean_")
     return MigrSpec(order=m, strength=strength, mean=mean)
 
 
@@ -181,8 +183,8 @@ class BandSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    tol: float = 1e-10
-    max_born_order: int = 20
+    tol: float
+    max_born_order: int
 
 
 @dataclass(frozen=True)
@@ -223,20 +225,12 @@ class ExperimentConfig:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 
-def _check_mesh(count, key):
-    """Exit 2 naming ``key`` when the mesh it sets would hold more than MAX_MESH_POINTS."""
-    if not count <= MAX_MESH_POINTS:
-        raise ConfigurationError(
-            f"{key}: the frequency mesh would hold {count:.4g} points, above the cap of {MAX_MESH_POINTS}")
-
-
 def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
-    k_lo = _as_float(_get(sect, "band", "k_lo"), "band.k_lo")
+    k_lo = _as_float(_get(sect, "k_lo"), "band.k_lo")
     if k_lo <= 0:
         raise ConfigurationError("band.k_lo must be positive")
-    n_terms = _as_int(_get(sect, "band", "n_terms"), "band.n_terms")
-    if n_terms < 16:
-        raise ConfigurationError(f"band.n_terms: band holds {n_terms} mesh points; at least 16 required")
+    n_terms = _as_int(_get(sect, "n_terms"), "band.n_terms")
+    _check_band_terms(n_terms, "band.n_terms")
     delta = k_lo / n_terms
     # a tau moves the data frequency by half * tau, which must be a mesh multiple
     half = _KIND_FORM[mode][1]
@@ -247,14 +241,12 @@ def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
         if not taus:
             raise ConfigurationError("band.tau_list: expected at least one tau")
         for i, tau in enumerate(taus):
-            if not 0 <= tau < grid.nyquist:
-                raise ConfigurationError(f"band.tau_list[{i}]: {tau} is not in [0, grid Nyquist {grid.nyquist})")
+            _check_sample_radius(tau, grid, f"band.tau_list[{i}]")
         tau_max = max(taus)
     else:
-        tau_max = _as_float(_get(sect, "band", "tau_max"), "band.tau_max")
+        tau_max = _as_float(_get(sect, "tau_max"), "band.tau_max")
         step = _as_float(sect.get("tau_step", str(tau_unit)), "band.tau_step")
-        if not 0 <= tau_max < grid.nyquist:
-            raise ConfigurationError(f"band.tau_max: {tau_max} is not in [0, grid Nyquist {grid.nyquist})")
+        _check_sample_radius(tau_max, grid, "band.tau_max")
         # checked before the list is built, so a tiny step cannot make a huge one
         units = step / tau_unit
         if not (0.5 <= units < np.inf and abs(units - np.rint(units)) <= 1e-9):
@@ -262,7 +254,7 @@ def _build_band(sect, mode, grid: GridSpec) -> BandSpec:
                 f"band.tau_step: {step} is not a positive multiple of {unit_name} = {tau_unit}")
     # the sweep mesh covers [k_lo, 2 k_lo + half tau_max); counted before it or a
     # tau list is built, so a huge n_terms or a tiny k_lo fails at once
-    _check_mesh(n_terms * (1.0 + half * tau_max / k_lo), "band.n_terms")
+    _check_mesh_size(n_terms * (1.0 + half * tau_max / k_lo), "band.n_terms")
     if "tau_list" not in sect:
         taus = [i * step for i in range(int(np.floor(tau_max / step + 1e-9)) + 1)]
     for i, tau in enumerate(taus):
@@ -287,31 +279,33 @@ def config_from_text(text: str) -> ExperimentConfig:
     sections = parse_sections(text)
 
     gsect = _require(sections, "grid")
-    dims_raw = _get(gsect, "grid", "dims").split()
+    dims_raw = _get(gsect, "dims").split()
     if len(dims_raw) == 1:
         dims = (_as_int(dims_raw[0], "grid.dims"),) * 3
     elif len(dims_raw) == 3:
         dims = tuple(_as_int(d, "grid.dims") for d in dims_raw)
     else:
         raise ConfigurationError("grid.dims: expected one or three integers")
-    spacing = _as_float(_get(gsect, "grid", "spacing"), "grid.spacing")
-    origin_raw = _get(gsect, "grid", "origin", default="centered")
+    # a grid of unit spacing checks the dims alone, so a failure of the grid below names the spacing
+    _keyed("grid.dims", GridSpec.centered, dims, 1.0)
+    spacing = _as_float(_get(gsect, "spacing"), "grid.spacing")
+    origin_raw = _get(gsect, "origin", default="centered")
     if origin_raw == "centered":
-        grid = GridSpec.centered(dims, spacing)
+        grid = _keyed("grid.spacing", GridSpec.centered, dims, spacing)
     else:
-        grid = GridSpec(dims=dims, origin=_as_vector(origin_raw, "grid.origin"), spacing=spacing)
+        grid = _keyed("grid.spacing", GridSpec, dims, _as_vector(origin_raw, "grid.origin"), spacing)
 
     esect = _require(sections, "experiment")
-    mode = _get(esect, "experiment", "mode")
+    mode = _get(esect, "mode")
     if mode not in _KINDS:
         raise ConfigurationError(f"experiment.mode: expected one of {_KINDS}, got {mode!r}")
-    seed = _as_int(_get(esect, "experiment", "seed"), "experiment.seed")
+    seed = _as_int(_get(esect, "seed"), "experiment.seed")
     if seed < 0:
         raise ConfigurationError("experiment.seed must be nonnegative")
-    output = _get(esect, "experiment", "output", default=".")
+    output = _get(esect, "output", default=".")
 
-    source = _build_ingredient(grid, sections["source"], "source") if "source" in sections else None
-    potential = _build_ingredient(grid, sections["potential"], "potential") if "potential" in sections else None
+    source = _build_ingredient(grid, sections["source"]) if "source" in sections else None
+    potential = _build_ingredient(grid, sections["potential"]) if "potential" in sections else None
     if source is None and potential is None:
         raise ConfigurationError("at least one of [source] or [potential] must be present")
 
@@ -332,12 +326,12 @@ def config_from_text(text: str) -> ExperimentConfig:
     dirs = None
     if "directions" in sections:
         dsect = sections["directions"]
-        distribution = _get(dsect, "directions", "distribution", default="fibonacci-sphere")
+        distribution = _get(dsect, "distribution", default="fibonacci-sphere")
         if distribution == "fibonacci-sphere":
-            count = _as_int(_get(dsect, "directions", "count"), "directions.count")
-            dirs = fibonacci_sphere(count)
+            count = _as_int(_get(dsect, "count"), "directions.count")
+            dirs = _keyed("directions.count", fibonacci_sphere, count)
         elif distribution == "explicit":
-            vecs = _as_vector_list(_get(dsect, "directions", "values"), "directions.values")
+            vecs = _as_vector_list(_get(dsect, "values"), "directions.values")
             arr = np.asarray(vecs, dtype=np.float64)
             norms = np.linalg.norm(arr, axis=1)
             if np.any(norms == 0):
@@ -350,8 +344,9 @@ def config_from_text(text: str) -> ExperimentConfig:
 
     ssect = sections.get("solver", {})
     solver = SolverSpec(
-        tol=_as_float(ssect.get("tol", "1e-10"), "solver.tol"),
-        max_born_order=_as_int(ssect.get("max_born_order", "20"), "solver.max_born_order"),
+        tol=_as_float(ssect.get("tol", ScatteringConfig.tol), "solver.tol"),
+        max_born_order=_as_int(ssect.get("max_born_order", ScatteringConfig.max_born_order),
+                               "solver.max_born_order"),
     )
     if solver.tol <= 0 or solver.max_born_order < 1:
         raise ConfigurationError("solver.tol must be positive and solver.max_born_order >= 1")
@@ -360,21 +355,21 @@ def config_from_text(text: str) -> ExperimentConfig:
     if "nearfield" in sections:
         nsect = sections["nearfield"]
         nearfield = NearfieldSpec(
-            k_hi=_as_float(_get(nsect, "nearfield", "k_hi"), "nearfield.k_hi"),
-            delta=_as_float(_get(nsect, "nearfield", "delta"), "nearfield.delta"),
-            probes=tuple(_as_vector_list(_get(nsect, "nearfield", "probes"), "nearfield.probes")),
+            k_hi=_as_float(_get(nsect, "k_hi"), "nearfield.k_hi"),
+            delta=_as_float(_get(nsect, "delta"), "nearfield.delta"),
+            probes=tuple(_as_vector_list(_get(nsect, "probes"), "nearfield.probes")),
         )
         if nearfield.k_hi <= 1.0 or nearfield.delta <= 0:
             raise ConfigurationError("nearfield.k_hi must exceed 1 and nearfield.delta be positive")
         # the probe traces run on the mesh of [1, k_hi); counted before it is built
-        _check_mesh((nearfield.k_hi - 1.0) / nearfield.delta, "nearfield.delta")
+        _check_mesh_size((nearfield.k_hi - 1.0) / nearfield.delta, "nearfield.delta")
 
     ergodic = None
     if "ergodic" in sections:
         zsect = sections["ergodic"]
         tau = _as_float(zsect.get("tau", "0.0"), "ergodic.tau")
         bands = []
-        for i, item in enumerate(_get(zsect, "ergodic", "bands").split(";")):
+        for i, item in enumerate(_get(zsect, "bands").split(";")):
             item = item.strip()
             if not item:
                 continue
@@ -385,7 +380,7 @@ def config_from_text(text: str) -> ExperimentConfig:
             if not delta > 0:
                 raise ConfigurationError(f"ergodic.bands[{i}]: spacing must be positive, got {item!r}")
             # a band's mesh covers [K, 2 K + tau)
-            _check_mesh((K + tau) / delta, f"ergodic.bands[{i}]")
+            _check_mesh_size((K + tau) / delta, f"ergodic.bands[{i}]")
             bands.append((K, delta))
         ergodic = ErgodicSpec(
             c0=_as_float(zsect.get("c0", "1.0"), "ergodic.c0"),
@@ -398,9 +393,10 @@ def config_from_text(text: str) -> ExperimentConfig:
         if ergodic.n_rep < 2:
             raise ConfigurationError(f"ergodic.n_rep: {ergodic.n_rep} repetitions; at least 2 required")
 
-    unread = [f"{name}.{key}" for name, sect in sections.items() for key in sect if key not in sect.read]
+    unread = [(f"{sect.name}.{key}", line) for sect in sections.values() for key, line in sect.unread.items()]
     if unread:
-        raise ConfigurationError(f"{unread[0]}: its section, as written, never reads this key")
+        name, line = unread[0]
+        raise ConfigurationError(f"{name}: its section, as written, never reads this key (line {line})")
     return ExperimentConfig(
         grid=grid, source=source, potential=potential, band=band, dirs=dirs,
         mode=mode, seed=seed, output=output, solver=solver,

@@ -45,6 +45,14 @@ def _self_cell_integral(k: float, h: float) -> complex:
     return complex((np.exp(1j * k * rho) * (1.0 - 1j * k * rho) - 1.0) / (k * k))
 
 
+def _unit_rows(vectors, what: str) -> np.ndarray:
+    """``vectors`` as rows of float64, once each row is unit length to 1e-12."""
+    rows = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-12):
+        raise ConfigurationError(f"{what} must be unit length")
+    return rows
+
+
 def _whole(grid: GridSpec):
     """The box (per-axis inclusive index ranges) of every cell of ``grid``."""
     return tuple((0, n - 1) for n in grid.dims)
@@ -146,9 +154,7 @@ def _plane_wave(k: float, d, grid: GridSpec, box) -> np.ndarray:
 
 def incident_plane_wave(k: float, direction, grid: GridSpec) -> ComplexField:
     """Unit-amplitude plane wave e^{i k d . x} sampled at cell centers."""
-    d = np.asarray(direction, dtype=np.float64)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ConfigurationError(f"incident direction must be unit length, got |d|={np.linalg.norm(d)}")
+    d = _unit_rows(direction, "incident direction")[0]
     return ComplexField(grid, _plane_wave(k, d, grid, _whole(grid)))
 
 
@@ -223,9 +229,7 @@ class ScatteringConfig:
         if self.alpha == 1:
             if self.incident_dir is None:
                 raise ConfigurationError("alpha=1 requires an incident direction")
-            d = np.asarray(self.incident_dir, dtype=np.float64)
-            if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-                raise ConfigurationError("incident direction must be unit length")
+            d = _unit_rows(self.incident_dir, "incident direction")[0]
             object.__setattr__(self, "incident_dir", tuple(float(c) for c in d))
         for name in ("potential", "source"):
             fld = _as_field_or_none(getattr(self, name))
@@ -469,10 +473,7 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs, freqs=None) -> np.ndarray:
     cfg.k is then not read. Only a config without a potential accepts it:
     only then is the density the same at every frequency.
     """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise ConfigurationError("far-field directions must be unit length")
+    dirs = _unit_rows(dirs, "far-field directions")
     f, q = cfg._source_data, cfg._potential_data
     if freqs is not None and q is not None:
         raise ConfigurationError("a far field over a frequency mesh needs a config without a potential")
@@ -512,7 +513,14 @@ def far_field(cfg: ScatteringConfig, u_sc, dirs, freqs=None) -> np.ndarray:
 # band sweeps and the far-field data container
 # ---------------------------------------------------------------------------
 
-_KINDS = ("passive", "active-backscatter")
+# the data kinds, each with its weight scale c and shift factor a: the band
+# estimate weights by w(k) = (c k)^m and shifts by s = a tau. Backscatter data
+# samples the medium spectrum at 2 k xhat, so a data shift of tau/2 moves the
+# sampled spatial frequency by tau, and the weight must use the sampled
+# frequency 2k for the band average to settle on mu_hat rather than
+# 2^(-m) mu_hat.
+_KIND_FORM = {"passive": (1.0, 1.0), "active-backscatter": (2.0, 0.5)}
+_KINDS = tuple(_KIND_FORM)
 
 
 def _mesh_spacing(freqs) -> Optional[float]:
@@ -538,13 +546,11 @@ class FarFieldSet:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        dirs = np.ascontiguousarray(np.atleast_2d(self.dirs), dtype=np.float64)
-        freqs = np.ascontiguousarray(np.atleast_1d(self.freqs), dtype=np.float64)
-        values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.kind not in _KINDS:
             raise ConfigurationError(f"far-field kind must be one of {_KINDS}")
-        if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-12):
-            raise ConfigurationError("far-field directions must be unit length")
+        dirs = np.ascontiguousarray(_unit_rows(self.dirs, "far-field directions"))
+        freqs = np.ascontiguousarray(np.atleast_1d(self.freqs), dtype=np.float64)
+        values = np.ascontiguousarray(self.values, dtype=np.complex128)
         object.__setattr__(self, "_delta", _mesh_spacing(freqs))
         if values.shape != (dirs.shape[0], freqs.shape[0]):
             raise ConfigurationError(
@@ -677,7 +683,7 @@ def draw_realization(source, potential, seed):
 
 
 def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
-               tol=1e-10, max_born_order=20) -> FarFieldSet:
+               tol=ScatteringConfig.tol, max_born_order=ScatteringConfig.max_born_order) -> FarFieldSet:
     """Sweep a frequency band under one realization of the randomness.
 
     Random ingredients (MigrSpec) are drawn exactly once by
@@ -735,7 +741,8 @@ def band_sweep(grid, source, potential, frequencies, dirs, mode, seed, *,
     return FarFieldSet(dirs=dirs, freqs=freqs, values=values, kind=mode, meta=meta)
 
 
-def probe_traces(grid, source, potential, ks, cells, *, tol=1e-10, max_born_order=20) -> np.ndarray:
+def probe_traces(grid, source, potential, ks, cells, *, tol=ScatteringConfig.tol,
+                 max_born_order=ScatteringConfig.max_born_order) -> np.ndarray:
     """u_sc at the probe ``cells`` (grid index triples) for each frequency: an (n_cells, n_k) array.
 
     Each solve keeps u_sc on the hull of the probe cells and q's box, so its

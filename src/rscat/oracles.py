@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigurationError, OracleError
 from .fields import ComplexField, GridSpec, ScalarField
 
@@ -118,6 +117,16 @@ def riesz_kernel(m, r):
     return limit / (2.0 * np.pi ** 2 * r)
 
 
+def _distances(grid: GridSpec, point) -> np.ndarray:
+    """|y - point| at every cell centre y of ``grid``."""
+    xs, ys, zs = grid.coords()
+    return np.sqrt(
+        (xs[:, None, None] - point[0]) ** 2
+        + (ys[None, :, None] - point[1]) ** 2
+        + (zs[None, None, :] - point[2]) ** 2
+    )
+
+
 def direct_farfield(g, k, direction):
     """Far-field coefficient (1/4 pi) sum_cells e^{-i k dir.y} g(y) h^3 by direct summation.
 
@@ -129,7 +138,8 @@ def direct_farfield(g, k, direction):
     grid = g.grid
     xs, ys, zs = grid.coords()
     kd = float(k) * np.asarray(direction, dtype=np.float64)
-    s = _kernels.farfield_sum(g.data, xs, ys, zs, kd)
+    phase = kd[0] * xs[:, None, None] + kd[1] * ys[None, :, None] + kd[2] * zs[None, None, :]
+    s = complex(np.sum(np.asarray(g.data, dtype=np.complex128) * np.exp(-1j * phase)))
     return s * grid.cell_volume / (4.0 * np.pi)
 
 
@@ -144,11 +154,16 @@ def potential_kernel_integral(mu: ScalarField, x, min_clearance=2.0):
         d = np.min(np.linalg.norm(centers - pt[None, :], axis=1))
         if d < min_clearance * grid.spacing:
             raise ConfigurationError(
-                f"evaluation point {tuple(pt)} is {d:.3g} from the support; "
+                f"evaluation point {tuple(pt.tolist())} is {d:.3g} from the support; "
                 f"need at least {min_clearance} cells ({min_clearance * grid.spacing:.3g})"
             )
-    xs, ys, zs = grid.coords()
-    return _kernels.newtonian_sum(mu.data, xs, ys, zs, pt) * grid.cell_volume
+    data = np.asarray(mu.data, dtype=np.float64)
+    r = _distances(grid, pt)
+    if np.any(mask & (r <= 0)):
+        raise ValueError(
+            f"newtonian sum needs r > 0 on the support; {tuple(pt.tolist())} is a support cell centre"
+        )
+    return float(np.sum(np.divide(data, r, out=np.zeros_like(r), where=mask))) * grid.cell_volume
 
 
 def resolvent_point_values(phi, k, points):
@@ -158,13 +173,16 @@ def resolvent_point_values(phi, k, points):
     outgoing phase of the FFT-convolution solver.
     """
     grid = phi.grid
-    xs, ys, zs = grid.coords()
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.array(
-        [_kernels.green_point_sum(phi.data, xs, ys, zs, float(k), p) for p in pts],
-        dtype=np.complex128,
-    )
-    return out * grid.cell_volume
+    g = np.asarray(phi.data, dtype=np.complex128)
+    k = float(k)
+    out = []
+    for p in np.atleast_2d(np.asarray(points, dtype=np.float64)):
+        r = _distances(grid, p)
+        kernel = np.zeros_like(r, dtype=np.complex128)
+        inside = r > 0
+        kernel[inside] = np.exp(1j * k * r[inside]) / (4.0 * np.pi * r[inside])
+        out.append(complex(np.sum(g * kernel)))
+    return np.array(out, dtype=np.complex128) * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,17 @@ import numpy as np
 
 from .errors import ConfigurationError, DataCoverageError
 from .fields import GridSpec, ScalarField, _ifftn_raw
-from .forward import FarFieldSet, _mesh_spacing
+from .forward import _KIND_FORM, FarFieldSet, _mesh_spacing, _unit_rows
 
 PREFACTOR = 4.0 * math.sqrt(2.0 * math.pi)
 
 _EQUATOR_TOL = 1e-12
 
 
-# weight scale c and shift factor a per data kind: w(k) = (c k)^m, s = a tau.
-# Backscatter data samples the medium spectrum at 2 k xhat, so a data shift
-# of tau/2 moves the sampled spatial frequency by tau, and the weight must use
-# the sampled frequency 2k for the band average to settle on mu_hat rather
-# than 2^(-m) mu_hat.
-_KIND_FORM = {"passive": (1.0, 1.0), "active-backscatter": (2.0, 0.5)}
+def _check_band_terms(n_terms: int, where: str):
+    """Raise, naming ``where``, when a band [K, 2K) holds fewer than 16 mesh points."""
+    if n_terms < 16:
+        raise ConfigurationError(f"{where}: band [K, 2K) holds {n_terms} mesh points; at least 16 required")
 
 
 def _band_estimates(ff: FarFieldSet, m: float, taus, dir_indices, K: float):
@@ -57,10 +55,7 @@ def _band_estimates(ff: FarFieldSet, m: float, taus, dir_indices, K: float):
         raise ConfigurationError(
             f"band start K={K} is not an integer multiple of the mesh spacing {delta}"
         )
-    if n_terms < 16:
-        raise ConfigurationError(
-            f"band [K, 2K) holds only {n_terms} mesh points; at least 16 required"
-        )
+    _check_band_terms(n_terms, f"band start K={K}")
     shifts = half * taus
     steps = shifts / delta
     off = np.abs(steps - np.round(steps)) > 1e-6
@@ -119,9 +114,7 @@ def hermitian_complete(dirs, values, normal):
     equatorial row is averaged with the conjugate of its mirror row, which
     must be present. Returns the completed (dirs, values).
     """
-    n = np.asarray(normal, dtype=np.float64)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ConfigurationError("completion normal must be unit length")
+    n = _unit_rows(normal, "completion normal")[0]
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     values = np.atleast_2d(np.asarray(values, dtype=np.complex128))
     if values.shape[0] != dirs.shape[0]:
@@ -151,6 +144,21 @@ def hermitian_complete(dirs, values, normal):
 # polar lattice -> Cartesian spectrum -> strength field
 # ---------------------------------------------------------------------------
 
+def _check_sample_radius(tau: float, grid: GridSpec, where: str):
+    """Raise, naming ``where``, unless a polar sample at radius ``tau`` scatters without aliasing.
+
+    The trilinear footprint of a sample reaches one dual cell past its
+    radius along each axis, and must stay below the grid Nyquist.
+    """
+    cell = 2.0 * np.pi / (min(grid.dims) * grid.spacing)
+    if not (0 <= tau and tau + cell < grid.nyquist):
+        raise ConfigurationError(
+            f"{where}: {tau:.4g} is not in [0, {grid.nyquist - cell:.4g}); the scatter reaches one "
+            f"dual cell ({cell:.4g}) past a sample's radius, and past the grid Nyquist "
+            f"{grid.nyquist:.4g} it would alias"
+        )
+
+
 def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
     """Trilinear scatter of values[d, t], sampled at taus[t] * dirs[d], onto the dual lattice.
 
@@ -164,13 +172,7 @@ def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
     pts = (dirs[:, None, :] * taus[None, :, None]).reshape(-1, 3)
     vals = values.ravel()
     tau_max = float(np.max(taus))
-    # the trilinear footprint reaches one dual cell past tau_max along each axis
-    if tau_max + max(dxi) >= grid.nyquist:
-        raise ConfigurationError(
-            f"largest sampled radius {tau_max:.4g} lies within one dual cell "
-            f"({max(dxi):.4g}) of the reconstruction lattice Nyquist "
-            f"{grid.nyquist:.4g}; the scatter would alias"
-        )
+    _check_sample_radius(tau_max, grid, "largest sampled radius")
     frac = pts / np.asarray(dxi)[None, :]
     i0 = np.floor(frac).astype(int)
     w = frac - i0
@@ -272,9 +274,7 @@ def _select_dirs(ff, dirs, normal_n):
     chosen = ff.dirs[_dir_indices(ff, dirs)]
     if normal_n is None:
         return chosen, None
-    n = np.asarray(normal_n, dtype=np.float64)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ConfigurationError("hemisphere mode requires a unit separating normal")
+    n = _unit_rows(normal_n, "hemisphere mode's separating normal")[0]
     kept = chosen[chosen @ n >= -_EQUATOR_TOL]
     if not len(kept):
         raise ConfigurationError("no data directions lie on the requested hemisphere")
@@ -360,12 +360,17 @@ def nearfield_second_moment(samples, m: float) -> float:
 MAX_MESH_POINTS = 2 ** 20
 
 
+def _check_mesh_size(count: float, where: str):
+    """Raise, naming ``where``, when a frequency mesh would hold more than MAX_MESH_POINTS points."""
+    if not count <= MAX_MESH_POINTS:
+        raise ConfigurationError(
+            f"{where}: the frequency mesh would hold {count:.4g} points, above the cap of {MAX_MESH_POINTS}")
+
+
 def midpoint_mesh(k_lo: float, k_hi: float, delta: float) -> np.ndarray:
     """Midpoint frequency mesh covering [k_lo, k_hi] with spacing delta, at most MAX_MESH_POINTS long."""
     count = (k_hi - k_lo) / delta
-    if not count <= MAX_MESH_POINTS:
-        raise ConfigurationError(
-            f"frequency mesh of {count:.4g} points (spacing {delta}) is above the cap of {MAX_MESH_POINTS}")
+    _check_mesh_size(count, f"spacing {delta} over [{k_lo}, {k_hi}]")
     n = int(round(count))
     if n < 1:
         raise ConfigurationError("empty frequency mesh")

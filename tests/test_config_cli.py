@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ def test_missing_key_named(tmp_path):
         load_config(_write(tmp_path, text))
 
 
+def test_misspelt_required_key_names_both_keys():
+    with pytest.raises(ConfigurationError) as info:
+        config_from_text(MINIMAL.replace("k_lo = 6.0", "k_l0 = 6.0").format(out="."))
+    assert "band.k_lo" in str(info.value)
+    assert "band.k_l0" in str(info.value)
+
+
 def test_tau_must_be_mesh_multiple(tmp_path):
     text = MINIMAL.replace("tau_max = 2.0", "tau_list = 0.0 0.3")
     with pytest.raises(ConfigurationError, match=r"band.tau_list\[1\]"):
@@ -106,6 +114,41 @@ amplitude = 0.5
 width = 0.08
 cutoff = 3.0
 """
+
+
+EVERY_SECTION = SEPARATED + """
+[solver]
+tol = 1e-10
+
+[nearfield]
+k_hi = 5.0
+delta = 0.5
+probes = 0.7 0 0
+
+[ergodic]
+bands = 8:0.25; 9:0.25; 10:0.25
+"""
+
+
+@pytest.mark.parametrize("section, old, new", [
+    ("grid", "spacing = 0.125", "spacin = 0.125"),
+    ("source", "m = 2.5", "mm = 2.5"),
+    ("potential", "m = 3.5", "mm = 3.5"),
+    ("band", "tau_max = 2.0", "tau_mx = 2.0"),
+    ("directions", "count = 6", "cuont = 6"),
+    ("experiment", "seed = 11", "sede = 11"),
+    ("solver", "tol = 1e-10", "toll = 1e-10"),
+    ("nearfield", "delta = 0.5", "detla = 0.5"),
+    ("ergodic", "bands = ", "bnads = "),
+])
+def test_misspelt_key_named_with_its_line(section, old, new):
+    config_from_text(EVERY_SECTION.format(out="."))
+    text = EVERY_SECTION.replace(old, new, 1).format(out=".")
+    line = next(i for i, raw in enumerate(text.splitlines(), start=1) if raw.startswith(new))
+    # the key's own line is the first one given after it
+    key = re.escape(f"{section}.{new.split()[0]}")
+    with pytest.raises(ConfigurationError, match=rf"{key}\b[^;]*?\(line {line}\)"):
+        config_from_text(text)
 
 
 def test_separated_supports_give_normal(tmp_path):
@@ -261,9 +304,15 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
      "ergodic.n_rep"),
     ("output = {out}", "output = {out}\n[ergodic]\nbands = 8:0.25; 9:0.25; 10:0.25\nn_rep = 1\n",
      "ergodic.n_rep"),
+    # the scatter of tau = 24 reaches one dual cell (~3.1) past it, beyond the Nyquist
+    ("tau_max = 2.0", "tau_list = 0 1.0 24.0", "band.tau_list[2]"),
+    ("count = 6", "count = 0", "directions.count"),
+    ("dims = 16", "dims = 12", "grid.dims"),
+    ("spacing = 0.125", "spacing = -1", "grid.spacing"),
 ], ids=["dims", "k_lo", "k_lo_inf", "solver_tol_nan", "nearfield_k_hi_inf", "n_terms", "tau_step",
         "tau_list", "tau_max", "ergodic_spacing", "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit",
-        "n_terms_mesh_cap", "k_lo_mesh_cap", "n_rep_negative", "n_rep_one"])
+        "n_terms_mesh_cap", "k_lo_mesh_cap", "n_rep_negative", "n_rep_one", "tau_list_scatter_alias",
+        "count_zero", "dims_not_pow2", "spacing_negative"])
 def test_degenerate_values_exit_2_naming_their_key(tmp_path, capsys, old, new, key):
     # every command validates the whole config before it runs
     path = _write(tmp_path, MINIMAL.replace(old, new))
@@ -326,6 +375,23 @@ probes = 0.6875 0 0
     centre = (0.6875, 0.0625, 0.0625)  # cell (13, 8, 8)
     assert tuple(row[:3]) == centre
     assert row[4] == potential_kernel_integral(load_config(path).source.strength, centre)
+
+
+def test_nearfield_probe_at_the_support_exits_2_before_any_trace(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, MINIMAL + """
+[nearfield]
+k_hi = 5.0
+delta = 0.5
+probes = 0.7 0 0; 0.1 0 0
+""")
+    calls = []
+    monkeypatch.setattr("rscat.cli.probe_traces", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "nf.csv"
+    assert run_command(["nearfield", "--config", path, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "evaluation point (0.0625, 0.0625, 0.0625)" in err
 
 
 @pytest.mark.parametrize("base", [MINIMAL, SEPARATED], ids=["source", "source-and-potential"])
