@@ -5,8 +5,10 @@ line, ``#`` comments. Unknown sections, and keys that the build never reads
 (unknown, misspelt, or unused by their section as written), are hard errors:
 a silently ignored typo in an order or mesh key would invalidate recovery
 constants. Error messages name ``section.key``; an unread key's also give its
-line, and a missing key's list the unread keys of its section. Solver
-defaults and the bounds the library enforces are read from the library.
+line, and a missing key's list the unread keys of its section. The
+defaults of omitted keys (solver, bump cutoff, ergodic repetitions and
+seed) are the library's own, and each bound the library enforces is
+checked by the library's own function, its error prefixed with the key.
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fields import GridSpec
-from .forward import _KIND_FORM, _KINDS, ScatteringConfig, _box_normal
+from .forward import _KIND_FORM, _KINDS, ScatteringConfig, _box_normal, _check_born_order, _check_tol
 from .migr import MigrSpec, ball_indicator_field, gaussian_bump_field
-from .recovery import _check_band_terms, _check_mesh_size, _check_sample_radius, midpoint_mesh
+from .recovery import (_check_band_terms, _check_mesh_size, _check_repetitions, _check_sample_radius,
+                       ergodic_diagnostic, midpoint_mesh)
+
+# the ergodic diagnostic's own defaults, for the [ergodic] keys a config leaves out
+_DIAGNOSTIC_DEFAULTS = ergodic_diagnostic.__kwdefaults__
 
 _SECTIONS = ("grid", "source", "potential", "band", "directions", "experiment", "solver",
              "nearfield", "ergodic")
@@ -149,8 +155,10 @@ def _build_shape(grid, sect, prefix=""):
     amplitude = _as_float(_get(sect, prefix + "amplitude"), f"{name}.{prefix}amplitude")
     if shape == "gaussian-bump":
         width = _as_float(_get(sect, prefix + "width"), f"{name}.{prefix}width")
-        cutoff = _as_float(sect.get("cutoff", "4.0"), f"{name}.cutoff")
-        return gaussian_bump_field(grid, center, amplitude, width, cutoff_radii=cutoff)
+        # an absent cutoff takes the bump's own default
+        cutoff = sect.get("cutoff")
+        extra = {} if cutoff is None else {"cutoff_radii": _as_float(cutoff, f"{name}.cutoff")}
+        return gaussian_bump_field(grid, center, amplitude, width, **extra)
     if shape == "ball-indicator":
         radius = _as_float(_get(sect, prefix + "radius"), f"{name}.{prefix}radius")
         return ball_indicator_field(grid, center, radius, amplitude)
@@ -348,8 +356,8 @@ def config_from_text(text: str) -> ExperimentConfig:
         max_born_order=_as_int(ssect.get("max_born_order", ScatteringConfig.max_born_order),
                                "solver.max_born_order"),
     )
-    if solver.tol <= 0 or solver.max_born_order < 1:
-        raise ConfigurationError("solver.tol must be positive and solver.max_born_order >= 1")
+    _keyed("solver.tol", _check_tol, solver.tol)
+    _keyed("solver.max_born_order", _check_born_order, solver.max_born_order)
 
     nearfield = None
     if "nearfield" in sections:
@@ -387,11 +395,10 @@ def config_from_text(text: str) -> ExperimentConfig:
             m=_as_float(zsect.get("m", "0.0"), "ergodic.m"),
             tau=tau,
             bands=tuple(bands),
-            n_rep=_as_int(zsect.get("n_rep", "50"), "ergodic.n_rep"),
-            seed=_as_int(zsect.get("seed", "0"), "ergodic.seed"),
+            n_rep=_as_int(zsect.get("n_rep", _DIAGNOSTIC_DEFAULTS["n_rep"]), "ergodic.n_rep"),
+            seed=_as_int(zsect.get("seed", _DIAGNOSTIC_DEFAULTS["seed0"]), "ergodic.seed"),
         )
-        if ergodic.n_rep < 2:
-            raise ConfigurationError(f"ergodic.n_rep: {ergodic.n_rep} repetitions; at least 2 required")
+        _keyed("ergodic.n_rep", _check_repetitions, ergodic.n_rep)
 
     unread = [(f"{sect.name}.{key}", line) for sect in sections.values() for key, line in sect.unread.items()]
     if unread:

@@ -5,9 +5,11 @@ Three transforms are defined here. Rough-field synthesis and
 half lattice; synthesis inverts onto the strength's support box only, each
 axis cropped right after its pass. The resolvent's padded convolution
 (``_padded_fftn``, ``_cropped_ifftn``), its kernel spectrum (a DCT-I in
-``_even_spectrum``) and the strength reconstruction (``_ifftn_raw``) use the
-standard normalization. Physical-convention factors such as (2 pi)^(-3/2)
-are applied explicitly at call sites.
+``_even_spectrum``, half stored along axis 0 and multiplied in by
+``_even_product`` inside ``_cropped_ifftn``) and the strength
+reconstruction (``_ifftn_raw``) use the standard normalization.
+Physical-convention factors such as (2 pi)^(-3/2) are applied explicitly at
+call sites.
 """
 
 from __future__ import annotations
@@ -229,21 +231,42 @@ def _irfftn(arr: np.ndarray, dims, box=None) -> np.ndarray:
 
 
 def _even_spectrum(octant: np.ndarray) -> np.ndarray:
-    """Standard-normalization DFT of the even (2m)^3 extension of an (m + 1)^3 octant.
+    """Standard-normalization DFT of the even (2 m_i) extension of an (m_i + 1) octant, half stored.
 
     Index j of an axis of the extension holds octant entry min(j, 2m - j);
     the DFT of such a block is even too, and its octant is the DCT-I of the
-    input octant.
+    input octant. Axes 1 and 2 are mirrored to their full length 2 m_i;
+    axis 0 keeps rows 0 .. m_0 only, since lattice row j > m_0 equals row
+    2 m_0 - j. :func:`_even_lattice` gives the full lattice and
+    :func:`_even_product` multiplies by the spectrum on it.
     """
     spec = _sfft.dctn(octant, type=1, workers=_FFT_WORKERS)
-    ms = [s - 1 for s in octant.shape]
-    out = np.empty(tuple(2 * m for m in ms), dtype=spec.dtype)
+    _, m1, m2 = (s - 1 for s in octant.shape)
+    out = np.empty((spec.shape[0], 2 * m1, 2 * m2), dtype=spec.dtype)
     # per axis, [0, m] is copied as is and [m + 1, 2m) is [m - 1 .. 1] reversed
     halves = [((slice(0, m + 1), slice(0, m + 1)), (slice(m + 1, None), slice(m - 1, 0, -1)))
-              for m in ms]
+              for m in (m1, m2)]
     for blocks in itertools.product(*halves):
         dst, src = zip(*blocks)
-        out[dst] = spec[src]
+        out[(slice(None),) + dst] = spec[(slice(None),) + src]
+    return out
+
+
+def _even_lattice(half: np.ndarray) -> tuple:
+    """Shape of the full lattice of a spectrum half stored by :func:`_even_spectrum`."""
+    return (2 * (half.shape[0] - 1),) + half.shape[1:]
+
+
+def _even_product(spec: np.ndarray, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``spec``, given on the full lattice, times the half-stored even spectrum ``half``, into ``out``.
+
+    Lattice rows 0 .. m of axis 0 meet ``half`` as stored and rows m + 1 ..
+    meet its rows m - 1 .. 1 reversed, so the innermost axis is read forward.
+    ``out`` may be ``spec``.
+    """
+    m = half.shape[0] - 1
+    np.multiply(spec[: m + 1], half, out=out[: m + 1])
+    np.multiply(spec[m + 1:], half[m - 1:0:-1], out=out[m + 1:])
     return out
 
 
@@ -269,13 +292,33 @@ def _padded_fftn(block: np.ndarray, padded, offset) -> np.ndarray:
     return out
 
 
-def _cropped_ifftn(spec: np.ndarray, dims) -> np.ndarray:
-    """Inverse of :func:`_padded_fftn` kept on the leading ``dims`` block; overwrites ``spec``.
+# byte budget of one slab of a read-only spectrum's product and its axis-0 inverse
+_SLAB_BYTES = 2 ** 20
 
-    Each axis is cropped right after its inverse pass, so later passes skip
-    the rows that are dropped.
+
+def _cropped_ifftn(spec: np.ndarray, dims, half: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_padded_fftn` of ``spec`` times the half-stored spectrum ``half``, on the leading ``dims`` block.
+
+    A writable ``spec`` takes the product (:func:`_even_product`) in place.
+    A read-only one is not written to: the product and the axis-0 pass run
+    on a slab of axis-1 columns at a time, in one buffer of at most
+    ``_SLAB_BYTES``, each slab cropped to ``dims[0]`` rows right after its
+    pass, so no product on the whole lattice is held. Each axis is cropped
+    right after its inverse pass, so later passes skip the rows that are
+    dropped.
     """
-    out = _sfft.ifft(spec, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[: dims[0]]
+    if spec.flags.writeable:
+        out = _sfft.ifft(_even_product(spec, half, out=spec), axis=0, overwrite_x=True,
+                         workers=_FFT_WORKERS)[: dims[0]]
+    else:
+        p0, p1, p2 = spec.shape
+        step = max(1, min(p1, _SLAB_BYTES // (16 * p0 * p2)))
+        buf = np.empty((p0, step, p2), dtype=np.complex128)
+        out = np.empty((dims[0], p1, p2), dtype=np.complex128)
+        for j in range(0, p1, step):
+            cols = slice(j, j + step)
+            slab = _even_product(spec[:, cols], half[:, cols], out=buf[:, : min(step, p1 - j)])
+            out[:, cols] = _sfft.ifft(slab, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[: dims[0]]
     out = _sfft.ifft(out, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, : dims[1]]
     out = _sfft.ifft(out, axis=2, overwrite_x=True, workers=_FFT_WORKERS)[:, :, : dims[2]]
     return np.ascontiguousarray(out)

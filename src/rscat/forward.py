@@ -10,6 +10,7 @@ formula depends on this choice.
 from __future__ import annotations
 
 import numbers
+import weakref
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Optional
@@ -25,8 +26,8 @@ from .errors import (
     SolverConvergenceError,
     SolverDivergenceError,
 )
-from .fields import (ComplexField, GridSpec, ScalarField, _crop, _cropped_ifftn, _even_spectrum,
-                     _padded_fftn, _support_box, require_collar)
+from .fields import (ComplexField, GridSpec, ScalarField, _crop, _cropped_ifftn, _even_lattice,
+                     _even_spectrum, _padded_fftn, _support_box, require_collar)
 from .migr import MigrSpec, Realization, synthesize_migr
 
 
@@ -79,7 +80,9 @@ class ResolventOperator:
     The kernel spectrum is built by the first apply, or by a Born solve for
     every box pair it will meet, and rebuilt at the elementwise maximum when
     a later pair of boxes needs a larger m, so it only grows; pairs it
-    covers reuse it.
+    covers reuse it. It is even, so it is kept on rows 0 .. m_0 of axis 0
+    (:func:`~rscat.fields._even_spectrum`, four block copies of the DCT-I),
+    half the lattice, and ``lattice`` gives the full padded shape.
     """
 
     def __init__(self, grid: GridSpec, k: float):
@@ -89,10 +92,15 @@ class ResolventOperator:
         self.k = float(k)
         self._kernel_hat = None
 
+    @property
+    def lattice(self) -> Optional[tuple]:
+        """The padded lattice (P_0, P_1, P_2) of the kernel spectrum, or None before it is built."""
+        return None if self._kernel_hat is None else _even_lattice(self._kernel_hat)
+
     def _spectrum(self, half) -> np.ndarray:
-        """Kernel spectrum on a lattice of at least 2 * ``half`` per axis."""
+        """Half-stored kernel spectrum on a lattice of at least 2 * ``half`` per axis."""
         if self._kernel_hat is not None:
-            have = tuple(s // 2 for s in self._kernel_hat.shape)
+            have = tuple(p // 2 for p in self.lattice)
             if all(m <= c for m, c in zip(half, have)):
                 return self._kernel_hat
             half = tuple(map(max, half, have))
@@ -111,21 +119,69 @@ class ResolventOperator:
         """R applied to ``arr``, on ``out_box`` (the whole grid when None).
 
         With ``in_box`` None, ``arr`` is whole-grid data, read on its support
-        box; otherwise ``arr`` holds exactly the cells of ``in_box``.
+        box; otherwise ``arr`` holds exactly the cells of ``in_box``. Given
+        with its box, a frozen ``arr`` (a field's ``box_data``, as the
+        source of a solve) has its padded transform read from, or kept in,
+        the one-slot memo of :func:`_source_spectrum`.
         """
         arr = np.asarray(arr)
         if out_box is None:
             out_box = _whole(self.grid)
+        transform = _source_spectrum
         if in_box is None:
             in_box = _support_box(arr)
             if in_box is None:
                 return np.zeros(_box_shape(out_box), dtype=np.complex128)
-            arr = arr[_crop(in_box)]
+            arr, transform = arr[_crop(in_box)], _padded_fftn
         kernel_hat = self._spectrum(self._half(in_box, out_box))
-        offset = tuple((li - lo) % p for (li, _), (lo, _), p in zip(in_box, out_box, kernel_hat.shape))
-        spec = _padded_fftn(arr, kernel_hat.shape, offset)
-        spec *= kernel_hat
-        return _cropped_ifftn(spec, _box_shape(out_box))
+        lattice = self.lattice
+        offset = tuple((li - lo) % p for (li, _), (lo, _), p in zip(in_box, out_box, lattice))
+        return _cropped_ifftn(transform(arr, lattice, offset), _box_shape(out_box), kernel_hat)
+
+
+# the one memo slot of _source_spectrum: (weak reference to the source, lattice, offset, spectrum)
+_SOURCE_MEMO = []
+
+
+def _frozen(arr) -> bool:
+    """True when no array in the view chain of ``arr`` can be written to."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
+def _source_spectrum(data: np.ndarray, lattice, offset) -> np.ndarray:
+    """``_padded_fftn(data, lattice, offset)``, kept in one slot while ``data`` lives and is frozen.
+
+    A band of frequencies under one realization applies the resolvent to
+    one frozen source at each frequency, and the padded lattice depends on
+    the boxes only, so the source is transformed once per lattice. The slot
+    holds the latest frozen source through a weak reference whose callback
+    empties it, keyed by that array's identity and (lattice, offset), and
+    its spectrum, read-only. A writable ``data`` (a Born update, q v) is
+    transformed and neither read from nor kept in the slot.
+    """
+    if not _frozen(data):
+        return _padded_fftn(data, lattice, offset)
+    if _SOURCE_MEMO:
+        ref, *key, spec = _SOURCE_MEMO
+        if ref() is data and key == [lattice, offset]:
+            return spec
+        # the stale spectrum goes before the new one is formed
+        del spec
+        _SOURCE_MEMO.clear()
+    spec = _padded_fftn(data, lattice, offset)
+    spec.setflags(write=False)
+    _SOURCE_MEMO[:] = [weakref.ref(data, _forget_source), lattice, offset, spec]
+    return spec
+
+
+def _forget_source(dead):
+    """Weak-reference callback: empty the memo slot when the source it holds dies."""
+    if _SOURCE_MEMO and _SOURCE_MEMO[0] is dead:
+        _SOURCE_MEMO.clear()
 
 
 def _axis_phases(ks, grid: GridSpec, box, dirs) -> list:
@@ -197,6 +253,20 @@ def _box_normal(bf, bq) -> np.ndarray:
     return n
 
 
+def _check_tol(tol):
+    """Raise unless the solver tolerance ``tol`` is finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ConfigurationError(f"solver tolerance must be finite and positive, got {tol}")
+
+
+def _check_born_order(order):
+    """Raise unless the Born order budget ``order`` is an integer of at least 1."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+        raise ConfigurationError(f"max_born_order must be an integer, got {order!r}")
+    if order < 1:
+        raise ConfigurationError(f"max_born_order must be at least 1, got {order}")
+
+
 @dataclass(frozen=True)
 class ScatteringConfig:
     """One forward solve: frequency, incident wave, and the material fields.
@@ -218,12 +288,8 @@ class ScatteringConfig:
     def __post_init__(self):
         if not 0 < self.k < np.inf:
             raise ConfigurationError(f"frequency must be finite and positive, got {self.k}")
-        if not 0 < self.tol < np.inf:
-            raise ConfigurationError(f"solver tolerance must be finite and positive, got {self.tol}")
-        if isinstance(self.max_born_order, bool) or not isinstance(self.max_born_order, numbers.Integral):
-            raise ConfigurationError(f"max_born_order must be an integer, got {self.max_born_order!r}")
-        if self.max_born_order < 1:
-            raise ConfigurationError("max_born_order must be at least 1")
+        _check_tol(self.tol)
+        _check_born_order(self.max_born_order)
         if self.alpha not in (0, 1):
             raise ConfigurationError(f"alpha must be 0 or 1, got {self.alpha}")
         if self.alpha == 1:
@@ -320,7 +386,11 @@ def lippmann_schwinger_solve(cfg: ScatteringConfig, operator: Optional[Resolvent
     ``out_box`` (per-axis inclusive index ranges), which must lie in the
     grid and hold the potential's support box. q u vanishes outside q's
     box, so each update reads u there only. u_sc is the right-hand side plus
-    the sum of its Born updates (R_k M_q)^n RHS. Every norm, the stop rule's
+    the sum of its Born updates (R_k M_q)^n RHS. R_k f applies the resolvent
+    to the source's frozen ``box_data``, so a band of solves under one
+    realization, whose lattice depends on the boxes only, transforms the
+    source once while it lives (:func:`_source_spectrum`); the Born updates
+    are writable and transformed afresh. Every norm, the stop rule's
     relative update |u_{n+1} - u_n| / |u_{n+1}| included, is taken over the
     output box. Raises SolverDivergenceError once the estimated contraction
     factor reaches 1 after three iterations, and SolverConvergenceError if

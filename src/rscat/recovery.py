@@ -411,6 +411,12 @@ class BandDiagnostic:
 _DIAG_DIR = (0.0, 0.0, 1.0)
 
 
+def _check_repetitions(n_rep: int):
+    """Raise unless the ergodic diagnostic has at least 2 repetitions per band."""
+    if n_rep < 2:
+        raise ConfigurationError(f"ergodic diagnostic needs n_rep >= 2 repetitions, got {n_rep}")
+
+
 def ergodic_diagnostic(source, m: float, tau: float, bands, *, n_rep: int = 50,
                        seed0: int = 0, known_mean=None) -> list:
     """Convergence profile of the band estimator across bands.
@@ -441,8 +447,7 @@ def ergodic_diagnostic(source, m: float, tau: float, bands, *, n_rep: int = 50,
             BandDiagnostic(float(K), float(delta), n_terms, spread, 1)
             for (K, delta), n_terms in zip(bands, terms)
         ]
-    if n_rep < 2:
-        raise ConfigurationError(f"ergodic diagnostic needs n_rep >= 2 repetitions, got {n_rep}")
+    _check_repetitions(n_rep)
     out = []
     for K, delta in bands:
         freqs = midpoint_mesh(K, 2.0 * K + tau, delta)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import oracles
 from .errors import FieldFormatError
-from .fields import (ComplexField, GridSpec, ScalarField, _cropped_ifftn, _even_spectrum,
-                     _irfftn, _padded_fftn, _rfftn)
+from .fields import (ComplexField, GridSpec, ScalarField, _cropped_ifftn, _even_lattice,
+                     _even_spectrum, _irfftn, _padded_fftn, _rfftn)
 from .forward import (ResolventOperator, ScatteringConfig, _chunk_length, far_field,
                       fundamental_solution, incident_plane_wave,
                       lippmann_schwinger_solve)
@@ -68,8 +68,8 @@ def check_resolvent_transform_pair():
     block = rng.standard_normal((5, 4, 6)) + 1j * rng.standard_normal((5, 4, 6))
     offset, dims = (9, 8, 13), (6, 5, 7)
     kernel_hat = _even_spectrum(octant)
-    padded = kernel_hat.shape
-    got = _cropped_ifftn(_padded_fftn(block, padded, offset) * kernel_hat, dims)
+    padded = _even_lattice(kernel_hat)
+    got = _cropped_ifftn(_padded_fftn(block, padded, offset), dims, kernel_hat)
     idx = [np.minimum(np.arange(p), p - np.arange(p)) for p in padded]
     kernel = octant[np.ix_(*idx)]
     ref = np.zeros(padded, dtype=np.complex128)

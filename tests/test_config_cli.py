@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from rscat import (ConfigurationError, ScalarField, load_config,
+from rscat import (ConfigurationError, ScalarField, gaussian_bump_field, load_config,
                    potential_kernel_integral, read_field)
 from rscat.cli import run_command
 from rscat.config import config_from_text, fibonacci_sphere
@@ -55,6 +55,15 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.mode == "passive"
     # mesh covers [K, 2K + tau_max]
     assert cfg.band.freqs[0] > 6.0 and cfg.band.freqs[-1] < 14.0 + 0.25
+
+
+def test_omitted_keys_take_the_library_defaults(tmp_path):
+    # no cutoff, n_rep or seed: the bump's and the ergodic diagnostic's own defaults
+    text = MINIMAL.replace("cutoff = 3.0\n", "") + "\n[ergodic]\nbands = 8:0.25; 9:0.25; 10:0.25\n"
+    cfg = load_config(_write(tmp_path, text))
+    bump = gaussian_bump_field(cfg.grid, (0.0, 0.0, 0.0), 1.0, 0.14)
+    assert cfg.source.strength.data.tobytes() == bump.data.tobytes()
+    assert (cfg.ergodic.n_rep, cfg.ergodic.seed) == (50, 0)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -309,10 +318,15 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
     ("count = 6", "count = 0", "directions.count"),
     ("dims = 16", "dims = 12", "grid.dims"),
     ("spacing = 0.125", "spacing = -1", "grid.spacing"),
+    # checked by the solver's own rules, which ScatteringConfig applies too
+    ("output = {out}", "output = {out}\n[solver]\ntol = -1e-10\n", "solver.tol"),
+    ("output = {out}", "output = {out}\n[solver]\nmax_born_order = 0\n", "solver.max_born_order"),
+    ("cutoff = 3.0", "cutoff = nan", "source.cutoff"),
 ], ids=["dims", "k_lo", "k_lo_inf", "solver_tol_nan", "nearfield_k_hi_inf", "n_terms", "tau_step",
         "tau_list", "tau_max", "ergodic_spacing", "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit",
         "n_terms_mesh_cap", "k_lo_mesh_cap", "n_rep_negative", "n_rep_one", "tau_list_scatter_alias",
-        "count_zero", "dims_not_pow2", "spacing_negative"])
+        "count_zero", "dims_not_pow2", "spacing_negative", "solver_tol_negative", "born_order_zero",
+        "cutoff_nan"])
 def test_degenerate_values_exit_2_naming_their_key(tmp_path, capsys, old, new, key):
     # every command validates the whole config before it runs
     path = _write(tmp_path, MINIMAL.replace(old, new))

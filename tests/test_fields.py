@@ -3,7 +3,9 @@ import pytest
 import scipy.fft as sp_fft
 
 from rscat import ComplexField, ConfigurationError, GridSpec, ScalarField
-from rscat.fields import _even_spectrum, _irfftn, _rfftn, _support_box
+from rscat import fields
+from rscat.fields import (_cropped_ifftn, _even_lattice, _even_product, _even_spectrum, _irfftn, _rfftn,
+                         _support_box)
 
 
 def test_grid_rejects_bad_dims():
@@ -146,15 +148,36 @@ def test_box_data_is_the_support_crop(grid16, rng, kind):
 
 @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
 def test_even_spectrum_mirrors_its_dct_octant(complex_data):
-    # a non-cubic octant with m = 1 on axis 0: the block copies give the bytes
-    # of the index gather min(j, 2m - j), and the DFT of the even extension
+    # non-cubic octants with m = 1 on axis 0 and then on axis 1: the block
+    # copies, read on the whole lattice through the product helper, give the
+    # bytes of the index gather min(j, 2m - j), and the DFT of the even extension
     rng = np.random.default_rng(7)
-    octant = rng.standard_normal((2, 5, 4))
-    if complex_data:
-        octant = octant + 1j * rng.standard_normal(octant.shape)
-    got = _even_spectrum(octant)
-    idx = [np.minimum(np.arange(2 * m), 2 * m - np.arange(2 * m)) for m in (1, 4, 3)]
-    assert got.dtype == octant.dtype and got.shape == (2, 8, 6)
-    assert np.array_equal(got, sp_fft.dctn(octant, type=1)[np.ix_(*idx)])
-    even = octant[np.ix_(*idx)]
-    assert np.allclose(got, np.fft.fftn(even), rtol=0, atol=1e-12 * np.max(np.abs(got)))
+    for ms in ((1, 4, 3), (4, 1, 3)):
+        octant = rng.standard_normal(tuple(m + 1 for m in ms))
+        if complex_data:
+            octant = octant + 1j * rng.standard_normal(octant.shape)
+        got = _even_spectrum(octant)
+        lattice = tuple(2 * m for m in ms)
+        assert got.dtype == octant.dtype and got.shape == (ms[0] + 1,) + lattice[1:]
+        assert _even_lattice(got) == lattice
+        full = np.ones(lattice, dtype=octant.dtype)
+        _even_product(full, got, full)
+        idx = [np.minimum(np.arange(2 * m), 2 * m - np.arange(2 * m)) for m in ms]
+        assert np.array_equal(full, sp_fft.dctn(octant, type=1)[np.ix_(*idx)])
+        even = octant[np.ix_(*idx)]
+        assert np.allclose(full, np.fft.fftn(even), rtol=0, atol=1e-12 * np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 3 * 16 * 12 * 16, 2 ** 20], ids=["one", "three", "all"])
+def test_read_only_spectrum_inverts_slab_by_slab_to_the_in_place_bytes(monkeypatch, slab_bytes):
+    # slabs of one, of three (the last one short) and of all ten axis-1 columns
+    rng = np.random.default_rng(9)
+    half = _even_spectrum(rng.standard_normal((7, 6, 9)) + 1j * rng.standard_normal((7, 6, 9)))
+    spec = rng.standard_normal((12, 10, 16)) + 1j * rng.standard_normal((12, 10, 16))
+    dims = (6, 5, 7)
+    want = _cropped_ifftn(spec.copy(), dims, half)
+    monkeypatch.setattr(fields, "_SLAB_BYTES", slab_bytes)
+    frozen = spec.copy()
+    frozen.setflags(write=False)
+    assert np.array_equal(_cropped_ifftn(frozen, dims, half), want)
+    assert np.array_equal(frozen, spec)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rscat import (ComplexField, ConfigurationError, FarFieldSet,
 from rscat import _kernels, forward
 from rscat.cli import run_command
 from rscat.config import fibonacci_sphere
-from rscat.fields import COLLAR
+from rscat.fields import COLLAR, _even_product
 from rscat.forward import (ResolventOperator, _box_normal, _farfield_batch,
                            _self_cell_integral, draw_realization)
 
@@ -134,12 +136,15 @@ def test_resolvent_spectrum_matches_full_block(k):
     x = np.zeros(NONCUBIC.dims)
     x[4, 6:9, 10:14] = 1.0
     op.apply(x)
-    sized = tuple(s // 2 for s in op._kernel_hat.shape)
+    sized = tuple(p // 2 for p in op.lattice)
     assert all(m < n for m, n in zip(sized, NONCUBIC.dims))
     for half in (sized, NONCUBIC.dims):
         spec = op._spectrum(half)
-        assert spec.shape == tuple(2 * m for m in half)
-        assert _rel(spec, np.fft.fftn(_full_padded_block(NONCUBIC, k, half))) <= 1e-13
+        assert op.lattice == tuple(2 * m for m in half)
+        # the half-stored spectrum on its whole lattice: its product with ones
+        full = np.ones(op.lattice, dtype=complex)
+        _even_product(full, spec, full)
+        assert _rel(full, np.fft.fftn(_full_padded_block(NONCUBIC, k, half))) <= 1e-13
 
 
 def test_kernel_block_is_the_octant():
@@ -166,7 +171,7 @@ def test_resolvent_apply_matches_unpruned_convolution(rng):
             x = _box_input(rng, box, complex_data)
             op = ResolventOperator(NONCUBIC, k)
             got = op.apply(x)
-            lattice = op._kernel_hat.shape
+            lattice = op.lattice
             assert all(n <= p <= 2 * n and p % 2 == 0 for p, n in zip(lattice, NONCUBIC.dims))
             assert _rel(got, _unpruned_apply(NONCUBIC, k, x)) <= 1e-13
 
@@ -187,10 +192,10 @@ def test_resolvent_spectrum_grows_and_stays_exact(rng):
     # needs a larger m than ``small`` on axes 0 and 1 but a smaller one on axis 2
     large = _box_input(rng, ((1, 3), (2, 6), (12, 19)), True)
     op.apply(small)
-    first = op._kernel_hat.shape
+    first = op.lattice
     assert _rel(op.apply(large), _unpruned_apply(NONCUBIC, k, large)) <= 1e-13
     grown = op._kernel_hat
-    assert all(g >= f for g, f in zip(grown.shape, first)) and grown.shape != first
+    assert all(g >= f for g, f in zip(op.lattice, first)) and op.lattice != first
     # a smaller input reuses the grown spectrum
     assert _rel(op.apply(small), _unpruned_apply(NONCUBIC, k, small)) <= 1e-13
     assert op._kernel_hat is grown
@@ -225,7 +230,7 @@ def test_resolvent_box_to_box_matches_unpruned_convolution(rng, pair):
         x = _box_input(rng, in_box, complex_data)
         op = ResolventOperator(NONCUBIC, k)
         got = op.apply(x[inside], in_box, out_box)
-        lattice = op._kernel_hat.shape
+        lattice = op.lattice
         assert all(p % 2 == 0 and p <= 2 * n for p, n in zip(lattice, NONCUBIC.dims))
         assert got.shape == tuple(hi - lo + 1 for lo, hi in out_box)
         assert _rel(got, _unpruned_box_apply(NONCUBIC, k, x[inside], in_box, out_box)) <= 1e-13
@@ -408,6 +413,81 @@ def test_solver_budget_exhaustion(grid16):
     with pytest.raises(SolverConvergenceError) as e:
         lippmann_schwinger_solve(cfg)
     assert e.value.residual is not None and e.value.residual > 1e-12
+
+
+# --------------------------------------------------------- source-spectrum memo
+
+def _memo_spec(grid):
+    mu = gaussian_bump_field(grid, (-0.3, 0.0, 0.0), 1.0, 0.13, cutoff_radii=3.5)
+    return MigrSpec(order=2.5, strength=mu)
+
+
+def _memo_key():
+    """The array the source-spectrum slot holds, or None when it is empty."""
+    return forward._SOURCE_MEMO[0]() if forward._SOURCE_MEMO else None
+
+
+def test_source_memo_gives_the_bytes_of_a_fresh_transform(grid32):
+    real = synthesize_migr(_memo_spec(grid32), 501)
+    forward._SOURCE_MEMO.clear()
+    for k in np.linspace(1.5, 12.0, 6):
+        cfg = ScatteringConfig(grid=grid32, k=float(k), source=real)
+        held, _ = lippmann_schwinger_solve(cfg)
+        assert _memo_key() is real.field.box_data
+        # a writable copy of the source is transformed afresh and never kept
+        object.__setattr__(cfg, "_source_data", np.array(cfg._source_data))
+        fresh, _ = lippmann_schwinger_solve(cfg)
+        assert _memo_key() is real.field.box_data
+        assert held.data.tobytes() == fresh.data.tobytes()
+
+
+def test_source_memo_misses_on_a_new_source_or_lattice(grid32, monkeypatch):
+    transforms = []
+    padded_fftn = forward._padded_fftn
+    monkeypatch.setattr(forward, "_padded_fftn",
+                        lambda *args: transforms.append(args[1:]) or padded_fftn(*args))
+    a, b = (synthesize_migr(_memo_spec(grid32), seed) for seed in (1, 2))
+    probe_box = ((4, 20), (8, 27), (6, 25))
+    forward._SOURCE_MEMO.clear()
+    # (source, frequency, output box, transforms so far): one per new source or lattice
+    for src, k, box, count in ((a, 2.0, None, 1), (a, 3.0, None, 1), (b, 3.0, None, 2),
+                               (b, 4.0, probe_box, 3), (b, 5.0, probe_box, 3),
+                               (a, 5.0, probe_box, 4), (a, 6.0, None, 5)):
+        lippmann_schwinger_solve(ScatteringConfig(grid=grid32, k=k, source=src), None, box)
+        assert len(transforms) == count
+        assert _memo_key() is src.field.box_data
+    # b missed on the lattice a had filled; the probe box changed the lattice
+    assert transforms[1] == transforms[0] and transforms[2] != transforms[1]
+
+
+def test_source_memo_empties_when_its_source_dies(grid32):
+    a, b = (synthesize_migr(_memo_spec(grid32), seed) for seed in (1, 2))
+    lippmann_schwinger_solve(ScatteringConfig(grid=grid32, k=2.0, source=a))
+    lippmann_schwinger_solve(ScatteringConfig(grid=grid32, k=2.0, source=b))
+    # a source the slot no longer holds leaves it alone when it dies
+    del a
+    gc.collect()
+    assert _memo_key() is b.field.box_data
+    del b
+    gc.collect()
+    assert forward._SOURCE_MEMO == []
+
+
+def test_born_updates_never_enter_the_source_memo(grid32, monkeypatch):
+    q = gaussian_bump_field(grid32, (0.3, 0.0, 0.0), 3.0, 0.12, cutoff_radii=3.0)
+    f = gaussian_bump_field(grid32, (-0.4, 0.0, 0.0), 1.0, 0.12, cutoff_radii=3.0)
+    held = []
+    source_spectrum = forward._source_spectrum
+    monkeypatch.setattr(forward, "_source_spectrum",
+                        lambda *args: (source_spectrum(*args), held.append(_memo_key()))[0])
+    forward._SOURCE_MEMO.clear()
+    lit = ScatteringConfig(grid=grid32, k=4.0, alpha=1, incident_dir=(0, 0, 1.0), potential=q)
+    assert lippmann_schwinger_solve(lit)[1].iterations >= 2
+    assert held and all(key is None for key in held)
+    n_lit = len(held)
+    cfg = ScatteringConfig(grid=grid32, k=4.0, potential=q, source=f)
+    assert lippmann_schwinger_solve(cfg)[1].iterations >= 2
+    assert len(held) > n_lit + 2 and all(key is f.box_data for key in held[n_lit:])
 
 
 # ------------------------------------------------------------------ far field

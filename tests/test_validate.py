@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rscat import GridSpec, forward, validate
+from rscat import GridSpec, fields, forward, validate
 from rscat.cli import run_command
 
 # each certified transform, the far-field sum and the band estimator among
@@ -11,6 +11,7 @@ _INVERSE = validate._inverse_strength_transform
 _IRFFTN = validate._irfftn
 _FARFIELD = forward._farfield_batch
 _EVEN = forward._even_spectrum
+_PRODUCT = fields._even_product
 _BAND = validate.band_correlation
 
 
@@ -36,19 +37,28 @@ def _no_imaginary_product(g, *args):
     return _FARFIELD(g.real, *args)
 
 
-def _mirror_off_by_one(octant):
-    # axis 0's mirrored half reads the DCT-I entries [m .. 2], not [m - 1 .. 1]
+def _mirror_off_by_one(spec, half, out):
+    # axis 0's mirrored lattice rows meet the stored rows [m .. 2], not [m - 1 .. 1]
+    m = half.shape[0] - 1
+    mirrored = spec[m + 1:] * half[m:1:-1]
+    out = _PRODUCT(spec, half, out)
+    out[m + 1:] = mirrored
+    return out
+
+
+def _axis1_mirror_off_by_one(octant):
+    # axis 1's mirrored half reads the DCT-I entries [m .. 2], not [m - 1 .. 1]
     spec = _EVEN(octant)
-    m = octant.shape[0] - 1
-    spec[m + 1:] = spec[m:1:-1].copy()
+    m = octant.shape[1] - 1
+    spec[:, m + 1:] = spec[:, m:1:-1].copy()
     return spec
 
 
 def _kernel_off_centre(octant):
-    # the spectrum of the kernel placed one cell along axis 0 from the origin
+    # the spectrum of the kernel placed one cell along axis 1 from the origin
     spec = _EVEN(octant)
-    p = spec.shape[0]
-    return spec * np.exp(-2j * np.pi * np.arange(p) / p)[:, None, None]
+    p = spec.shape[1]
+    return spec * np.exp(-2j * np.pi * np.arange(p) / p)[None, :, None]
 
 
 def _rotated_estimate(ff, *args):
@@ -71,8 +81,10 @@ MUTANTS = {
                                validate.check_real_transform_pair),
     "box-shifted-one-cell": (validate, "_irfftn", _box_shifted_one_cell,
                              validate.check_real_transform_pair),
-    "spectrum-mirror-off-by-one": (forward, "_even_spectrum", _mirror_off_by_one,
+    "spectrum-mirror-off-by-one": (fields, "_even_product", _mirror_off_by_one,
                                    validate.check_resolvent_symmetry),
+    "spectrum-axis1-mirror-off-by-one": (forward, "_even_spectrum", _axis1_mirror_off_by_one,
+                                         validate.check_resolvent_symmetry),
     "kernel-off-centre": (forward, "_even_spectrum", _kernel_off_centre,
                           validate.check_resolvent_symmetry),
     "imaginary-product-dropped": (forward, "_farfield_batch", _no_imaginary_product,
