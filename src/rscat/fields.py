@@ -297,7 +297,7 @@ _SLAB_BYTES = 2 ** 20
 
 
 def _cropped_ifftn(spec: np.ndarray, dims, half: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_padded_fftn` of ``spec`` times the half-stored spectrum ``half``, on the leading ``dims`` block.
+    """Inverse of :func:`_padded_fftn` of ``spec`` times the half-stored ``half``, on the leading ``dims`` block.
 
     A writable ``spec`` takes the product (:func:`_even_product`) in place.
     A read-only one is not written to: the product and the axis-0 pass run
