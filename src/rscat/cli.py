@@ -171,8 +171,7 @@ def _cmd_diagnose_ergodic(args):
     else:
         process = IndependentPowerLawProcess(ez.c0, ez.m)
         known = ez.c0 * 4.0 * np.sqrt(2.0 * np.pi) if ez.tau == 0.0 else None
-        rows = ergodic_diagnostic(process, ez.m, ez.tau, ez.bands,
-                                  n_rep=ez.n_rep, seed0=ez.seed, known_mean=known)
+        rows = ergodic_diagnostic(process, ez.m, ez.tau, ez.bands, known_mean=known, **ez.repetitions)
     with open(args.out, "w") as fh:
         fh.write("band_lo,delta,n_terms,rms_deviation,n_rep\n")
         for b in rows:

@@ -24,10 +24,7 @@ from .fields import GridSpec
 from .forward import _KIND_FORM, _KINDS, ScatteringConfig, _box_normal, _check_born_order, _check_tol
 from .migr import MigrSpec, ball_indicator_field, gaussian_bump_field
 from .recovery import (_check_band_terms, _check_mesh_size, _check_repetitions, _check_sample_radius,
-                       ergodic_diagnostic, midpoint_mesh)
-
-# the ergodic diagnostic's own defaults, for the [ergodic] keys a config leaves out
-_DIAGNOSTIC_DEFAULTS = ergodic_diagnostic.__kwdefaults__
+                       midpoint_mesh)
 
 _SECTIONS = ("grid", "source", "potential", "band", "directions", "experiment", "solver",
              "nearfield", "ergodic")
@@ -208,8 +205,8 @@ class ErgodicSpec:
     m: float
     tau: float
     bands: tuple
-    n_rep: int
-    seed: int
+    # the n_rep and seed0 keywords of ergodic_diagnostic the config gives; the rest take its defaults
+    repetitions: dict
 
 
 @dataclass(frozen=True)
@@ -390,15 +387,21 @@ def config_from_text(text: str) -> ExperimentConfig:
             # a band's mesh covers [K, 2 K + tau)
             _check_mesh_size((K + tau) / delta, f"ergodic.bands[{i}]")
             bands.append((K, delta))
+        # an absent n_rep or seed takes the diagnostic's own default
+        repetitions = {}
+        for key, keyword in (("n_rep", "n_rep"), ("seed", "seed0")):
+            value = zsect.get(key)
+            if value is not None:
+                repetitions[keyword] = _as_int(value, f"ergodic.{key}")
+        if "n_rep" in repetitions:
+            _keyed("ergodic.n_rep", _check_repetitions, repetitions["n_rep"])
         ergodic = ErgodicSpec(
             c0=_as_float(zsect.get("c0", "1.0"), "ergodic.c0"),
             m=_as_float(zsect.get("m", "0.0"), "ergodic.m"),
             tau=tau,
             bands=tuple(bands),
-            n_rep=_as_int(zsect.get("n_rep", _DIAGNOSTIC_DEFAULTS["n_rep"]), "ergodic.n_rep"),
-            seed=_as_int(zsect.get("seed", _DIAGNOSTIC_DEFAULTS["seed0"]), "ergodic.seed"),
+            repetitions=repetitions,
         )
-        _keyed("ergodic.n_rep", _check_repetitions, ergodic.n_rep)
 
     unread = [(f"{sect.name}.{key}", line) for sect in sections.values() for key, line in sect.unread.items()]
     if unread:

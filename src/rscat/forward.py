@@ -120,9 +120,12 @@ class ResolventOperator:
 
         With ``in_box`` None, ``arr`` is whole-grid data, read on its support
         box; otherwise ``arr`` holds exactly the cells of ``in_box``. Given
-        with its box, a frozen ``arr`` (a field's ``box_data``, as the
-        source of a solve) has its padded transform read from, or kept in,
-        the one-slot memo of :func:`_source_spectrum`.
+        with its box, a frozen ``arr`` (any field's ``box_data``, not only
+        the source of a solve) has its padded transform read from, or put
+        in, the one-slot memo of :func:`_source_spectrum`: it takes the slot
+        from the array held there, and keeps its padded spectrum, as large
+        as the lattice, alive until the array dies or another frozen array
+        takes the slot.
         """
         arr = np.asarray(arr)
         if out_box is None:
@@ -158,10 +161,11 @@ def _source_spectrum(data: np.ndarray, lattice, offset) -> np.ndarray:
     A band of frequencies under one realization applies the resolvent to
     one frozen source at each frequency, and the padded lattice depends on
     the boxes only, so the source is transformed once per lattice. The slot
-    holds the latest frozen source through a weak reference whose callback
-    empties it, keyed by that array's identity and (lattice, offset), and
-    its spectrum, read-only. A writable ``data`` (a Born update, q v) is
-    transformed and neither read from nor kept in the slot.
+    holds the latest frozen array given with its box, whatever the caller,
+    through a weak reference whose callback empties it, keyed by that
+    array's identity and (lattice, offset), and its spectrum, read-only. A
+    writable ``data`` (a Born update, q v) is transformed and neither read
+    from nor kept in the slot.
     """
     if not _frozen(data):
         return _padded_fftn(data, lattice, offset)

@@ -60,10 +60,14 @@ def test_minimal_config_defaults(tmp_path):
 def test_omitted_keys_take_the_library_defaults(tmp_path):
     # no cutoff, n_rep or seed: the bump's and the ergodic diagnostic's own defaults
     text = MINIMAL.replace("cutoff = 3.0\n", "") + "\n[ergodic]\nbands = 8:0.25; 9:0.25; 10:0.25\n"
-    cfg = load_config(_write(tmp_path, text))
+    path = _write(tmp_path, text)
+    cfg = load_config(path)
     bump = gaussian_bump_field(cfg.grid, (0.0, 0.0, 0.0), 1.0, 0.14)
     assert cfg.source.strength.data.tobytes() == bump.data.tobytes()
-    assert (cfg.ergodic.n_rep, cfg.ergodic.seed) == (50, 0)
+    assert cfg.ergodic.repetitions == {}
+    out = str(tmp_path / "erg.csv")
+    assert run_command(["diagnose-ergodic", "--config", path, "--out", out]) == 0
+    assert all(row.endswith(",50") for row in open(out).read().splitlines()[1:])
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -461,7 +465,7 @@ seed = 5
     assert run_command(["diagnose-ergodic", "--config", path, "--out", out]) == 0
     lines = open(out).read().splitlines()
     assert lines[0].startswith("band_lo,")
-    assert len(lines) == 4
+    assert len(lines) == 4 and all(row.endswith(",20") for row in lines[1:])
 
 
 def test_diagnose_ergodic_data_mode(tmp_path):

@@ -3,9 +3,7 @@ import pytest
 import scipy.fft as sp_fft
 
 from rscat import ComplexField, ConfigurationError, GridSpec, ScalarField
-from rscat import fields
-from rscat.fields import (_cropped_ifftn, _even_lattice, _even_product, _even_spectrum, _irfftn, _rfftn,
-                         _support_box)
+from rscat.fields import _even_lattice, _even_product, _even_spectrum, _irfftn, _rfftn, _support_box
 
 
 def test_grid_rejects_bad_dims():
@@ -166,18 +164,3 @@ def test_even_spectrum_mirrors_its_dct_octant(complex_data):
         assert np.array_equal(full, sp_fft.dctn(octant, type=1)[np.ix_(*idx)])
         even = octant[np.ix_(*idx)]
         assert np.allclose(full, np.fft.fftn(even), rtol=0, atol=1e-12 * np.max(np.abs(full)))
-
-
-@pytest.mark.parametrize("slab_bytes", [1, 3 * 16 * 12 * 16, 2 ** 20], ids=["one", "three", "all"])
-def test_read_only_spectrum_inverts_slab_by_slab_to_the_in_place_bytes(monkeypatch, slab_bytes):
-    # slabs of one, of three (the last one short) and of all ten axis-1 columns
-    rng = np.random.default_rng(9)
-    half = _even_spectrum(rng.standard_normal((7, 6, 9)) + 1j * rng.standard_normal((7, 6, 9)))
-    spec = rng.standard_normal((12, 10, 16)) + 1j * rng.standard_normal((12, 10, 16))
-    dims = (6, 5, 7)
-    want = _cropped_ifftn(spec.copy(), dims, half)
-    monkeypatch.setattr(fields, "_SLAB_BYTES", slab_bytes)
-    frozen = spec.copy()
-    frozen.setflags(write=False)
-    assert np.array_equal(_cropped_ifftn(frozen, dims, half), want)
-    assert np.array_equal(frozen, spec)

@@ -488,6 +488,9 @@ def test_born_updates_never_enter_the_source_memo(grid32, monkeypatch):
     cfg = ScatteringConfig(grid=grid32, k=4.0, potential=q, source=f)
     assert lippmann_schwinger_solve(cfg)[1].iterations >= 2
     assert len(held) > n_lit + 2 and all(key is f.box_data for key in held[n_lit:])
+    # any frozen array given with its box takes the slot, not only a solve's source
+    ResolventOperator(grid32, 4.0).apply(q.box_data, q.support_box)
+    assert _memo_key() is q.box_data
 
 
 # ------------------------------------------------------------------ far field
