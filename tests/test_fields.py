@@ -3,7 +3,9 @@ import pytest
 import scipy.fft as sp_fft
 
 from rscat import ComplexField, ConfigurationError, GridSpec, ScalarField
-from rscat.fields import _even_lattice, _even_product, _even_spectrum, _irfftn, _rfftn, _support_box
+from rscat import fields
+from rscat.fields import (_cropped_ifftn, _even_lattice, _even_product, _even_spectrum, _irfftn, _rfftn,
+                         _support_box)
 
 
 def test_grid_rejects_bad_dims():
@@ -164,3 +166,21 @@ def test_even_spectrum_mirrors_its_dct_octant(complex_data):
         assert np.array_equal(full, sp_fft.dctn(octant, type=1)[np.ix_(*idx)])
         even = octant[np.ix_(*idx)]
         assert np.allclose(full, np.fft.fftn(even), rtol=0, atol=1e-12 * np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 3 * 16 * 12 * 16, 2 ** 20], ids=["one", "three", "all"])
+def test_cropped_inverse_by_slabs_gives_the_whole_lattice_bytes(monkeypatch, slab_bytes):
+    # slabs of one, of three (the last one short) and of all ten axis-1 columns,
+    # against the product and the axis-0 inverse on the whole lattice
+    rng = np.random.default_rng(9)
+    half = _even_spectrum(rng.standard_normal((7, 6, 9)) + 1j * rng.standard_normal((7, 6, 9)))
+    spec = rng.standard_normal((12, 10, 16)) + 1j * rng.standard_normal((12, 10, 16))
+    dims = (6, 5, 7)
+    want = sp_fft.ifft(_even_product(spec, half, np.empty_like(spec)), axis=0)[: dims[0]]
+    want = sp_fft.ifft(sp_fft.ifft(want, axis=1)[:, : dims[1]], axis=2)[:, :, : dims[2]]
+    monkeypatch.setattr(fields, "_SLAB_BYTES", slab_bytes)
+    for writable in (True, False):
+        given = spec.copy()
+        given.setflags(write=writable)
+        assert np.array_equal(_cropped_ifftn(given, dims, half), want)
+        assert np.array_equal(given, spec)
