@@ -292,29 +292,37 @@ def _padded_fftn(block: np.ndarray, padded, offset) -> np.ndarray:
     return out
 
 
-# byte budget of one slab of the kernel product and its axis-0 inverse
+# byte budget of one slab of a read-only spectrum's product and its axis-0 inverse
 _SLAB_BYTES = 2 ** 20
 
 
 def _cropped_ifftn(spec: np.ndarray, dims, half: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_padded_fftn` of ``spec`` times the half-stored ``half``, on the leading ``dims`` block.
 
-    ``spec`` is not written to, so a kept spectrum can be read again. The
-    product (:func:`_even_product`) and the axis-0 inverse run on a slab of
-    axis-1 columns at a time, in one buffer of ``_SLAB_BYTES`` or of one
-    column when a column is larger, each slab cropped to ``dims[0]`` rows
-    right after its pass, so no product on the whole lattice is held. Each
-    later axis is cropped right after its inverse pass, so the passes after
-    it skip the rows that are dropped.
+    A writable ``spec`` takes the product (:func:`_even_product`) in place.
+    A read-only one is not written to: the product and the axis-0 pass run
+    on a slab of axis-1 columns at a time, in one buffer of ``_SLAB_BYTES``
+    (of one column when a column is larger), each slab cropped to
+    ``dims[0]`` rows right after its pass, so no product on the whole
+    lattice is held beside the kept spectrum. Each path is the cheaper one
+    for its input (``BENCH_pr24.json``): slabs on the writable 42^3 lattices
+    of backscatter_born raised its wall_ref by 11%, and a whole-lattice
+    product buffer for the kept source spectrum of nearfield_moments raised
+    its peak RSS by 9.7% where slabs add 4.5%. Each axis is cropped right
+    after its inverse pass, so later passes skip the rows that are dropped.
     """
-    p0, p1, p2 = spec.shape
-    step = max(1, min(p1, _SLAB_BYTES // (16 * p0 * p2)))
-    buf = np.empty((p0, step, p2), dtype=np.complex128)
-    out = np.empty((dims[0], p1, p2), dtype=np.complex128)
-    for j in range(0, p1, step):
-        cols = slice(j, j + step)
-        slab = _even_product(spec[:, cols], half[:, cols], out=buf[:, : min(step, p1 - j)])
-        out[:, cols] = _sfft.ifft(slab, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[: dims[0]]
+    if spec.flags.writeable:
+        out = _sfft.ifft(_even_product(spec, half, out=spec), axis=0, overwrite_x=True,
+                         workers=_FFT_WORKERS)[: dims[0]]
+    else:
+        p0, p1, p2 = spec.shape
+        step = max(1, min(p1, _SLAB_BYTES // (16 * p0 * p2)))
+        buf = np.empty((p0, step, p2), dtype=np.complex128)
+        out = np.empty((dims[0], p1, p2), dtype=np.complex128)
+        for j in range(0, p1, step):
+            cols = slice(j, j + step)
+            slab = _even_product(spec[:, cols], half[:, cols], out=buf[:, : min(step, p1 - j)])
+            out[:, cols] = _sfft.ifft(slab, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[: dims[0]]
     out = _sfft.ifft(out, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, : dims[1]]
     out = _sfft.ifft(out, axis=2, overwrite_x=True, workers=_FFT_WORKERS)[:, :, : dims[2]]
     return np.ascontiguousarray(out)
