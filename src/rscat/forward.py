@@ -188,27 +188,20 @@ def _forget_source(dead):
         _SOURCE_MEMO.clear()
 
 
-def _axis_phases(ks, grid: GridSpec, box, dirs) -> list:
-    """e^{i k d_a x_a} on the cell centers x_a of ``box``: one (L_a, K D) table per axis a.
-
-    ``ks`` is one frequency or a 1-D array of K; column j D + d holds
-    frequency j and direction d. The three tables are the leading rows of
-    one (3, max L_a, K D) complex array, whose real and imaginary parts are
-    written by one cos and one sin.
-    """
-    lengths = [hi - lo + 1 for lo, hi in box]
-    first = np.array([lo for lo, _ in box])[:, None]
-    x = np.array(grid.origin)[:, None] + grid.spacing * (first + np.arange(max(lengths)))
-    kd = (np.atleast_1d(ks)[:, None, None] * np.asarray(dirs)[None]).reshape(-1, 3).T
-    theta = x[:, :, None] * kd[:, None, :]
-    table = np.empty(theta.shape, dtype=np.complex128)
-    table.real, table.imag = np.cos(theta), np.sin(theta)
-    return [t[:n] for t, n in zip(table, lengths)]
+def _axis_phases(k: float, d, grid: GridSpec, box) -> list:
+    """e^{i k d_a x_a} on the cell centers x_a of ``box``: one row per axis a, written by a cos and a sin."""
+    rows = []
+    for x0, kd, (lo, hi) in zip(grid.origin, k * np.asarray(d), box):
+        theta = (x0 + grid.spacing * np.arange(lo, hi + 1)) * kd
+        row = np.empty(theta.shape, dtype=np.complex128)
+        row.real, row.imag = np.cos(theta), np.sin(theta)
+        rows.append(row)
+    return rows
 
 
 def _plane_wave(k: float, d, grid: GridSpec, box) -> np.ndarray:
     """e^{i k d . x} at the cell centers of ``box`` (per-axis inclusive index ranges)."""
-    px, py, pz = (t[:, 0] for t in _axis_phases(k, grid, box, np.asarray(d)[None, :]))
+    px, py, pz = _axis_phases(k, d, grid, box)
     return px[:, None, None] * py[None, :, None] * pz[None, None, :]
 
 
@@ -479,7 +472,8 @@ def _checked_box(grid: GridSpec, box, q_box):
     return box
 
 
-# byte budget of the (L1 L2, Kc D) complex phase table of one chunk of frequencies
+# byte budget of a (L1 L2, Kc D) complex table for one chunk of frequencies; the
+# folded real tables of _farfield_batch fill half of it
 _FARFIELD_TABLE_BYTES = 4 * 2 ** 20
 
 
@@ -493,35 +487,92 @@ def _chunk_length(box, n_dirs: int) -> int:
     return max(1, _FARFIELD_TABLE_BYTES // (16 * max(n0, n1 * n2) * n_dirs))
 
 
+def _fold(a: np.ndarray, axis: int):
+    """Even and odd parts of ``a`` about the middle of ``axis``, on its upper ceil(L/2) cells.
+
+    Cell t of the L along ``axis`` pairs with cell L-1-t, its mirror image
+    about the middle: even = a_t + a_{L-1-t} and odd = a_t - a_{L-1-t} for
+    t = L - ceil(L/2) .. L-1, in that order. An odd axis's middle cell pairs
+    with itself, so its even part is a_t and its odd part is 0.
+    """
+    n = a.shape[axis]
+    m = (n + 1) // 2
+    cells = np.moveaxis(a, axis, 0)
+    up, down = cells[n - m:], cells[m - 1::-1]
+    even, odd = up + down, up - down
+    if n % 2:
+        even[0] = up[0]
+    return np.moveaxis(even, 0, axis), np.moveaxis(odd, 0, axis)
+
+
 def _farfield_batch(g: np.ndarray, grid: GridSpec, ks, dirs: np.ndarray, box) -> np.ndarray:
     """(1/4 pi) sum_cells e^{-i k d . y} g(y) h^3 for every direction and frequency: a (D, K) array.
 
     ``g`` holds the cells of ``box`` (per-axis inclusive index ranges), the
-    only cells the sum visits; it may be real or complex. ``ks`` is a 1-D
-    array of K frequencies, taken a chunk at a time; a chunk's y and z phase
-    tables multiply into one (L1 L2, Kc D) table of at most
-    ``_FARFIELD_TABLE_BYTES``, and g, reshaped to (L0, L1 L2), meets the
-    float64 view (L1 L2, 2 Kc D) of that table in one real GEMM. A complex g
-    sends its real and imaginary parts through that GEMM as a stack of two,
-    each at the shape a real g takes, so a real g is never cast and gives the
-    same bits as its complex copy. One reduction against the x table
-    finishes each chunk.
+    only cells the sum visits; it may be real or complex. With y = c + s
+    about the box centre c, e^{-i k d . y} = e^{-i k d . c} prod_a e^{-i
+    theta_a s_a}, theta_a = k d_a, and cells s and -s of an axis share cos
+    and flip sin. So g is folded (:func:`_fold`) along each axis once per
+    call, and its even and odd parts meet real cos and sin tables on the
+    upper half axes, of M_a = ceil(L_a / 2) cells.
+
+    ``ks`` is a 1-D array of K frequencies, taken a chunk of Kc at a time
+    (:func:`_chunk_length`). Per chunk, the half-axis y and z tables
+    multiply into two real (2 M1 M2, Kc D) blocks, [cy cz ; -sy sz] and
+    [cy sz ; sy cz], and two real GEMMs against [ee | oo] and [eo | oe] (the
+    y, z parities of g, with its x-even rows above its x-odd rows) give the
+    real part and minus the imaginary part of the y, z sum. A complex g
+    sends its real and imaginary parts through the same GEMMs as a stack of
+    two, each at the shape a real g takes, so a real g is never cast and
+    gives the same bits as its complex copy. The x cos and sin tables
+    finish the sum, and the centre phase e^{-i k d . c} and h^3 / 4 pi
+    scale it.
     """
     ks = np.asarray(ks, dtype=np.float64)
-    n0, n_dirs = g.shape[0], dirs.shape[0]
-    rows = g.reshape(n0, -1)
-    if np.iscomplexobj(rows):
-        rows = np.stack((rows.real, rows.imag))
+    n_dirs = dirs.shape[0]
+    h = grid.spacing
+    centre = np.array([o + h * (lo + (n - 1) / 2) for o, (lo, _), n in zip(grid.origin, box, g.shape)])
+    # offsets s >= 0 from the centre of each axis's upper half, matching _fold's order
+    half = [h * (np.arange(n - (n + 1) // 2, n) - (n - 1) / 2) for n in g.shape]
+    m0, m1, m2 = (len(s) for s in half)
+    # x parities stacked as rows, then the four y, z parities: (2 M0, M1, M2) each
+    even, odd = _fold(g, 0)
+    rows = np.concatenate((even, odd))
+    (ee, eo), (oe, oo) = (_fold(p, 2) for p in _fold(rows, 1))
+    cos_rows = np.concatenate((ee, oo), axis=1).reshape(2 * m0, -1)
+    sin_rows = np.concatenate((eo, oe), axis=1).reshape(2 * m0, -1)
+    if np.iscomplexobj(g):
+        cos_rows = np.stack((cos_rows.real, cos_rows.imag))
+        sin_rows = np.stack((sin_rows.real, sin_rows.imag))
     chunk = _chunk_length(box, n_dirs)
     vals = np.empty((n_dirs, len(ks)), dtype=np.complex128)
     for start in range(0, len(ks), chunk):
         part = ks[start:start + chunk]
-        px, py, pz = _axis_phases(-part, grid, box, dirs)
-        yz = (py[:, None, :] * pz[None, :, :]).reshape(-1, px.shape[1]).view(np.float64)
-        t = (rows @ yz).view(np.complex128)
-        if t.ndim == 3:
-            t = t[0] + 1j * t[1]
-        vals[:, start:start + chunk] = np.einsum("id,id->d", t, px).reshape(len(part), n_dirs).T
+        kd = (part[:, None, None] * dirs[None]).reshape(-1, 3)
+        (cx, sx), (cy, sy), (cz, sz) = ((np.cos(t), np.sin(t))
+                                        for t in (s[:, None] * kd[:, a] for a, s in enumerate(half)))
+        n_cols = kd.shape[0]
+        cos_table = np.empty((2, m1, m2, n_cols))
+        sin_table = np.empty((2, m1, m2, n_cols))
+        np.multiply(cy[:, None], cz[None], out=cos_table[0])
+        np.multiply(-sy[:, None], sz[None], out=cos_table[1])
+        np.multiply(cy[:, None], sz[None], out=sin_table[0])
+        np.multiply(sy[:, None], cz[None], out=sin_table[1])
+        re = cos_rows @ cos_table.reshape(-1, n_cols)
+        im = sin_rows @ sin_table.reshape(-1, n_cols)
+        # the y, z sum p + i q on each x row; a real g takes 0 - im, the complex
+        # path's re[1] - im[0] at re[1] = 0, so both give the same signed zeros
+        if re.ndim == 3:
+            p, q = re[0] + im[1], re[1] - im[0]
+        else:
+            p, q = re, 0.0 - im
+        # the x sum: the x-even rows of p + i q meet cx, the x-odd rows -i sx
+        out = np.empty(n_cols, dtype=np.complex128)
+        out.real = np.einsum("ic,ic->c", p[:m0], cx) + np.einsum("ic,ic->c", q[m0:], sx)
+        out.imag = np.einsum("ic,ic->c", q[:m0], cx) - np.einsum("ic,ic->c", p[m0:], sx)
+        phi = kd @ centre
+        out *= np.cos(phi) - 1j * np.sin(phi)
+        vals[:, start:start + chunk] = out.reshape(len(part), n_dirs).T
     return vals * grid.cell_volume / (4.0 * np.pi)
 
 

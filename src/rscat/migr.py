@@ -251,13 +251,9 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
         for i in range(n_samples):
             fluct = _fluctuation(spec, seed0 + i)
             prods[inside, i] = fluct[cx] * fluct[cy]
-    return [
-        CovarianceEstimate(
-            value=float(np.mean(row)),
-            std_error=float(np.std(row, ddof=1) / np.sqrt(n_samples)),
-        )
-        for row in prods
-    ]
+    values = np.mean(prods, axis=1)
+    errors = np.std(prods, axis=1, ddof=1) / np.sqrt(n_samples)
+    return [CovarianceEstimate(value=float(v), std_error=float(e)) for v, e in zip(values, errors)]
 
 
 def spectral_slope(spec: MigrSpec, n_samples: int, seed0: int):

@@ -983,6 +983,45 @@ def test_far_field_band_matches_per_frequency_calls(rng, extra):
             assert band[:, j].tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fold_pairs_each_cell_with_its_mirror(rng, n):
+    a = rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2))
+    even, odd = forward._fold(a, 1)
+    m = (n + 1) // 2
+    assert even.shape == odd.shape == (3, m, 2)
+    for j, t in enumerate(range(n - m, n)):
+        mirror = n - 1 - t
+        if t == mirror:
+            # an odd axis's middle cell is counted once and has no odd part
+            assert np.array_equal(even[:, j], a[:, t]) and not odd[:, j].any()
+        else:
+            assert np.array_equal(even[:, j], a[:, t] + a[:, mirror])
+            assert np.array_equal(odd[:, j], a[:, t] - a[:, mirror])
+
+
+# off-centre, non-cubic boxes of the 32^3 grid with odd, even, length-1 and length-2 axes
+_FOLD_BOXES = {"7x4x1": ((4, 10), (10, 13), (7, 7)),
+               "2x11x10": ((5, 6), (4, 14), (14, 23)),
+               "1x2x23": ((20, 20), (21, 22), (5, 27))}
+
+
+@pytest.mark.parametrize("box", list(_FOLD_BOXES.values()), ids=list(_FOLD_BOXES))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_folded_far_field_matches_direct_sum(grid32, rng, box, kind):
+    f = _box_data(grid32, box, rng, 1.0)
+    if kind == "complex":
+        f = ComplexField(grid32, f.data * np.exp(2j * np.pi * rng.random(grid32.dims)))
+    assert f.support_box == box
+    dirs = np.vstack([np.eye(3), fibonacci_sphere(5)])
+    freqs = np.array([3.0, 17.5, 41.25])
+    band = far_field(ScatteringConfig(grid=grid32, k=1.0, source=f), None, dirs, freqs)
+    for j, k in enumerate(freqs):
+        single = far_field(ScatteringConfig(grid=grid32, k=float(k), source=f), None, dirs)
+        oracle = np.array([direct_farfield(f, k, d) for d in dirs])
+        assert _rel(band[:, j], oracle) <= 1e-12
+        assert _rel(single, oracle) <= 1e-12
+
+
 def test_band_sweep_error_annotation(grid16):
     q = gaussian_bump_field(grid16, (0, 0, 0), 500.0, 0.16, cutoff_radii=3.0)
     freqs = np.array([1.5, 2.0])

@@ -148,6 +148,25 @@ def test_covariance_matches_per_pair_products(grid16, with_mean):
         assert est.std_error == pytest.approx(float(np.std(row, ddof=1) / np.sqrt(n)), rel=rel, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 9, 130])
+def test_covariance_moments_match_the_per_row_form_bytewise(bump_spec, n):
+    # one mean and one std along the sample axis give the bytes of a call per pair
+    grid = bump_spec.grid
+    pairs = [((0, 0, 0), (0, 0, 0)), ((0.05, 0, 0), (-0.05, 0.06, 0)),
+             ((0.1, -0.1, 0.05), (0, 0.1, -0.1))]
+    ests = empirical_covariance(bump_spec, pairs, n, 11)
+    lo = np.array(bump_spec.strength.support_box)[:, 0]
+    prods = np.empty((len(pairs), n))
+    for i in range(n):
+        fluct = migr._fluctuation(bump_spec, 11 + i)
+        for p, (x, y) in enumerate(pairs):
+            prods[p, i] = (fluct[tuple(grid.nearest_cell(x) - lo)]
+                           * fluct[tuple(grid.nearest_cell(y) - lo)])
+    got = np.array([(e.value, e.std_error) for e in ests])
+    want = np.array([(np.mean(row), np.std(row, ddof=1) / np.sqrt(n)) for row in prods])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_covariance_zero_outside_support(bump_spec):
     pair = ((0.8, 0.8, 0.8), (-0.8, 0.8, 0.8))
     est = empirical_covariance(bump_spec, [pair], 50, 3)[0]

@@ -10,6 +10,7 @@ _PADDED = validate._padded_fftn
 _INVERSE = validate._inverse_strength_transform
 _IRFFTN = validate._irfftn
 _FARFIELD = forward._farfield_batch
+_FOLD = forward._fold
 _EVEN = forward._even_spectrum
 _PRODUCT = fields._even_product
 _BAND = validate.band_correlation
@@ -35,6 +36,14 @@ def _box_shifted_one_cell(arr, dims, box=None):
 
 def _no_imaginary_product(g, *args):
     return _FARFIELD(g.real, *args)
+
+
+def _fold_middle_doubled(a, axis):
+    # an odd axis's middle cell is paired with itself and counted twice
+    even, odd = _FOLD(a, axis)
+    if a.shape[axis] % 2:
+        np.moveaxis(even, axis, 0)[0] *= 2
+    return even, odd
 
 
 def _mirror_off_by_one(spec, half, out):
@@ -89,6 +98,8 @@ MUTANTS = {
                           validate.check_resolvent_symmetry),
     "imaginary-product-dropped": (forward, "_farfield_batch", _no_imaginary_product,
                                   validate.check_farfield_dual_path),
+    "fold-middle-doubled": (forward, "_fold", _fold_middle_doubled,
+                            validate.check_farfield_dual_path),
     "estimate-phase-rotated": (validate, "band_correlation", _rotated_estimate,
                                validate.check_estimator_positivity_scaling),
     "estimate-amplitude-scaled": (validate, "band_correlation", _amplitude_scaled_estimate,
