@@ -2,12 +2,13 @@
 
 Three transforms are defined here. Rough-field synthesis and
 ``spectral_slope`` use the unitary real pair ``_rfftn`` / ``_irfftn`` on the
-half lattice; synthesis inverts onto the strength's support box only, each
-axis cropped right after its pass. The resolvent's padded convolution
-(``_padded_fftn``, ``_cropped_ifftn``), its kernel spectrum (a DCT-I in
-``_even_spectrum``, half stored along axis 0 and multiplied in by
-``_even_product`` inside ``_cropped_ifftn``) and the strength
-reconstruction (``_ifftn_raw``) use the standard normalization.
+half lattice; synthesis inverts onto the strength's support box only, or
+onto the rows, columns and planes a covariance estimate reads, each axis
+cut to its slice or index array right after its pass. The resolvent's
+padded convolution (``_padded_fftn``, ``_cropped_ifftn``), its kernel
+spectrum (a DCT-I in ``_even_spectrum``, half stored along axis 0 and
+multiplied in by ``_even_product`` inside ``_cropped_ifftn``) and the
+strength reconstruction (``_ifftn_raw``) use the standard normalization.
 Physical-convention factors such as (2 pi)^(-3/2) are applied explicitly at
 call sites.
 """
@@ -146,6 +147,12 @@ def _crop(box, outer=None):
     return tuple(slice(lo - c, hi - c + 1) for (lo, hi), c in zip(box, corner))
 
 
+def _select(arr, keep):
+    """``arr`` cut to ``keep``, a per-axis slice or sorted index array, one axis at a time."""
+    s0, s1, s2 = keep
+    return arr[s0][:, s1][:, :, s2]
+
+
 def _support_box(data):
     """Per-axis (first, last) index of the nonzero cells of a 3-D array, or None if all are zero."""
     mask = data != 0
@@ -212,17 +219,24 @@ def _rfftn(arr: np.ndarray) -> np.ndarray:
     return _sfft.rfftn(arr, norm="ortho", workers=_FFT_WORKERS)
 
 
-def _irfftn(arr: np.ndarray, dims, box=None) -> np.ndarray:
-    """Real inverse of :func:`_rfftn` onto a lattice of shape ``dims``, kept on ``box``.
+def _irfftn(arr: np.ndarray, dims, keep=None) -> np.ndarray:
+    """Real inverse of :func:`_rfftn` onto a lattice of shape ``dims``, kept on ``keep``.
 
-    ``box`` (per-axis inclusive index ranges) defaults to the whole lattice.
-    One axis at a time, as in :func:`_cropped_ifftn`: a complex inverse on
-    axis 0, then on axis 1, then the real inverse of length ``dims[2]`` on
-    axis 2, each cropped to ``box`` right after its pass so later passes
-    skip the rows that are dropped. ``arr`` is not written to.
+    ``keep`` holds one selection per axis, a slice (``_crop`` of a box) or a
+    sorted index array, and defaults to the whole lattice; the result is
+    :func:`_select` of the whole inverse. One axis at a time, as in
+    :func:`_cropped_ifftn`: a complex inverse on axis 0, then on axis 1,
+    then the real inverse of length ``dims[2]`` on axis 2, each cut to its
+    selection right after its pass so later passes skip the lines that are
+    dropped. Each line that is kept is transformed as in the whole inverse.
+    ``arr`` is overwritten: the axis-0 pass runs in place, so no second
+    array of its size is allocated (``BENCH_pr26.json``: the per-draw pair
+    of fresh lattice-sized arrays page-faulted 92k times per
+    covariance_ensemble run, and one alone does not).
     """
-    s0, s1, s2 = (slice(None),) * 3 if box is None else _crop(box)
-    out = _sfft.ifft(arr, n=dims[0], axis=0, norm="ortho", workers=_FFT_WORKERS)[s0]
+    s0, s1, s2 = (slice(None),) * 3 if keep is None else keep
+    out = _sfft.ifft(arr, n=dims[0], axis=0, norm="ortho", overwrite_x=True,
+                     workers=_FFT_WORKERS)[s0]
     out = _sfft.ifft(out, n=dims[1], axis=1, norm="ortho", overwrite_x=True,
                      workers=_FFT_WORKERS)[:, s1]
     out = _sfft.irfft(out, n=dims[2], axis=2, norm="ortho", overwrite_x=True,

@@ -8,14 +8,18 @@ consistent approximation of the identity covariance so continuum kernels are
 matched without grid-dependent constants.
 
 sqrt(mu) vanishes outside the strength's support box, so the inverse
-transform lands on that box only (``fields._irfftn`` with a box) and the
-fluctuation ``sqrt(mu) * rough`` is formed there. ``synthesize_migr`` places
-it in a zero grid; ``empirical_covariance`` and ``spectral_slope`` read it on
-the box and never build a whole-grid realization.
+transform lands on that box only (``fields._irfftn`` kept on the box's
+slices) and the fluctuation ``sqrt(mu) * rough`` is formed there.
+``synthesize_migr`` places it in a zero grid and ``spectral_slope`` reads it
+on the box. ``empirical_covariance`` inverts onto a narrower set still: the
+distinct rows, columns and planes of its in-box pair cells, kept as index
+arrays. Neither estimator builds a whole-grid realization, and each draws
+its white noise into one buffer reused across its samples.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -23,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import GridSpec, ScalarField, _crop, _irfftn, _rfftn, require_collar
+from .fields import GridSpec, ScalarField, _crop, _irfftn, _rfftn, _select, require_collar
 
 _SYMBOL_DECAY_TOL = 1e-3
 
@@ -185,28 +189,36 @@ def _rough_multiplier(grid: GridSpec, m: float) -> np.ndarray:
     return mult
 
 
-def _fluctuation(spec: MigrSpec, seed: int):
-    """sqrt(mu) * rough of the draw from ``seed``, on the strength's support box.
+def _fluctuation(spec: MigrSpec, seed: int, keep=None, noise=None):
+    """sqrt(mu) * rough of the draw from ``seed``, on the strength's support box or on ``keep``.
 
-    None when the strength is zero. The rough field is inverted onto the
-    box only. For m = 0 the multiplier is the identity and the transforms
-    would cancel, so the box's noise is scaled elementwise instead. The
-    whole-grid noise is never named, so it is freed as soon as it is used.
+    None when the strength is zero. ``keep`` is a per-axis selection of
+    whole-grid indices as :func:`fields._irfftn` takes it, by default the
+    box's slices; the rough field is inverted onto it only. For m = 0 the
+    multiplier is the identity and the transforms would cancel, so the
+    selected noise is scaled elementwise instead. ``noise``, a float64
+    array shaped like the grid, receives the white noise (the same stream a
+    fresh array would get); by default a fresh array is drawn, and it is
+    never named, so it is freed as soon as it is used.
     """
     half_filter = spec._half_filter
     box = spec.strength.support_box
     if box is None:
         return None
+    if keep is None:
+        keep, root = _crop(box), spec._root_strength
+    else:
+        root = np.sqrt(_select(spec.strength.data, keep))
     grid = spec.grid
     rng = np.random.default_rng(seed)
     if half_filter is None:
-        rough = rng.standard_normal(grid.dims)[_crop(box)] * grid.spacing ** -1.5
+        rough = _select(rng.standard_normal(grid.dims, out=noise), keep) * grid.spacing ** -1.5
     else:
         # real noise and a real even filter: the half-lattice transform pair keeps the field real
-        spectrum = _rfftn(rng.standard_normal(grid.dims))
+        spectrum = _rfftn(rng.standard_normal(grid.dims, out=noise))
         spectrum *= half_filter
-        rough = _irfftn(spectrum, grid.dims, box)
-    return spec._root_strength * rough
+        rough = _irfftn(spectrum, grid.dims, keep)
+    return root * rough
 
 
 def synthesize_migr(spec: MigrSpec, seed: int) -> Realization:
@@ -227,16 +239,27 @@ class CovarianceEstimate:
     std_error: float
 
 
+def _check_sample_count(n_samples, least):
+    """Raise unless the sample count ``n_samples`` is an integer of at least ``least``."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ConfigurationError(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < least:
+        raise ConfigurationError(f"n_samples must be at least {least}, got {n_samples}")
+
+
 def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
     """Monte-Carlo averages of centered products over fresh realizations.
 
     For each point pair (x, y) the estimate is the sample mean of
     (f(x) - mean(x)) (f(y) - mean(y)) over seeds seed0 .. seed0 + n - 1,
-    returned with its standard error. The fluctuation is read on the
-    strength's support box; a pair with a cell outside it has product 0.
+    returned with its standard error. A pair with a cell outside the
+    strength's support box has product 0. Each draw is inverted onto the
+    distinct x rows, y columns and z planes of the in-box pair cells only
+    (``_fluctuation`` with index arrays), and each pair's two cells are
+    gathered from that block; the kept values are those of the box's
+    fluctuation, byte for byte.
     """
-    if n_samples < 2:
-        raise ConfigurationError("covariance estimation needs n_samples >= 2")
+    _check_sample_count(n_samples, 2)
     grid = spec.grid
     cells = np.array([(grid.nearest_cell(x), grid.nearest_cell(y)) for x, y in pairs],
                      dtype=int).reshape(-1, 2, 3)
@@ -246,10 +269,14 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
     if box is not None:
         lo, hi = np.array(box).T
         inside = np.all((cells >= lo) & (cells <= hi), axis=(1, 2))
-        at = cells[inside] - lo
-        cx, cy = tuple(at[:, 0].T), tuple(at[:, 1].T)
+        at = cells[inside]
+        # per axis, the sorted distinct indices the pairs use and each cell's place among them
+        keep, place = zip(*(np.unique(at[..., a], return_inverse=True) for a in range(3)))
+        place = np.stack([p.reshape(at.shape[:2]) for p in place], axis=-1)
+        cx, cy = tuple(place[:, 0].T), tuple(place[:, 1].T)
+        noise = np.empty(grid.dims)
         for i in range(n_samples):
-            fluct = _fluctuation(spec, seed0 + i)
+            fluct = _fluctuation(spec, seed0 + i, keep, noise)
             prods[inside, i] = fluct[cx] * fluct[cy]
     values = np.mean(prods, axis=1)
     errors = np.std(prods, axis=1, ddof=1) / np.sqrt(n_samples)
@@ -264,12 +291,14 @@ def spectral_slope(spec: MigrSpec, n_samples: int, seed0: int):
     m = 0). Returns (slope, half_width) where half_width is the 95%
     confidence half-interval of the fit.
     """
+    _check_sample_count(n_samples, 1)
     grid = spec.grid
     n_half = grid.dims[2] // 2 + 1
     power = np.zeros(grid.dims[:2] + (n_half,))
     data = np.zeros(grid.dims)
+    noise = np.empty(grid.dims)
     for i in range(n_samples):
-        fluct = _fluctuation(spec, seed0 + i)
+        fluct = _fluctuation(spec, seed0 + i, noise=noise)
         if fluct is not None:
             data[_crop(spec.strength.support_box)] = fluct
             power += np.abs(_rfftn(data)) ** 2

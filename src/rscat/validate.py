@@ -2,7 +2,8 @@
 
 Each check returns (passed, detail); ``CHECKS`` names them. The suite
 certifies the three transforms the pipeline runs (the real pair behind
-synthesis and ``spectral_slope``, with its inverse onto a box, the
+synthesis and ``spectral_slope``, with its inverse onto a box and onto
+per-axis index arrays, the
 resolvent's padded pair with its DCT-I kernel spectrum, and the phase
 convention of the strength reconstruction), container roundtrips,
 synthesis support/reality/symmetry/scaling, kernel anchors, the
@@ -43,7 +44,8 @@ def check_real_transform_pair():
     rng = np.random.default_rng(11)
     data = rng.standard_normal(_G16.dims)
     spec = _rfftn(data)
-    back = _irfftn(spec, _G16.dims)
+    # _irfftn overwrites its input, so each inverse takes its own copy
+    back = _irfftn(spec.copy(), _G16.dims)
     if back.shape != data.shape:
         return False, f"round trip gave shape {back.shape}, not {data.shape}"
     norm = np.linalg.norm(data)
@@ -52,13 +54,19 @@ def check_real_transform_pair():
     weight = np.full(spec.shape[-1], 2.0)
     weight[[0, -1]] = 1.0
     r2 = abs(np.sqrt(np.sum(weight * np.abs(spec) ** 2)) - norm) / norm
-    # the inverse onto an off-centre box of a non-cubic lattice is the crop of the whole inverse
-    dims, box = (8, 16, 32), ((1, 4), (9, 14), (3, 27))
+    # on a non-cubic lattice, the inverse onto an off-centre box is the crop of
+    # the whole inverse, and the inverse onto per-axis index arrays (both ends,
+    # one index, gaps) is their np.ix_ gather
+    dims = (8, 16, 32)
+    box = (slice(1, 5), slice(9, 15), slice(3, 28))
+    picks = (np.array([0, 3, 4, 7]), np.array([6]), np.array([0, 1, 5, 17, 30, 31]))
     half = _rfftn(rng.standard_normal(dims))
-    whole = _irfftn(half, dims)[tuple(slice(lo, hi + 1) for lo, hi in box)]
-    r3 = np.linalg.norm(_irfftn(half, dims, box) - whole) / np.linalg.norm(whole)
-    ok = r1 < 1e-12 and r2 < 1e-12 and r3 < 1e-12
-    return ok, f"roundtrip {r1:.2e}, half-lattice Parseval drift {r2:.2e}, box inverse {r3:.2e}"
+    whole = _irfftn(half.copy(), dims)
+    r3, r4 = (np.linalg.norm(_irfftn(half.copy(), dims, keep) - want) / np.linalg.norm(want)
+              for keep, want in ((box, whole[box]), (picks, whole[np.ix_(*picks)])))
+    ok = r1 < 1e-12 and r2 < 1e-12 and r3 < 1e-12 and r4 < 1e-12
+    return ok, (f"roundtrip {r1:.2e}, half-lattice Parseval drift {r2:.2e}, "
+                f"box inverse {r3:.2e}, index-array inverse {r4:.2e}")
 
 
 def check_resolvent_transform_pair():

@@ -190,6 +190,61 @@ def test_covariance_point_validation(bump_spec):
         empirical_covariance(bump_spec, [((0, 0, 0), (0.1, 0, 0))], 1, 0)
 
 
+@pytest.mark.parametrize("count", [0, -3, 60.0, 2.5, True])
+def test_sample_count_is_an_integer_number_of_draws(bump_spec, count):
+    with pytest.raises(ConfigurationError, match="n_samples"):
+        empirical_covariance(bump_spec, [((0, 0, 0), (0.1, 0, 0))], count, 0)
+    with pytest.raises(ConfigurationError, match="n_samples"):
+        spectral_slope(bump_spec, count, 0)
+
+
+def test_white_noise_covariance_matches_per_pair_products_bytewise(grid16):
+    spec = MigrSpec(order=0.0, strength=ball_indicator_field(grid16, (0, 0, 0), 0.55, 1.0))
+    pairs = [((0, 0, 0), (0, 0, 0)), ((0.05, 0, 0), (-0.05, 0.06, 0)),
+             ((0.1, -0.1, 0.05), (0, 0.1, -0.1))]
+    n, seed0 = 5, 13
+    ests = empirical_covariance(spec, pairs, n, seed0)
+    prods = np.empty((len(pairs), n))
+    for i in range(n):
+        f = synthesize_migr(spec, seed0 + i).field.data
+        for p, (x, y) in enumerate(pairs):
+            prods[p, i] = f[grid16.nearest_cell(x)] * f[grid16.nearest_cell(y)]
+    got = np.array([(e.value, e.std_error) for e in ests])
+    want = np.array([(np.mean(row), np.std(row, ddof=1) / np.sqrt(n)) for row in prods])
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got != 0.0)
+
+
+def test_covariance_of_pairs_sharing_rows_columns_and_planes(bump_spec):
+    # cells at the support box's face centres and its centre share rows,
+    # columns and planes; the straddling pairs reach one cell past a face
+    grid = bump_spec.grid
+    (x0, x1), (y0, y1), (z0, z1) = box = bump_spec.strength.support_box
+    xm, ym, zm = ((lo + hi) // 2 for lo, hi in box)
+    coords = grid.coords()
+
+    def at(*cell):
+        return tuple(c[i] for c, i in zip(coords, cell))
+
+    cells = [(x0, ym, zm), (x1, ym, zm), (xm, y0, zm), (xm, y1, zm),
+             (xm, ym, z0), (xm, ym, z1), (xm, ym, zm)]
+    inside = [(at(*a), at(*b)) for a in cells for b in cells[::2]]
+    straddling = [(at(xm, ym, zm), at(x1 + 1, ym, zm)), (at(xm, y0 - 1, zm), at(x0, ym, zm)),
+                  (at(xm, ym, z0), at(xm, ym, z1 + 1))]
+    n, seed0 = 4, 9
+    ests = empirical_covariance(bump_spec, inside + straddling, n, seed0)
+    fields = [synthesize_migr(bump_spec, seed0 + i).field.data for i in range(n)]
+    prods = np.array([[f[grid.nearest_cell(x)] * f[grid.nearest_cell(y)] for f in fields]
+                      for x, y in inside])
+    got = np.array([(e.value, e.std_error) for e in ests[: len(inside)]])
+    want = np.array([(np.mean(row), np.std(row, ddof=1) / np.sqrt(n)) for row in prods])
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got != 0.0)
+    # +0.0, not the -0.0 a product with a negative fluctuation would give
+    zeros = np.array([(e.value, e.std_error) for e in ests[len(inside):]])
+    assert zeros.tobytes() == np.zeros_like(zeros).tobytes()
+
+
 def _orientation_pairs(r_sep):
     bases = [(0, 0, 0), (0.12, 0.06, -0.09), (-0.09, -0.12, 0.06), (0.06, -0.09, 0.12)]
     axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

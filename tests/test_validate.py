@@ -28,10 +28,17 @@ def _short_last_axis(arr, dims):
     return _IRFFTN(arr, tuple(dims[:2]) + (dims[2] - 1,))
 
 
-def _box_shifted_one_cell(arr, dims, box=None):
-    if box is not None:
-        box = tuple((lo + 1, hi + 1) for lo, hi in box)
-    return _IRFFTN(arr, dims, box)
+def _box_shifted_one_cell(arr, dims, keep=None):
+    if keep is not None:
+        keep = tuple(slice(k.start + 1, k.stop + 1) if isinstance(k, slice) else k for k in keep)
+    return _IRFFTN(arr, dims, keep)
+
+
+def _axis1_indices_shifted(arr, dims, keep=None):
+    # an index array on axis 1 reads the column after each one asked for
+    if keep is not None and not isinstance(keep[1], slice):
+        keep = (keep[0], (keep[1] + 1) % dims[1], keep[2])
+    return _IRFFTN(arr, dims, keep)
 
 
 def _no_imaginary_product(g, *args):
@@ -90,6 +97,8 @@ MUTANTS = {
                                validate.check_real_transform_pair),
     "box-shifted-one-cell": (validate, "_irfftn", _box_shifted_one_cell,
                              validate.check_real_transform_pair),
+    "axis1-indices-shifted": (validate, "_irfftn", _axis1_indices_shifted,
+                              validate.check_real_transform_pair),
     "spectrum-mirror-off-by-one": (fields, "_even_product", _mirror_off_by_one,
                                    validate.check_resolvent_symmetry),
     "spectrum-axis1-mirror-off-by-one": (forward, "_even_spectrum", _axis1_mirror_off_by_one,
