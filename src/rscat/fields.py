@@ -229,10 +229,10 @@ def _irfftn(arr: np.ndarray, dims, keep=None) -> np.ndarray:
     then the real inverse of length ``dims[2]`` on axis 2, each cut to its
     selection right after its pass so later passes skip the lines that are
     dropped. Each line that is kept is transformed as in the whole inverse.
-    ``arr`` is overwritten: the axis-0 pass runs in place, so no second
-    array of its size is allocated (``BENCH_pr26.json``: the per-draw pair
-    of fresh lattice-sized arrays page-faulted 92k times per
-    covariance_ensemble run, and one alone does not).
+    ``arr`` is overwritten: the axis-0 pass runs in place, so a draw
+    allocates one array of its size, not two. At 64^3 that took a 60-draw
+    covariance estimate from 92k minor page faults to none, in a process
+    that had not yet freed a larger array (``BENCH_pr26.json``).
     """
     s0, s1, s2 = (slice(None),) * 3 if keep is None else keep
     out = _sfft.ifft(arr, n=dims[0], axis=0, norm="ortho", overwrite_x=True,
