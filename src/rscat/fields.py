@@ -8,7 +8,9 @@ cut to its slice or index array right after its pass. The resolvent's
 padded convolution (``_padded_fftn``, ``_cropped_ifftn``), its kernel
 spectrum (a DCT-I in ``_even_spectrum``, half stored along axis 0 and
 multiplied in by ``_even_product`` inside ``_cropped_ifftn``) and the
-strength reconstruction (``_ifftn_raw``) use the standard normalization.
+strength reconstruction (``_rows_ifftn``, which inverts a spectrum given on
+a block of per-axis rows and skips the lines that are zero) use the
+standard normalization.
 Physical-convention factors such as (2 pi)^(-3/2) are applied explicitly at
 call sites.
 """
@@ -102,9 +104,10 @@ class GridSpec:
         """Dual-lattice frequencies 2 pi n / (N h) in standard DFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.dims[axis], d=self.spacing)
 
-    def frequency_magnitude(self) -> np.ndarray:
-        """|xi| on the full dual lattice, shaped like field data."""
-        fx, fy, fz = (self.axis_frequencies(a) for a in range(3))
+    def frequency_magnitude(self, rows=None) -> np.ndarray:
+        """|xi| on the full dual lattice, shaped like field data, or on ``rows``, one index array per axis."""
+        picked = (slice(None),) * 3 if rows is None else rows
+        fx, fy, fz = (self.axis_frequencies(a)[picked[a]] for a in range(3))
         return np.sqrt(
             fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz[None, None, :] ** 2
         )
@@ -342,5 +345,21 @@ def _cropped_ifftn(spec: np.ndarray, dims, half: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def _ifftn_raw(arr: np.ndarray) -> np.ndarray:
-    return _sfft.ifftn(arr, workers=_FFT_WORKERS)
+def _rows_ifftn(spec: np.ndarray, rows, dims) -> np.ndarray:
+    """Standard-normalization inverse DFT on a lattice of shape ``dims`` of a spectrum given on ``rows``.
+
+    ``rows`` holds one sorted index array per axis, and ``spec`` the spectrum
+    at ``np.ix_(*rows)``; the spectrum is zero elsewhere. One axis at a time
+    from axis 0, the mirror of :func:`_padded_fftn`: each pass places its
+    input at its rows in a zero array of full length along its axis, so the
+    axis-0 pass transforms only the (n1, n2) columns of the rows and the
+    axis-1 pass only their n2 planes; the axis-2 pass covers the lattice.
+    Each line that is computed is transformed as in the whole-lattice
+    inverse, and with every index as its rows this is that inverse.
+    """
+    out = spec
+    for axis, picked in enumerate(rows):
+        emb = np.zeros(out.shape[:axis] + (dims[axis],) + out.shape[axis + 1:], dtype=np.complex128)
+        emb[(slice(None),) * axis + (picked,)] = out
+        out = _sfft.ifft(emb, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
+    return out

@@ -673,9 +673,13 @@ class FarFieldSet:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"far-field kind must be one of {_KINDS}")
-        dirs = np.ascontiguousarray(_unit_rows(self.dirs, "far-field directions"))
+        dirs = np.ascontiguousarray(np.atleast_2d(self.dirs), dtype=np.float64)
         freqs = np.ascontiguousarray(np.atleast_1d(self.freqs), dtype=np.float64)
         values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        for what, arr in (("directions", dirs), ("frequencies", freqs), ("values", values)):
+            if not np.all(np.isfinite(arr)):
+                raise ConfigurationError(f"far-field {what} hold non-finite entries")
+        dirs = _unit_rows(dirs, "far-field directions")
         object.__setattr__(self, "_delta", _mesh_spacing(freqs))
         if values.shape != (dirs.shape[0], freqs.shape[0]):
             raise ConfigurationError(
@@ -734,13 +738,14 @@ class FarFieldSet:
         ]
         with open(prefix + ".manifest.txt", "w") as fh:
             fh.write("\n".join(lines) + "\n")
+        # the k column is formatted once for every direction's block
+        ks = ["%.17g" % k for k in self.freqs.tolist()]
         with open(prefix + ".csv", "w") as fh:
             fh.write("dir_x,dir_y,dir_z,k,re,im\n")
             # one block per direction, whose coordinates are formatted once
             for d, row in zip(self.dirs, self.values):
-                line = ",".join(fmt(c) for c in d) + ",%.17g,%.17g,%.17g\n"
-                fh.writelines(line % r for r in zip(self.freqs.tolist(), row.real.tolist(),
-                                                     row.imag.tolist()))
+                line = ",".join(fmt(c) for c in d) + ",%s,%.17g,%.17g\n"
+                fh.writelines(line % r for r in zip(ks, row.real.tolist(), row.imag.tolist()))
 
     @classmethod
     def load(cls, prefix):
@@ -775,6 +780,11 @@ class FarFieldSet:
             raise FieldFormatError(
                 f"CSV shape {arr.shape} does not match (dirs x freqs, 6) = ({n_dirs * n_freq}, 6)"
             )
+        bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
+        if len(bad):
+            raise FieldFormatError(
+                f"CSV data row {bad[0] + 1} holds a non-finite number: {arr[bad[0]].tolist()}"
+            )
         # rows run direction by direction, each over the same frequency list
         layout = arr[:, :4].reshape(n_dirs, n_freq, 4)
         dirs = layout[:, 0, :3]
@@ -783,7 +793,10 @@ class FarFieldSet:
             raise FieldFormatError(
                 "CSV rows break the layout: each direction must list the same frequencies in order"
             )
-        values = (arr[:, 4] + 1j * arr[:, 5]).reshape(n_dirs, n_freq)
+        # set part by part: re + 1j * im would turn a -0.0 real part into +0.0
+        values = np.empty(n_dirs * n_freq, dtype=np.complex128)
+        values.real, values.imag = arr[:, 4], arr[:, 5]
+        values = values.reshape(n_dirs, n_freq)
         return cls(dirs=dirs, freqs=freqs, values=values, kind=kind, meta=parsed)
 
 

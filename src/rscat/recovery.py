@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DataCoverageError
-from .fields import GridSpec, ScalarField, _ifftn_raw
+from .fields import GridSpec, ScalarField, _rows_ifftn
 from .forward import _KIND_FORM, FarFieldSet, _mesh_spacing, _unit_rows
 
 PREFACTOR = 4.0 * math.sqrt(2.0 * math.pi)
@@ -160,47 +160,74 @@ def _check_sample_radius(tau: float, grid: GridSpec, where: str):
 
 
 def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
-    """Trilinear scatter of values[d, t], sampled at taus[t] * dirs[d], onto the dual lattice.
+    """Trilinear scatter of values[d, t], sampled at taus[t] * dirs[d], onto a block of the dual lattice.
 
-    Returns the averaged spectrum (zero where nothing lands and beyond the
-    largest sampled radius) and the fraction of in-ball cells touched.
+    Per axis, the block's rows are the sorted lattice indices whose
+    frequency lies within one dual cell (the largest axis's) of the largest
+    sampled radius: they hold every trilinear corner that lands in the
+    coverage ball, and the whole ball. ``_check_sample_radius`` keeps the
+    rows below the grid Nyquist. Corners off the block fall outside the
+    ball, where the spectrum is zero, and are dropped. Returns the averaged
+    spectrum on the block (zero where nothing lands and beyond the ball),
+    its rows, the largest sampled radius and the fraction of in-ball cells
+    touched.
     """
     dims = grid.dims
-    num = np.zeros(dims, dtype=np.complex128)
-    den = np.zeros(dims)
     dxi = tuple(2.0 * np.pi / (d * grid.spacing) for d in dims)
     pts = (dirs[:, None, :] * taus[None, :, None]).reshape(-1, 3)
     vals = values.ravel()
     tau_max = float(np.max(taus))
     _check_sample_radius(tau_max, grid, "largest sampled radius")
+    reach = tau_max + max(dxi)
+    rows = tuple(np.flatnonzero(np.abs(grid.axis_frequencies(a)) <= reach) for a in range(3))
+    shape = tuple(len(r) for r in rows)
+    # block position of each lattice index, -1 off the block
+    where = [np.full(n, -1) for n in dims]
+    for w_a, r in zip(where, rows):
+        w_a[r] = np.arange(len(r))
     frac = pts / np.asarray(dxi)[None, :]
     i0 = np.floor(frac).astype(int)
     w = frac - i0
+    cells, wgts = [], []
     for corner in range(8):
         off = np.array([(corner >> b) & 1 for b in range(3)])
-        wgt = np.prod(np.where(off[None, :], w, 1.0 - w), axis=1)
+        wgts.append(np.prod(np.where(off[None, :], w, 1.0 - w), axis=1))
         ii = (i0 + off[None, :]) % np.asarray(dims)[None, :]
-        np.add.at(num, (ii[:, 0], ii[:, 1], ii[:, 2]), wgt * vals)
-        np.add.at(den, (ii[:, 0], ii[:, 1], ii[:, 2]), wgt)
+        cells.append(np.stack([w_a[ii[:, a]] for a, w_a in enumerate(where)], axis=1))
+    # corner by corner, each point in order: the order of summation per cell
+    cells, wgts = np.concatenate(cells), np.concatenate(wgts)
+    kept = np.all(cells >= 0, axis=1)
+    flat = np.ravel_multi_index(tuple(cells[kept].T), shape)
+    wgts, wv = wgts[kept], (wgts * np.tile(vals, 8))[kept]
+    size = int(np.prod(shape))
+    num = np.empty(size, dtype=np.complex128)
+    num.real = np.bincount(flat, wv.real, size)
+    num.imag = np.bincount(flat, wv.imag, size)
+    den = np.bincount(flat, wgts, size)
     filled = den > 1e-12
-    spec = np.zeros(dims, dtype=np.complex128)
+    spec = np.zeros(size, dtype=np.complex128)
     spec[filled] = num[filled] / den[filled]
-    mag = grid.frequency_magnitude()
-    ball = mag <= tau_max + max(dxi)
+    ball = grid.frequency_magnitude(rows).ravel() <= reach
     spec[~ball] = 0.0
     coverage = float(np.count_nonzero(filled & ball)) / max(int(np.count_nonzero(ball)), 1)
-    return spec, tau_max, coverage
+    return spec.reshape(shape), rows, tau_max, coverage
 
 
-def _inverse_strength_transform(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real part of the inverse transform with the (2 pi)^(-3/2) convention, on the grid's x lattice."""
+def _inverse_strength_transform(spec: np.ndarray, rows, grid: GridSpec) -> np.ndarray:
+    """Real part of the inverse transform with the (2 pi)^(-3/2) convention, on the grid's x lattice.
+
+    ``spec`` holds the spectrum on the dual-lattice ``rows``, one sorted
+    index array per axis, and the spectrum is zero elsewhere.
+    """
     dims = grid.dims
     phases = []
     for a in range(3):
-        phases.append(np.exp(1j * grid.axis_frequencies(a) * grid.origin[a]))
-    full = spec * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
+        phases.append(np.exp(1j * grid.axis_frequencies(a) * grid.origin[a])[rows[a]])
+    block = spec * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
     dxi3 = np.prod([2.0 * np.pi / (d * grid.spacing) for d in dims])
-    mu = (2.0 * np.pi) ** -1.5 * dxi3 * grid.n_cells * _ifftn_raw(full)
+    mu = _rows_ifftn(block, rows, dims)
+    # scaled in place: a second lattice-sized array would cost its page faults
+    np.multiply(mu, (2.0 * np.pi) ** -1.5 * dxi3 * grid.n_cells, out=mu)
     # the real part inverts the Hermitian part (spec(xi) + conj spec(-xi)) / 2
     return np.ascontiguousarray(mu.real)
 
@@ -225,13 +252,14 @@ class RecoveryReport:
         write_field(prefix + "_mu.rsgf", self.mu_rec)
         write_field(prefix + "_mu_raw.rsgf", self.mu_rec_unclipped)
         fmt = lambda x: f"{float(x):.17g}"
+        # the tau column is formatted once for every direction's block
+        taus = ["%.17g" % t for t in self.taus.tolist()]
         with open(prefix + "_samples.csv", "w") as fh:
             fh.write("tau,dir_x,dir_y,dir_z,re,im\n")
             # one block per direction, whose coordinates are formatted once
             for d, row in zip(self.dirs, self.mu_hat):
-                line = "%.17g," + ",".join(fmt(c) for c in d) + ",%.17g,%.17g\n"
-                fh.writelines(line % r for r in zip(self.taus.tolist(), row.real.tolist(),
-                                                     row.imag.tolist()))
+                line = "%s," + ",".join(fmt(c) for c in d) + ",%.17g,%.17g\n"
+                fh.writelines(line % r for r in zip(taus, row.real.tolist(), row.imag.tolist()))
         with open(prefix + "_summary.txt", "w") as fh:
             if self.rel_l2_error is not None:
                 fh.write(f"rel_l2_error={fmt(self.rel_l2_error)}\n")
@@ -240,8 +268,8 @@ class RecoveryReport:
 
 
 def _assemble_report(taus, dirs, values, grid, ground_truth, extra_metrics):
-    spec, tau_max, coverage = _scatter_polar_samples(taus, dirs, values, grid)
-    rec = _inverse_strength_transform(spec, grid)
+    spec, rows, tau_max, coverage = _scatter_polar_samples(taus, dirs, values, grid)
+    rec = _inverse_strength_transform(spec, rows, grid)
     clipped = np.maximum(rec, 0.0)
     metrics = {
         "tau_max": tau_max,

@@ -5,7 +5,8 @@ certifies the three transforms the pipeline runs (the real pair behind
 synthesis and ``spectral_slope``, with its inverse onto a box and onto
 per-axis index arrays, the
 resolvent's padded pair with its DCT-I kernel spectrum, and the phase
-convention of the strength reconstruction), container roundtrips,
+convention of the strength reconstruction, with its inverse from a block of
+per-axis rows), container roundtrips,
 synthesis support/reality/symmetry/scaling, kernel anchors, the
 resolvent's bilinear symmetry between boxes, solver identities, dual-path far fields of a real and a complex density (one
 frequency at a time and over a band of two chunks), estimator
@@ -97,9 +98,21 @@ def check_reconstruction_phase():
     dxi3 = np.prod([2.0 * np.pi / (n * _G16.spacing) for n in _G16.dims])
     expect = np.zeros(_G16.dims)
     expect[c] = (2.0 * np.pi) ** -1.5 * dxi3 * _G16.n_cells
-    got = _inverse_strength_transform(spec, _G16)
-    err = np.max(np.abs(got - expect)) / expect[c]
-    return err < 1e-12, f"point spectrum inverts to its cell, error {err:.2e}"
+    got = _inverse_strength_transform(spec, tuple(np.arange(n) for n in _G16.dims), _G16)
+    r1 = np.max(np.abs(got - expect)) / expect[c]
+    # on a non-cubic grid, a spectrum given on rows (both ends of each axis,
+    # gaps) inverts as its zero fill on the whole lattice
+    g = GridSpec((8, 16, 32), (0.1, -0.2, 0.3), 0.125)
+    rows = (np.array([0, 1, 2, 6, 7]), np.array([0, 3, 4, 15]), np.array([0, 1, 2, 17, 30, 31]))
+    rng = np.random.default_rng(15)
+    shape = tuple(len(r) for r in rows)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    filled = np.zeros(g.dims, dtype=np.complex128)
+    filled[np.ix_(*rows)] = block
+    want = _inverse_strength_transform(filled, tuple(np.arange(n) for n in g.dims), g)
+    r2 = np.max(np.abs(_inverse_strength_transform(block, rows, g) - want)) / np.max(np.abs(want))
+    return r1 < 1e-12 and r2 < 1e-12, (f"point spectrum inverts to its cell, error {r1:.2e}; "
+                                       f"rows inverse vs zero fill {r2:.2e}")
 
 
 def check_rsgf_roundtrip():

@@ -248,6 +248,19 @@ def test_recover_mesh_mismatch_exits_2(tmp_path):
                         "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
 
 
+def test_recover_non_finite_row_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL)
+    pre = str(tmp_path / "sweep")
+    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
+    header, *rows = open(pre + ".csv").read().splitlines()
+    rows[6] = ",".join(rows[6].split(",")[:4] + ["nan", "0"])
+    with open(pre + ".csv", "w") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
+    assert run_command(["recover-source", "--config", path,
+                        "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "data row 7 holds a non-finite number" in capsys.readouterr().err
+
+
 def test_recover_kind_mismatch_exits_2(tmp_path, capsys):
     # the config has a rough potential, so only the data kind is wrong
     path = _write(tmp_path, SEPARATED)

@@ -1112,6 +1112,34 @@ def _saved_pair(tmp_path):
     return prefix
 
 
+def test_farfieldset_roundtrip_keeps_signed_zeros(tmp_path):
+    # a -0.0 part beside a nonzero or zero other part reads back with its sign
+    vals = np.empty((2, 3), dtype=np.complex128)
+    vals.real = [[-0.0, 0.0, -0.0], [1.5, -0.0, -2.0]]
+    vals.imag = [[2.5, -0.0, -0.0], [-0.0, -1.0, 0.0]]
+    ff = make_farfield_set([[0, 0, 1.0], [0.6, 0.8, 0]], [1.0, 1.5, 2.0], vals)
+    prefix = str(tmp_path / "zeros")
+    ff.save(prefix)
+    back = FarFieldSet.load(prefix)
+    assert back.values.tobytes() == ff.values.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [2, 3, 4, 5], ids=["dir_z", "k", "re", "im"])
+def test_farfieldset_load_rejects_non_finite_rows(tmp_path, bad, column):
+    prefix = _saved_pair(tmp_path)
+    csv = prefix + ".csv"
+    header, *rows = open(csv).read().splitlines()
+    for i in (2, 4):
+        cells = rows[i].split(",")
+        cells[column] = bad
+        rows[i] = ",".join(cells)
+    with open(csv, "w") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
+    with pytest.raises(FieldFormatError, match="data row 3 holds a non-finite number"):
+        FarFieldSet.load(prefix)
+
+
 def test_farfieldset_load_rejects_unparsable_manifest(tmp_path):
     prefix = _saved_pair(tmp_path)
     manifest = prefix + ".manifest.txt"
@@ -1172,3 +1200,17 @@ def test_farfieldset_validation(grid16):
     with pytest.raises(ConfigurationError):
         FarFieldSet(dirs=np.array([[0, 0, 1.0]]), freqs=np.array([1.0]),
                     values=np.zeros((2, 1), complex), kind="nope")
+
+
+
+@pytest.mark.parametrize("what,bad", [(w, b) for w in ("directions", "frequencies", "values")
+                                       for b in (np.nan, np.inf, -np.inf)]
+                         + [("values", complex(0.0, np.nan))])
+def test_farfieldset_rejects_non_finite_entries(what, bad):
+    arrays = {"directions": np.array([[0, 0, 1.0], [0.6, 0.8, 0]]),
+              "frequencies": np.array([1.0, 1.5, 2.0]),
+              "values": np.ones((2, 3), complex)}
+    arrays[what][-1, ...] = bad
+    with pytest.raises(ConfigurationError, match=f"far-field {what} hold non-finite entries"):
+        FarFieldSet(dirs=arrays["directions"], freqs=arrays["frequencies"],
+                    values=arrays["values"], kind="passive")

@@ -9,7 +9,8 @@ from rscat import (ConfigurationError, DataCoverageError, GridSpec,
                    gaussian_bump_field, hermitian_complete, make_farfield_set,
                    midpoint_mesh, nearfield_second_moment,
                    recover_potential_strength, recover_source_strength)
-from rscat.recovery import PREFACTOR, _assemble_report
+from rscat.config import fibonacci_sphere
+from rscat.recovery import PREFACTOR, _assemble_report, _scatter_polar_samples
 
 UP = (0.0, 0.0, 1.0)
 
@@ -329,6 +330,97 @@ def test_assembly_recovers_known_transform():
     assert report.rel_l2_error <= 0.15
 
 
+def _whole_lattice_scatter(taus, dirs, values, grid):
+    """The trilinear scatter onto the whole dual lattice, the block scatter's reference."""
+    dims = grid.dims
+    num = np.zeros(dims, dtype=np.complex128)
+    den = np.zeros(dims)
+    dxi = tuple(2.0 * np.pi / (d * grid.spacing) for d in dims)
+    pts = (dirs[:, None, :] * taus[None, :, None]).reshape(-1, 3)
+    vals = values.ravel()
+    tau_max = float(np.max(taus))
+    frac = pts / np.asarray(dxi)[None, :]
+    i0 = np.floor(frac).astype(int)
+    w = frac - i0
+    for corner in range(8):
+        off = np.array([(corner >> b) & 1 for b in range(3)])
+        wgt = np.prod(np.where(off[None, :], w, 1.0 - w), axis=1)
+        ii = (i0 + off[None, :]) % np.asarray(dims)[None, :]
+        np.add.at(num, (ii[:, 0], ii[:, 1], ii[:, 2]), wgt * vals)
+        np.add.at(den, (ii[:, 0], ii[:, 1], ii[:, 2]), wgt)
+    filled = den > 1e-12
+    spec = np.zeros(dims, dtype=np.complex128)
+    spec[filled] = num[filled] / den[filled]
+    ball = grid.frequency_magnitude() <= tau_max + max(dxi)
+    spec[~ball] = 0.0
+    coverage = float(np.count_nonzero(filled & ball)) / max(int(np.count_nonzero(ball)), 1)
+    return spec, tau_max, coverage
+
+
+def _whole_lattice_inverse(spec, grid):
+    """The inverse of a whole-lattice spectrum by one complex ifftn, the block inverse's reference."""
+    import scipy.fft
+
+    phases = [np.exp(1j * grid.axis_frequencies(a) * grid.origin[a]) for a in range(3)]
+    full = spec * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
+    dxi3 = np.prod([2.0 * np.pi / (d * grid.spacing) for d in grid.dims])
+    mu = (2.0 * np.pi) ** -1.5 * dxi3 * grid.n_cells * scipy.fft.ifftn(full)
+    return np.ascontiguousarray(mu.real)
+
+
+def _offcentre_samples(taus, dirs, centre, rng):
+    """Noisy transform samples of a Gaussian strength centred at ``centre``."""
+    taus = np.asarray(taus, dtype=np.float64)
+    exact = 0.008 * np.exp(-0.02 * taus[None, :] ** 2 - 1j * taus[None, :] * (dirs @ centre)[:, None])
+    noise = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+    return exact * (1.0 + 0.3 * noise)
+
+
+def _just_below_bound(grid):
+    # the largest radius _check_sample_radius admits, less one part in 10^9
+    return (grid.nyquist - 2.0 * np.pi / (min(grid.dims) * grid.spacing)) * (1.0 - 1e-9)
+
+
+_NONCUBIC = GridSpec((16, 32, 64), (-0.45, -1.2, -1.9), 0.0625)
+
+# (grid, directions, taus, strength centre); the block's rows span
+# -reach..reach per axis, and the last two cases end at the bound
+BLOCK_CASES = {
+    "criterion-1": (GridSpec.centered(64, 2.0 / 64), fibonacci_sphere(64),
+                    np.arange(90) * 2 * 20.0 / 256, (0.0, 0.0, 0.0), (5, 5, 5)),
+    "backscatter-demo": (GridSpec.centered(32, 0.0625), fibonacci_sphere(12),
+                         np.arange(13) * 0.5, (0.0, 0.0, 0.0), (2, 2, 2)),
+    "non-cubic-off-centre": (_NONCUBIC, fibonacci_sphere(20), np.arange(12) * 2.5,
+                             (0.15, -0.1, 0.2), (5, 10, 21)),
+    "at-the-bound": (_NONCUBIC, fibonacci_sphere(20),
+                     np.linspace(0.0, _just_below_bound(_NONCUBIC), 9),
+                     (0.15, -0.1, 0.2), (7, 15, 31)),
+    "at-the-bound-cubic": (GridSpec.centered(16, 0.125), fibonacci_sphere(16),
+                           np.linspace(0.0, _just_below_bound(GridSpec.centered(16, 0.125)), 7),
+                           (-0.1, 0.05, 0.1), (7, 7, 7)),
+    "single-zero-tau": (_NONCUBIC, fibonacci_sphere(5), np.array([0.0]), (0.0, 0.0, 0.0),
+                        (1, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_reconstruction_matches_the_whole_lattice(case):
+    grid, dirs, taus, centre, reach = BLOCK_CASES[case]
+    values = _offcentre_samples(taus, dirs, np.asarray(centre), np.random.default_rng(27))
+    spec, rows, _, _ = _scatter_polar_samples(taus, dirs, values, grid)
+    want_rows = [np.sort(np.arange(-r, r + 1) % n) for r, n in zip(reach, grid.dims)]
+    assert all(np.array_equal(got, want) for got, want in zip(rows, want_rows))
+    assert spec.shape == tuple(len(r) for r in rows)
+    whole, tau_max, coverage = _whole_lattice_scatter(taus, dirs, values, grid)
+    assert np.all(np.delete(whole.ravel(), np.ravel_multi_index(np.ix_(*rows), grid.dims).ravel()) == 0)
+    rec = _whole_lattice_inverse(whole, grid)
+    report = _assemble_report(taus, dirs, values, grid, None, {})
+    assert report.mu_rec_unclipped.data.tobytes() == rec.tobytes()
+    assert report.mu_rec.data.tobytes() == np.maximum(rec, 0.0).tobytes()
+    assert report.metrics["tau_max"] == tau_max
+    assert report.metrics["cartesian_coverage"] == coverage
+
+
 def test_recover_source_zero_data(grid16):
     freqs = midpoint_mesh(8.0, 18.0, 0.25)
     ff = make_farfield_set([UP, (0.0, 0.0, -1.0)], freqs,
@@ -394,6 +486,22 @@ def test_report_persistence(tmp_path, grid16, rng):
     assert np.array_equal(rows[:, :, 4] + 1j * rows[:, :, 5], report.mu_hat)
     summary = (tmp_path / "rec_summary.txt").read_text().splitlines()
     assert "n_terms=32" in summary
+
+
+def test_report_samples_csv_is_the_per_row_transcription(tmp_path, grid16, rng):
+    dirs = np.array([UP, (0.6, 0.0, 0.8), (0.0, -0.8, 0.6)])
+    taus = np.array([0.0, 0.5, 1.0, 1.5])
+    values = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    values[1, 2] = complex(-0.0, 1e-300)
+    report = _assemble_report(taus, dirs, values, grid16, None, {})
+    prefix = str(tmp_path / "rec")
+    report.save(prefix)
+    fmt = lambda x: "%.17g" % x
+    want = ["tau,dir_x,dir_y,dir_z,re,im"] + [
+        ",".join(fmt(x) for x in (t, *dirs[d], v.real, v.imag))
+        for d in range(3) for t, v in zip(taus, values[d])
+    ]
+    assert open(prefix + "_samples.csv").read().splitlines() == want
 
 
 # ------------------------------------------------------------------ near field

@@ -20,8 +20,15 @@ def _flipped_offset(block, padded, offset):
     return _PADDED(block, padded, tuple(-o % p for o, p in zip(offset, padded)))
 
 
-def _no_origin_phase(spec, grid):
-    return _INVERSE(spec, GridSpec(grid.dims, (0.0, 0.0, 0.0), grid.spacing))
+def _no_origin_phase(spec, rows, grid):
+    return _INVERSE(spec, rows, GridSpec(grid.dims, (0.0, 0.0, 0.0), grid.spacing))
+
+
+def _axis1_rows_shifted(spec, rows, grid):
+    # a block's axis-1 rows are placed one index after the ones given
+    if len(rows[1]) < grid.dims[1]:
+        rows = (rows[0], (rows[1] + 1) % grid.dims[1], rows[2])
+    return _INVERSE(spec, rows, grid)
 
 
 def _short_last_axis(arr, dims):
@@ -93,6 +100,8 @@ MUTANTS = {
                             validate.check_resolvent_transform_pair),
     "origin-phase-dropped": (validate, "_inverse_strength_transform", _no_origin_phase,
                              validate.check_reconstruction_phase),
+    "axis1-rows-shifted": (validate, "_inverse_strength_transform", _axis1_rows_shifted,
+                           validate.check_reconstruction_phase),
     "wrong-last-axis-length": (validate, "_irfftn", _short_last_axis,
                                validate.check_real_transform_pair),
     "box-shifted-one-cell": (validate, "_irfftn", _box_shifted_one_cell,
