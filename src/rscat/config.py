@@ -65,7 +65,7 @@ def parse_sections(text: str) -> dict:
             raise ConfigurationError(f"line {lineno}: key outside any section: {line!r}")
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigurationError(f"line {lineno}: expected key = value, got {line!r}")
+            raise ConfigurationError(f"line {lineno}: expected key = value in [{current.name}], got {line!r}")
         key = key.strip()
         if key in current:
             raise ConfigurationError(f"line {lineno}: duplicate key {current.name}.{key}")

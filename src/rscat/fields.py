@@ -2,9 +2,8 @@
 
 Three transforms are defined here. Rough-field synthesis and
 ``spectral_slope`` use the unitary real pair ``_rfftn`` / ``_irfftn`` on the
-half lattice; synthesis inverts onto the strength's support box only, or
-onto the rows, columns and planes a covariance estimate reads, each axis
-cut to its slice or index array right after its pass. The resolvent's
+half lattice; synthesis inverts onto the strength's support box only, each
+axis cut to its slice right after its pass. The resolvent's
 padded convolution (``_padded_fftn``, ``_cropped_ifftn``), its kernel
 spectrum (a DCT-I in ``_even_spectrum``, half stored along axis 0 and
 multiplied in by ``_even_product`` inside ``_cropped_ifftn``) and the
@@ -150,12 +149,6 @@ def _crop(box, outer=None):
     return tuple(slice(lo - c, hi - c + 1) for (lo, hi), c in zip(box, corner))
 
 
-def _select(arr, keep):
-    """``arr`` cut to ``keep``, a per-axis slice or sorted index array, one axis at a time."""
-    s0, s1, s2 = keep
-    return arr[s0][:, s1][:, :, s2]
-
-
 def _support_box(data):
     """Per-axis (first, last) index of the nonzero cells of a 3-D array, or None if all are zero."""
     mask = data != 0
@@ -225,9 +218,10 @@ def _rfftn(arr: np.ndarray) -> np.ndarray:
 def _irfftn(arr: np.ndarray, dims, keep=None) -> np.ndarray:
     """Real inverse of :func:`_rfftn` onto a lattice of shape ``dims``, kept on ``keep``.
 
-    ``keep`` holds one selection per axis, a slice (``_crop`` of a box) or a
-    sorted index array, and defaults to the whole lattice; the result is
-    :func:`_select` of the whole inverse. One axis at a time, as in
+    ``keep`` holds one selection per axis, a slice or a sorted index array,
+    and defaults to the whole lattice; the result is the whole inverse
+    gathered at ``np.ix_`` of the selections. Synthesis passes the slices of
+    the strength's support box (``_crop``). One axis at a time, as in
     :func:`_cropped_ifftn`: a complex inverse on axis 0, then on axis 1,
     then the real inverse of length ``dims[2]`` on axis 2, each cut to its
     selection right after its pass so later passes skip the lines that are

@@ -10,11 +10,10 @@ matched without grid-dependent constants.
 sqrt(mu) vanishes outside the strength's support box, so the inverse
 transform lands on that box only (``fields._irfftn`` kept on the box's
 slices) and the fluctuation ``sqrt(mu) * rough`` is formed there.
-``synthesize_migr`` places it in a zero grid and ``spectral_slope`` reads it
-on the box. ``empirical_covariance`` inverts onto a narrower set still: the
-distinct rows, columns and planes of its in-box pair cells, kept as index
-arrays. Neither estimator builds a whole-grid realization, and each draws
-its white noise into one buffer reused across its samples.
+``synthesize_migr`` places it in a zero grid, ``spectral_slope`` reads it
+on the box, and ``empirical_covariance`` gathers its pair cells from the box
+at box-relative indices. Neither estimator builds a whole-grid realization,
+and each draws its white noise into one buffer reused across its samples.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import GridSpec, ScalarField, _crop, _irfftn, _rfftn, _select, require_collar
+from .fields import GridSpec, ScalarField, _crop, _irfftn, _rfftn, require_collar
 
 _SYMBOL_DECAY_TOL = 1e-3
 
@@ -189,36 +188,32 @@ def _rough_multiplier(grid: GridSpec, m: float) -> np.ndarray:
     return mult
 
 
-def _fluctuation(spec: MigrSpec, seed: int, keep=None, noise=None):
-    """sqrt(mu) * rough of the draw from ``seed``, on the strength's support box or on ``keep``.
+def _fluctuation(spec: MigrSpec, seed: int, noise=None):
+    """sqrt(mu) * rough of the draw from ``seed``, on the strength's support box.
 
-    None when the strength is zero. ``keep`` is a per-axis selection of
-    whole-grid indices as :func:`fields._irfftn` takes it, by default the
-    box's slices; the rough field is inverted onto it only. For m = 0 the
-    multiplier is the identity and the transforms would cancel, so the
-    selected noise is scaled elementwise instead. ``noise``, a float64
-    array shaped like the grid, receives the white noise (the same stream a
-    fresh array would get); by default a fresh array is drawn, and it is
-    never named, so it is freed as soon as it is used.
+    None when the strength is zero. The rough field is inverted onto the
+    box's slices only. For m = 0 the multiplier is the identity and the
+    transforms would cancel, so the boxed noise is scaled elementwise
+    instead. ``noise``, a float64 array shaped like the grid, receives the
+    white noise (the same stream a fresh array would get); by default a
+    fresh array is drawn, and it is never named, so it is freed as soon as
+    it is used.
     """
     half_filter = spec._half_filter
     box = spec.strength.support_box
     if box is None:
         return None
-    if keep is None:
-        keep, root = _crop(box), spec._root_strength
-    else:
-        root = np.sqrt(_select(spec.strength.data, keep))
+    keep = _crop(box)
     grid = spec.grid
     rng = np.random.default_rng(seed)
     if half_filter is None:
-        rough = _select(rng.standard_normal(grid.dims, out=noise), keep) * grid.spacing ** -1.5
+        rough = rng.standard_normal(grid.dims, out=noise)[keep] * grid.spacing ** -1.5
     else:
         # real noise and a real even filter: the half-lattice transform pair keeps the field real
         spectrum = _rfftn(rng.standard_normal(grid.dims, out=noise))
         spectrum *= half_filter
         rough = _irfftn(spectrum, grid.dims, keep)
-    return root * rough
+    return spec._root_strength * rough
 
 
 def synthesize_migr(spec: MigrSpec, seed: int) -> Realization:
@@ -253,11 +248,9 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
     For each point pair (x, y) the estimate is the sample mean of
     (f(x) - mean(x)) (f(y) - mean(y)) over seeds seed0 .. seed0 + n - 1,
     returned with its standard error. A pair with a cell outside the
-    strength's support box has product 0. Each draw is inverted onto the
-    distinct x rows, y columns and z planes of the in-box pair cells only
-    (``_fluctuation`` with index arrays), and each pair's two cells are
-    gathered from that block; the kept values are those of the box's
-    fluctuation, byte for byte.
+    strength's support box has product 0. Each draw is inverted onto that
+    box (``_fluctuation``), and each pair's two cells are gathered from it
+    at box-relative indices.
     """
     _check_sample_count(n_samples, 2)
     grid = spec.grid
@@ -269,14 +262,11 @@ def empirical_covariance(spec: MigrSpec, pairs, n_samples: int, seed0: int):
     if box is not None:
         lo, hi = np.array(box).T
         inside = np.all((cells >= lo) & (cells <= hi), axis=(1, 2))
-        at = cells[inside]
-        # per axis, the sorted distinct indices the pairs use and each cell's place among them
-        keep, place = zip(*(np.unique(at[..., a], return_inverse=True) for a in range(3)))
-        place = np.stack([p.reshape(at.shape[:2]) for p in place], axis=-1)
-        cx, cy = tuple(place[:, 0].T), tuple(place[:, 1].T)
+        at = cells[inside] - lo
+        cx, cy = tuple(at[:, 0].T), tuple(at[:, 1].T)
         noise = np.empty(grid.dims)
         for i in range(n_samples):
-            fluct = _fluctuation(spec, seed0 + i, keep, noise)
+            fluct = _fluctuation(spec, seed0 + i, noise)
             prods[inside, i] = fluct[cx] * fluct[cy]
     values = np.mean(prods, axis=1)
     errors = np.std(prods, axis=1, ddof=1) / np.sqrt(n_samples)

@@ -397,8 +397,11 @@ def _check_mesh_size(count: float, where: str):
 
 def midpoint_mesh(k_lo: float, k_hi: float, delta: float) -> np.ndarray:
     """Midpoint frequency mesh covering [k_lo, k_hi] with spacing delta, at most MAX_MESH_POINTS long."""
+    where = f"spacing {delta} over [{k_lo}, {k_hi}]"
+    if not (np.isfinite(delta) and delta > 0):
+        raise ConfigurationError(f"{where}: the mesh spacing must be finite and positive")
     count = (k_hi - k_lo) / delta
-    _check_mesh_size(count, f"spacing {delta} over [{k_lo}, {k_hi}]")
+    _check_mesh_size(count, where)
     n = int(round(count))
     if n < 1:
         raise ConfigurationError("empty frequency mesh")

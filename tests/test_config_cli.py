@@ -1,11 +1,14 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rscat
 from rscat import (ConfigurationError, ScalarField, gaussian_bump_field, load_config,
-                   potential_kernel_integral, read_field)
+                   make_farfield_set, potential_kernel_integral, read_field)
 from rscat.cli import run_command
 from rscat.config import config_from_text, fibonacci_sphere
 from rscat.forward import ScatteringConfig, draw_realization, lippmann_schwinger_solve
@@ -261,6 +264,18 @@ def test_recover_non_finite_row_exits_2(tmp_path, capsys):
     assert "data row 7 holds a non-finite number" in capsys.readouterr().err
 
 
+def test_recover_bad_csv_header_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL)
+    pre = str(tmp_path / "sweep")
+    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
+    header, *rows = open(pre + ".csv").read().splitlines()
+    with open(pre + ".csv", "w") as fh:
+        fh.write("\n".join(["x,y,z,k,re,im"] + rows) + "\n")
+    assert run_command(["recover-source", "--config", path,
+                        "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "unexpected CSV header 'x,y,z,k,re,im'" in capsys.readouterr().err
+
+
 def test_recover_kind_mismatch_exits_2(tmp_path, capsys):
     # the config has a rough potential, so only the data kind is wrong
     path = _write(tmp_path, SEPARATED)
@@ -339,16 +354,108 @@ _ERGODIC = "\n[ergodic]\nbands = 8:0.25; 8:0; 16:0.25\n"
     ("output = {out}", "output = {out}\n[solver]\ntol = -1e-10\n", "solver.tol"),
     ("output = {out}", "output = {out}\n[solver]\nmax_born_order = 0\n", "solver.max_born_order"),
     ("cutoff = 3.0", "cutoff = nan", "source.cutoff"),
+    # the file's layout
+    ("output = {out}", "output = {out}\n[extras]\nx = 1\n", "unknown section [extras]"),
+    ("output = {out}", "output = {out}\n[band]\nk_lo = 6.0\n", "duplicate section [band]"),
+    ("[grid]", "stray = 1\n[grid]", "key outside any section: 'stray = 1'"),
+    ("tau_max = 2.0", "tau_max = 2.0\ntau_step 0.25", "key = value in [band]"),
+    ("k_lo = 6.0", "k_lo = 6.0\nk_lo = 7.0", "duplicate key band.k_lo"),
+    ("[grid]\ndims = 16\nspacing = 0.125\n", "", "missing required section [grid]"),
+    ("[experiment]\n", "", "missing required section [experiment]"),
+    ("[source]\nm = 2.5\nshape = gaussian-bump\ncenter = 0 0 0\namplitude = 1.0\nwidth = 0.14\n"
+     "cutoff = 3.0\n", "", "[source] or [potential]"),
+    # the forms of a value
+    ("amplitude = 1.0", "amplitude = one", "source.amplitude"),
+    ("center = 0 0 0", "center = 0 0", "source.center"),
+    ("count = 6", "distribution = explicit\nvalues = ;", "directions.values"),
+    ("count = 6", "distribution = explicit\nvalues = 1 0 0; 0 0 0", "directions.values"),
+    ("output = {out}", "output = {out}\n[ergodic]\nbands = 8:0.25; 9\n", "ergodic.bands[1]"),
+    # names and bounds
+    ("shape = gaussian-bump", "shape = cube", "source.shape"),
+    ("shape = gaussian-bump", "shape = zero", "source.shape"),
+    ("m = 2.5", "m = 2.5\nkind = gaussian", "source.kind"),
+    ("mode = passive", "mode = active", "experiment.mode"),
+    ("count = 6", "count = 6\ndistribution = uniform", "directions.distribution"),
+    ("k_lo = 6.0", "k_lo = 0", "band.k_lo"),
+    ("k_lo = 6.0", "k_lo = -6.0", "band.k_lo"),
+    ("seed = 11", "seed = -1", "experiment.seed"),
+    ("output = {out}", "output = {out}\n[nearfield]\nk_hi = 1.0\ndelta = 0.5\nprobes = 0.7 0 0\n",
+     "nearfield.k_hi"),
+    ("output = {out}", "output = {out}\n[nearfield]\nk_hi = 5.0\ndelta = 0\nprobes = 0.7 0 0\n",
+     "nearfield.delta"),
 ], ids=["dims", "k_lo", "k_lo_inf", "solver_tol_nan", "nearfield_k_hi_inf", "n_terms", "tau_step",
         "tau_list", "tau_max", "ergodic_spacing", "tau_max_nyquist", "tau_list_nyquist", "tau_step_unit",
         "n_terms_mesh_cap", "k_lo_mesh_cap", "n_rep_negative", "n_rep_one", "tau_list_scatter_alias",
         "count_zero", "dims_not_pow2", "spacing_negative", "solver_tol_negative", "born_order_zero",
-        "cutoff_nan"])
+        "cutoff_nan",
+        "section_unknown", "section_duplicate", "key_outside_sections", "line_without_equals",
+        "key_duplicate", "grid_missing", "experiment_missing", "no_ingredient",
+        "number_unparsable", "vector_short", "vector_list_empty", "direction_zero",
+        "ergodic_band_malformed",
+        "shape_unknown", "shape_zero_strength", "kind_unknown", "mode_unknown",
+        "distribution_unknown", "k_lo_zero", "k_lo_negative", "seed_negative", "nearfield_k_hi_one",
+        "nearfield_delta_zero"])
 def test_degenerate_values_exit_2_naming_their_key(tmp_path, capsys, old, new, key):
     # every command validates the whole config before it runs
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert run_command(["diagnose-ergodic", "--config", path, "--out", str(tmp_path / "x")]) == 2
     assert key in capsys.readouterr().err
+
+
+_BAND = "[band]\nk_lo = 6.0\nn_terms = 24\ntau_max = 2.0\n"
+_NEARFIELD = "output = {out}\n[nearfield]\nk_hi = 3.0\ndelta = 0.5\nprobes = 0.7 0 0\n"
+
+
+@pytest.mark.parametrize("command, edits, message", [
+    ("synth --which potential", (), "config has no [potential] block"),
+    ("sweep", ((_BAND, ""),), "config has no [band] block"),
+    ("sweep", (("[directions]\ncount = 6\n", ""),), "config has no [directions] block"),
+    ("recover-source", ((_BAND, ""),), "config has no [band] block"),
+    ("recover-potential", (), "config has no [potential] block"),
+    ("recover-source", (("m = 2.5", "kind = deterministic"),), "[source] must be a rough-field block"),
+    ("nearfield", (), "config has no [nearfield] block"),
+    ("nearfield", (("m = 2.5", "kind = deterministic"), ("output = {out}", _NEARFIELD)),
+     "[source] must be a rough-field block for near-field runs"),
+    ("diagnose-ergodic", (), "config has no [ergodic] block"),
+], ids=["synth_potential", "sweep_band", "sweep_directions", "recover_band", "recover_potential",
+        "recover_deterministic", "nearfield_block", "nearfield_deterministic", "ergodic_block"])
+def test_command_without_its_block_exits_2(tmp_path, capsys, command, edits, message):
+    text = MINIMAL
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = _write(tmp_path, text)
+    load_config(path)
+    # a passive data set on the config's mesh (delta = k_lo / n_terms = 0.25)
+    data = str(tmp_path / "data")
+    make_farfield_set([(0.0, 0.0, 1.0)], 6.0 + (np.arange(48) + 0.5) * 0.25,
+                      np.zeros((1, 48), complex)).save(data)
+    out = {"synth": ["--out", str(tmp_path / "x.rsgf")], "sweep": ["--out-prefix", data + "_new"],
+           "recover-source": ["--data-prefix", data, "--out-prefix", str(tmp_path / "r")],
+           "recover-potential": ["--data-prefix", data, "--out-prefix", str(tmp_path / "r")],
+           "nearfield": ["--out", str(tmp_path / "nf.csv")],
+           "diagnose-ergodic": ["--out", str(tmp_path / "e.csv")]}
+    name, *extra = command.split()
+    assert run_command([name, "--config", path, *extra, *out[name]]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_python_dash_m_rscat_exits_2_on_a_config_error(tmp_path):
+    path = _write(tmp_path, MINIMAL)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rscat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "rscat", "synth", "--config", path,
+                           "--out", str(tmp_path / "x.rsgf"), "--which", "potential"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "error[config]: config has no [potential] block" in done.stderr
+
+
+def test_three_dims_and_an_explicit_origin_load_exactly(tmp_path):
+    text = MINIMAL.replace("dims = 16", "dims = 16 32 16\norigin = -1.0 -2.0 -0.9375")
+    grid = load_config(_write(tmp_path, text)).grid
+    assert grid.dims == (16, 32, 16)
+    assert grid.origin == (-1.0, -2.0, -0.9375)
+    assert grid.spacing == 0.125
 
 
 def test_numeric_error_exit_code(tmp_path):

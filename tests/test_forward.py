@@ -1084,8 +1084,9 @@ def test_farfieldset_load_ignores_unknown_manifest_keys(tmp_path, grid16):
     ff = band_sweep(grid16, f, None, freqs, [[0, 0, 1.0], [0.6, 0.8, 0]], "passive", seed=9)
     prefix = str(tmp_path / "sweep")
     ff.save(prefix)
+    # a blank line is skipped
     with open(prefix + ".manifest.txt", "a") as fh:
-        fh.write("born_iters_max=3\n")
+        fh.write("\nborn_iters_max=3\n  \n")
     back = FarFieldSet.load(prefix)
     assert np.array_equal(back.dirs, ff.dirs)
     assert np.array_equal(back.freqs, ff.freqs)
@@ -1159,6 +1160,33 @@ def test_farfieldset_load_rejects_unparsable_manifest(tmp_path):
                         "--out", str(tmp_path / "e.csv")]) == 2
 
 
+@pytest.mark.parametrize("key", ["kind", "dirs_count", "n_freq"])
+def test_farfieldset_load_rejects_a_missing_manifest_key(tmp_path, key):
+    prefix = _saved_pair(tmp_path)
+    manifest = prefix + ".manifest.txt"
+    lines = open(manifest).read().splitlines()
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(line for line in lines if not line.startswith(key + "=")) + "\n")
+    with pytest.raises(FieldFormatError, match=f"manifest missing key '{key}'"):
+        FarFieldSet.load(prefix)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda header, rows: ["dir_x,dir_y,dir_z,freq,re,im"] + rows, "unexpected CSV header"),
+    (lambda header, rows: rows, "unexpected CSV header"),
+    (lambda header, rows: [header] + rows[:5], r"CSV shape \(5, 6\) does not match"),
+    (lambda header, rows: [header] + rows + rows[-1:], r"CSV shape \(7, 6\) does not match"),
+], ids=["header-renamed", "header-missing", "row-missing", "row-extra"])
+def test_farfieldset_load_rejects_a_broken_csv(tmp_path, edit, message):
+    prefix = _saved_pair(tmp_path)
+    csv = prefix + ".csv"
+    header, *rows = open(csv).read().splitlines()
+    with open(csv, "w") as fh:
+        fh.write("\n".join(edit(header, rows)) + "\n")
+    with pytest.raises(FieldFormatError, match=message):
+        FarFieldSet.load(prefix)
+
+
 def test_farfieldset_loads_a_manifest_with_the_old_band_keys(tmp_path):
     # manifests once also held band_lo, band_hi and delta; load ignores them
     ff = make_farfield_set([[0, 0, 1.0], [0.6, 0.8, 0]], [1.0, 1.5, 2.0],
@@ -1200,6 +1228,13 @@ def test_farfieldset_validation(grid16):
     with pytest.raises(ConfigurationError):
         FarFieldSet(dirs=np.array([[0, 0, 1.0]]), freqs=np.array([1.0]),
                     values=np.zeros((2, 1), complex), kind="nope")
+    with pytest.raises(ConfigurationError, match=r"values shape \(2, 1\) does not match .* \(1, 1\)"):
+        FarFieldSet(dirs=np.array([[0, 0, 1.0]]), freqs=np.array([1.0]),
+                    values=np.zeros((2, 1), complex), kind="passive")
+    single = FarFieldSet(dirs=np.array([[0, 0, 1.0]]), freqs=np.array([1.0]),
+                         values=np.zeros((1, 1), complex), kind="passive")
+    with pytest.raises(ConfigurationError, match="mesh spacing undefined for a single frequency"):
+        single.delta
 
 
 

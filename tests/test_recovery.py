@@ -81,6 +81,10 @@ def test_band_correlation_validation(rng):
     ff = make_farfield_set([UP], freqs, vals)
     with pytest.raises(ConfigurationError, match="multiple"):
         band_correlation(ff, 0.0, [0.37], 8.0)
+    with pytest.raises(ConfigurationError, match="tau must be nonnegative"):
+        band_correlation(ff, 0.0, [0.5, -0.5], 8.0)
+    with pytest.raises(ConfigurationError, match="band start K=8.1 is not an integer multiple"):
+        band_correlation(ff, 0.0, [0.0], 8.1)
     with pytest.raises(DataCoverageError) as info:
         band_correlation(ff, 0.0, [4.0], 8.0)  # shifted band leaves the mesh
     assert info.value.gaps == pytest.approx(list(freqs[16:] + 4.0), abs=1e-12)
@@ -551,9 +555,15 @@ def test_ergodic_zero_and_deterministic():
 
 def test_midpoint_mesh_is_capped():
     assert len(midpoint_mesh(1.0, 2.0, 2.0 ** -20)) == 2 ** 20
-    for delta in (2.0 ** -21, 1e-300, float("nan")):
+    for delta in (2.0 ** -21, 1e-300):
         with pytest.raises(ConfigurationError, match="cap"):
             midpoint_mesh(1.0, 2.0, delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+def test_midpoint_mesh_rejects_a_spacing_that_is_not_finite_and_positive(delta):
+    with pytest.raises(ConfigurationError, match=rf"spacing {delta} over .* finite and positive"):
+        midpoint_mesh(1.0, 30.0, delta)
 
 
 def test_ergodic_inverse_sqrt_law():
