@@ -442,7 +442,7 @@ def test_command_without_its_block_exits_2(tmp_path, capsys, command, edits, mes
 def test_python_dash_m_rscat_exits_2_on_a_config_error(tmp_path):
     path = _write(tmp_path, MINIMAL)
     src = os.path.dirname(os.path.dirname(os.path.abspath(rscat.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "rscat", "synth", "--config", path,
                            "--out", str(tmp_path / "x.rsgf"), "--which", "potential"],
                           capture_output=True, text=True, env=env, timeout=120)
