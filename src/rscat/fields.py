@@ -1,15 +1,13 @@
 """Uniform 3-D grids, immutable field containers, and the Fourier transforms the pipeline runs.
 
-Three transforms are defined here. Rough-field synthesis and
-``spectral_slope`` use the unitary real pair ``_rfftn`` / ``_irfftn`` on the
-half lattice; synthesis inverts onto the strength's support box only, each
-axis cut to its slice right after its pass. The resolvent's
-padded convolution (``_padded_fftn``, ``_cropped_ifftn``), its kernel
-spectrum (a DCT-I in ``_even_spectrum``, half stored along axis 0 and
-multiplied in by ``_even_product`` inside ``_cropped_ifftn``) and the
-strength reconstruction (``_rows_ifftn``, which inverts a spectrum given on
-a block of per-axis rows and skips the lines that are zero) use the
-standard normalization.
+Three transforms are defined here, each reading or keeping a box of its
+lattice. Rough-field synthesis and ``spectral_slope`` use the unitary real
+pair ``_rfftn`` / ``_irfftn`` on the half lattice; synthesis inverts onto
+the strength's support box only. The resolvent's padded convolution
+(``_padded_fftn``, ``_cropped_ifftn``, with the DCT-I kernel spectrum of
+``_even_spectrum`` half stored along axis 0) and the strength
+reconstruction (``_padded_ifftn``) use the standard normalization;
+``_padded_fftn`` and ``_padded_ifftn`` place their box through one helper.
 Physical-convention factors such as (2 pi)^(-3/2) are applied explicitly at
 call sites.
 """
@@ -103,9 +101,9 @@ class GridSpec:
         """Dual-lattice frequencies 2 pi n / (N h) in standard DFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.dims[axis], d=self.spacing)
 
-    def frequency_magnitude(self, rows=None) -> np.ndarray:
-        """|xi| on the full dual lattice, shaped like field data, or on ``rows``, one index array per axis."""
-        picked = (slice(None),) * 3 if rows is None else rows
+    def frequency_magnitude(self, half=None) -> np.ndarray:
+        """|xi| on the full dual lattice, shaped like field data, or on lattice indices -a .. a per axis a of ``half``."""
+        picked = (slice(None),) * 3 if half is None else tuple(np.arange(-a, a + 1) for a in half)
         fx, fy, fz = (self.axis_frequencies(a)[picked[a]] for a in range(3))
         return np.sqrt(
             fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz[None, None, :] ** 2
@@ -218,14 +216,13 @@ def _rfftn(arr: np.ndarray) -> np.ndarray:
 def _irfftn(arr: np.ndarray, dims, keep=None) -> np.ndarray:
     """Real inverse of :func:`_rfftn` onto a lattice of shape ``dims``, kept on ``keep``.
 
-    ``keep`` holds one selection per axis, a slice or a sorted index array,
-    and defaults to the whole lattice; the result is the whole inverse
-    gathered at ``np.ix_`` of the selections. Synthesis passes the slices of
-    the strength's support box (``_crop``). One axis at a time, as in
-    :func:`_cropped_ifftn`: a complex inverse on axis 0, then on axis 1,
-    then the real inverse of length ``dims[2]`` on axis 2, each cut to its
-    selection right after its pass so later passes skip the lines that are
-    dropped. Each line that is kept is transformed as in the whole inverse.
+    ``keep`` holds one slice per axis, a box, and defaults to the whole
+    lattice; synthesis passes the strength's support box (``_crop``). One
+    axis at a time, as in :func:`_cropped_ifftn`: a complex inverse on axis
+    0, then on axis 1, then the real inverse of length ``dims[2]`` on axis
+    2, each cut to its slice right after its pass so later passes skip the
+    lines that are dropped. Each line that is kept is transformed as in the
+    whole inverse.
     ``arr`` is overwritten: the axis-0 pass runs in place, so a draw
     allocates one array of its size, not two. At 64^3 that took a 60-draw
     covariance estimate from 92k minor page faults to none, in a process
@@ -281,25 +278,45 @@ def _even_product(spec: np.ndarray, half: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
+def _wrap_place(arr: np.ndarray, axis: int, size: int, start: int) -> np.ndarray:
+    """``arr`` placed from index ``start`` of ``axis`` in a complex zero array ``size`` long there, wrapping at its end."""
+    length = arr.shape[axis]
+    emb = np.zeros(arr.shape[:axis] + (size,) + arr.shape[axis + 1:], dtype=np.complex128)
+    head = min(length, size - start)
+    at = (slice(None),) * axis
+    emb[at + (slice(start, start + head),)] = arr[at + (slice(0, head),)]
+    emb[at + (slice(0, length - head),)] = arr[at + (slice(head, length),)]
+    return emb
+
+
 def _padded_fftn(block: np.ndarray, padded, offset) -> np.ndarray:
     """Standard-normalization DFT of ``block`` placed at ``offset`` in a zero lattice of shape ``padded``.
 
     Axis i of the block starts at index ``offset[i]`` and wraps past the end
-    of the lattice, so the placement is periodic. One axis at a time from
-    the last: the axis-2 pass transforms only the block rows and the axis-1
-    pass only the block slabs, each result placed before the next pass. The
+    of the lattice (:func:`_wrap_place`). One axis at a time from the last:
+    the axis-2 pass transforms only the block rows and the axis-1 pass only
+    the block slabs, each result placed before the next pass. The
     arithmetic is complex, so a real block takes the transform of its
     complex copy; ``block`` is not written to.
     """
     out = block
     for axis in (2, 1, 0):
-        size, start, length = padded[axis], offset[axis], out.shape[axis]
-        emb = np.zeros(out.shape[:axis] + (size,) + out.shape[axis + 1:], dtype=np.complex128)
-        head = min(length, size - start)
-        at = (slice(None),) * axis
-        emb[at + (slice(start, start + head),)] = out[at + (slice(0, head),)]
-        emb[at + (slice(0, length - head),)] = out[at + (slice(head, length),)]
-        out = _sfft.fft(emb, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
+        out = _sfft.fft(_wrap_place(out, axis, padded[axis], offset[axis]), axis=axis,
+                        overwrite_x=True, workers=_FFT_WORKERS)
+    return out
+
+
+def _padded_ifftn(block: np.ndarray, dims, offset) -> np.ndarray:
+    """Inverse DFT of ``block`` placed as in :func:`_padded_fftn` in a zero lattice of shape ``dims``.
+
+    The mirror of :func:`_padded_fftn`, from axis 0: the axis-0 pass
+    transforms only the block's (n1, n2) columns and the axis-1 pass only
+    their n2 planes. Each line is transformed as in the whole inverse.
+    """
+    out = block
+    for axis in (0, 1, 2):
+        out = _sfft.ifft(_wrap_place(out, axis, dims[axis], offset[axis]), axis=axis,
+                         overwrite_x=True, workers=_FFT_WORKERS)
     return out
 
 
@@ -337,23 +354,3 @@ def _cropped_ifftn(spec: np.ndarray, dims, half: np.ndarray) -> np.ndarray:
     out = _sfft.ifft(out, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, : dims[1]]
     out = _sfft.ifft(out, axis=2, overwrite_x=True, workers=_FFT_WORKERS)[:, :, : dims[2]]
     return np.ascontiguousarray(out)
-
-
-def _rows_ifftn(spec: np.ndarray, rows, dims) -> np.ndarray:
-    """Standard-normalization inverse DFT on a lattice of shape ``dims`` of a spectrum given on ``rows``.
-
-    ``rows`` holds one sorted index array per axis, and ``spec`` the spectrum
-    at ``np.ix_(*rows)``; the spectrum is zero elsewhere. One axis at a time
-    from axis 0, the mirror of :func:`_padded_fftn`: each pass places its
-    input at its rows in a zero array of full length along its axis, so the
-    axis-0 pass transforms only the (n1, n2) columns of the rows and the
-    axis-1 pass only their n2 planes; the axis-2 pass covers the lattice.
-    Each line that is computed is transformed as in the whole-lattice
-    inverse, and with every index as its rows this is that inverse.
-    """
-    out = spec
-    for axis, picked in enumerate(rows):
-        emb = np.zeros(out.shape[:axis] + (dims[axis],) + out.shape[axis + 1:], dtype=np.complex128)
-        emb[(slice(None),) * axis + (picked,)] = out
-        out = _sfft.ifft(emb, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
-    return out

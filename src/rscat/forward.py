@@ -188,20 +188,16 @@ def _forget_source(dead):
         _SOURCE_MEMO.clear()
 
 
-def _axis_phases(k: float, d, grid: GridSpec, box) -> list:
-    """e^{i k d_a x_a} on the cell centers x_a of ``box``: one row per axis a, written by a cos and a sin."""
+def _plane_wave(k: float, d, grid: GridSpec, box) -> np.ndarray:
+    """e^{i k d . x} at the cell centers of ``box`` (per-axis inclusive index ranges)."""
+    # one row e^{i k d_a x_a} per axis, written by a cos and a sin
     rows = []
     for x0, kd, (lo, hi) in zip(grid.origin, k * np.asarray(d), box):
         theta = (x0 + grid.spacing * np.arange(lo, hi + 1)) * kd
         row = np.empty(theta.shape, dtype=np.complex128)
         row.real, row.imag = np.cos(theta), np.sin(theta)
         rows.append(row)
-    return rows
-
-
-def _plane_wave(k: float, d, grid: GridSpec, box) -> np.ndarray:
-    """e^{i k d . x} at the cell centers of ``box`` (per-axis inclusive index ranges)."""
-    px, py, pz = _axis_phases(k, d, grid, box)
+    px, py, pz = rows
     return px[:, None, None] * py[None, :, None] * pz[None, None, :]
 
 
@@ -768,6 +764,9 @@ class FarFieldSet:
             raise FieldFormatError(f"manifest missing key {e}") from None
         except ValueError as e:
             raise FieldFormatError(f"manifest holds an unparsable number: {e}") from None
+        for key, count in (("dirs_count", n_dirs), ("n_freq", n_freq)):
+            if count < 1:
+                raise FieldFormatError(f"manifest {key}={count} is not a positive count")
         with open(prefix + ".csv") as fh:
             header = fh.readline().strip()
             if header != "dir_x,dir_y,dir_z,k,re,im":

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DataCoverageError
-from .fields import GridSpec, ScalarField, _rows_ifftn
+from .fields import GridSpec, ScalarField, _padded_ifftn
 from .forward import _KIND_FORM, FarFieldSet, _mesh_spacing, _unit_rows
 
 PREFACTOR = 4.0 * math.sqrt(2.0 * math.pi)
@@ -160,17 +160,17 @@ def _check_sample_radius(tau: float, grid: GridSpec, where: str):
 
 
 def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
-    """Trilinear scatter of values[d, t], sampled at taus[t] * dirs[d], onto a block of the dual lattice.
+    """Trilinear scatter of values[d, t], sampled at taus[t] * dirs[d], onto a box of the dual lattice.
 
-    Per axis, the block's rows are the sorted lattice indices whose
-    frequency lies within one dual cell (the largest axis's) of the largest
-    sampled radius: they hold every trilinear corner that lands in the
-    coverage ball, and the whole ball. ``_check_sample_radius`` keeps the
-    rows below the grid Nyquist. Corners off the block fall outside the
-    ball, where the spectrum is zero, and are dropped. Returns the averaged
-    spectrum on the block (zero where nothing lands and beyond the ball),
-    its rows, the largest sampled radius and the fraction of in-ball cells
-    touched.
+    Per axis, the box holds the lattice indices -a .. a whose frequency lies
+    within one dual cell (the largest axis's) of the largest sampled radius:
+    every trilinear corner that lands in the coverage ball, and the whole
+    ball. A corner at lattice index i sits at box index i + a;
+    ``_check_sample_radius`` keeps the box below the grid Nyquist. Corners
+    off the box fall outside the ball, where the spectrum is zero, and are
+    dropped. Returns the averaged spectrum on the box (zero where nothing
+    lands and beyond the ball), its offset -a mod n per axis, the largest
+    sampled radius and the fraction of in-ball cells touched.
     """
     dims = grid.dims
     dxi = tuple(2.0 * np.pi / (d * grid.spacing) for d in dims)
@@ -179,12 +179,10 @@ def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
     tau_max = float(np.max(taus))
     _check_sample_radius(tau_max, grid, "largest sampled radius")
     reach = tau_max + max(dxi)
-    rows = tuple(np.flatnonzero(np.abs(grid.axis_frequencies(a)) <= reach) for a in range(3))
-    shape = tuple(len(r) for r in rows)
-    # block position of each lattice index, -1 off the block
-    where = [np.full(n, -1) for n in dims]
-    for w_a, r in zip(where, rows):
-        w_a[r] = np.arange(len(r))
+    # the frequencies within reach are those of the indices -a .. a
+    half = np.array([np.count_nonzero(np.abs(grid.axis_frequencies(a)) <= reach) // 2
+                     for a in range(3)])
+    shape = tuple(2 * half + 1)
     frac = pts / np.asarray(dxi)[None, :]
     i0 = np.floor(frac).astype(int)
     w = frac - i0
@@ -192,11 +190,10 @@ def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
     for corner in range(8):
         off = np.array([(corner >> b) & 1 for b in range(3)])
         wgts.append(np.prod(np.where(off[None, :], w, 1.0 - w), axis=1))
-        ii = (i0 + off[None, :]) % np.asarray(dims)[None, :]
-        cells.append(np.stack([w_a[ii[:, a]] for a, w_a in enumerate(where)], axis=1))
+        cells.append(i0 + off[None, :] + half[None, :])
     # corner by corner, each point in order: the order of summation per cell
     cells, wgts = np.concatenate(cells), np.concatenate(wgts)
-    kept = np.all(cells >= 0, axis=1)
+    kept = np.all((cells >= 0) & (cells < np.asarray(shape)[None, :]), axis=1)
     flat = np.ravel_multi_index(tuple(cells[kept].T), shape)
     wgts, wv = wgts[kept], (wgts * np.tile(vals, 8))[kept]
     size = int(np.prod(shape))
@@ -207,25 +204,27 @@ def _scatter_polar_samples(taus, dirs, values, grid: GridSpec):
     filled = den > 1e-12
     spec = np.zeros(size, dtype=np.complex128)
     spec[filled] = num[filled] / den[filled]
-    ball = grid.frequency_magnitude(rows).ravel() <= reach
+    ball = grid.frequency_magnitude(half).ravel() <= reach
     spec[~ball] = 0.0
     coverage = float(np.count_nonzero(filled & ball)) / max(int(np.count_nonzero(ball)), 1)
-    return spec.reshape(shape), rows, tau_max, coverage
+    offset = tuple(int(-a % n) for a, n in zip(half, dims))
+    return spec.reshape(shape), offset, tau_max, coverage
 
 
-def _inverse_strength_transform(spec: np.ndarray, rows, grid: GridSpec) -> np.ndarray:
+def _inverse_strength_transform(spec: np.ndarray, offset, grid: GridSpec) -> np.ndarray:
     """Real part of the inverse transform with the (2 pi)^(-3/2) convention, on the grid's x lattice.
 
-    ``spec`` holds the spectrum on the dual-lattice ``rows``, one sorted
-    index array per axis, and the spectrum is zero elsewhere.
+    ``spec`` holds the spectrum on the box of the dual lattice that starts
+    at ``offset`` and wraps past the end of each axis; it is zero elsewhere.
     """
     dims = grid.dims
     phases = []
     for a in range(3):
-        phases.append(np.exp(1j * grid.axis_frequencies(a) * grid.origin[a])[rows[a]])
+        row = np.exp(1j * grid.axis_frequencies(a) * grid.origin[a])
+        phases.append(np.roll(row, -offset[a])[: spec.shape[a]])
     block = spec * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
     dxi3 = np.prod([2.0 * np.pi / (d * grid.spacing) for d in dims])
-    mu = _rows_ifftn(block, rows, dims)
+    mu = _padded_ifftn(block, dims, offset)
     # scaled in place: a second lattice-sized array would cost its page faults
     np.multiply(mu, (2.0 * np.pi) ** -1.5 * dxi3 * grid.n_cells, out=mu)
     # the real part inverts the Hermitian part (spec(xi) + conj spec(-xi)) / 2
@@ -268,8 +267,11 @@ class RecoveryReport:
 
 
 def _assemble_report(taus, dirs, values, grid, ground_truth, extra_metrics):
-    spec, rows, tau_max, coverage = _scatter_polar_samples(taus, dirs, values, grid)
-    rec = _inverse_strength_transform(spec, rows, grid)
+    if ground_truth is not None and ground_truth.grid != grid:
+        raise ConfigurationError(
+            f"ground truth lies on {ground_truth.grid}, not on the reconstruction grid {grid}")
+    spec, offset, tau_max, coverage = _scatter_polar_samples(taus, dirs, values, grid)
+    rec = _inverse_strength_transform(spec, offset, grid)
     clipped = np.maximum(rec, 0.0)
     metrics = {
         "tau_max": tau_max,

@@ -276,6 +276,21 @@ def test_recover_bad_csv_header_exits_2(tmp_path, capsys):
     assert "unexpected CSV header 'x,y,z,k,re,im'" in capsys.readouterr().err
 
 
+def test_recover_negative_manifest_counts_exit_2(tmp_path, capsys):
+    # negated counts keep their product, the number of CSV rows
+    path = _write(tmp_path, MINIMAL)
+    pre = str(tmp_path / "sweep")
+    assert run_command(["sweep", "--config", path, "--out-prefix", pre]) == 0
+    text = open(pre + ".manifest.txt").read()
+    for key in ("dirs_count=", "n_freq="):
+        text = text.replace(key, key + "-")
+    with open(pre + ".manifest.txt", "w") as fh:
+        fh.write(text)
+    assert run_command(["recover-source", "--config", path,
+                        "--data-prefix", pre, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "is not a positive count" in capsys.readouterr().err
+
+
 def test_recover_kind_mismatch_exits_2(tmp_path, capsys):
     # the config has a rough potential, so only the data kind is wrong
     path = _write(tmp_path, SEPARATED)

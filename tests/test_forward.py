@@ -1171,6 +1171,21 @@ def test_farfieldset_load_rejects_a_missing_manifest_key(tmp_path, key):
         FarFieldSet.load(prefix)
 
 
+@pytest.mark.parametrize("counts", [{"dirs_count": -1, "n_freq": -6}, {"n_freq": 0}],
+                         ids=["both-negative", "no-frequencies"])
+def test_farfieldset_load_rejects_a_count_that_is_not_positive(tmp_path, counts):
+    # -1 x -6 matches the six CSV rows, so only the sign of each count stops it
+    prefix = _saved_pair(tmp_path)
+    manifest = prefix + ".manifest.txt"
+    lines = [line for line in open(manifest).read().splitlines()
+             if line.partition("=")[0] not in counts]
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(lines + [f"{key}={n}" for key, n in counts.items()]) + "\n")
+    key, n = next(iter(counts.items()))
+    with pytest.raises(FieldFormatError, match=f"manifest {key}={n} is not a positive count"):
+        FarFieldSet.load(prefix)
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda header, rows: ["dir_x,dir_y,dir_z,freq,re,im"] + rows, "unexpected CSV header"),
     (lambda header, rows: rows, "unexpected CSV header"),

@@ -387,8 +387,8 @@ def _just_below_bound(grid):
 
 _NONCUBIC = GridSpec((16, 32, 64), (-0.45, -1.2, -1.9), 0.0625)
 
-# (grid, directions, taus, strength centre); the block's rows span
-# -reach..reach per axis, and the last two cases end at the bound
+# (grid, directions, taus, strength centre, reach); the box spans the
+# lattice indices -reach .. reach per axis, and two cases end at the bound
 BLOCK_CASES = {
     "criterion-1": (GridSpec.centered(64, 2.0 / 64), fibonacci_sphere(64),
                     np.arange(90) * 2 * 20.0 / 256, (0.0, 0.0, 0.0), (5, 5, 5)),
@@ -411,18 +411,34 @@ BLOCK_CASES = {
 def test_block_reconstruction_matches_the_whole_lattice(case):
     grid, dirs, taus, centre, reach = BLOCK_CASES[case]
     values = _offcentre_samples(taus, dirs, np.asarray(centre), np.random.default_rng(27))
-    spec, rows, _, _ = _scatter_polar_samples(taus, dirs, values, grid)
-    want_rows = [np.sort(np.arange(-r, r + 1) % n) for r, n in zip(reach, grid.dims)]
-    assert all(np.array_equal(got, want) for got, want in zip(rows, want_rows))
-    assert spec.shape == tuple(len(r) for r in rows)
+    spec, offset, _, _ = _scatter_polar_samples(taus, dirs, values, grid)
+    assert offset == tuple(-r % n for r, n in zip(reach, grid.dims))
+    assert spec.shape == tuple(2 * r + 1 for r in reach)
     whole, tau_max, coverage = _whole_lattice_scatter(taus, dirs, values, grid)
-    assert np.all(np.delete(whole.ravel(), np.ravel_multi_index(np.ix_(*rows), grid.dims).ravel()) == 0)
+    # the box's spectrum is the whole lattice's on the indices -reach .. reach, zero elsewhere
+    centred = np.roll(whole, reach, axis=(0, 1, 2))
+    box = tuple(slice(0, 2 * r + 1) for r in reach)
+    assert np.array_equal(spec, centred[box])
+    centred[box] = 0
+    assert np.all(centred == 0)
     rec = _whole_lattice_inverse(whole, grid)
     report = _assemble_report(taus, dirs, values, grid, None, {})
     assert report.mu_rec_unclipped.data.tobytes() == rec.tobytes()
     assert report.mu_rec.data.tobytes() == np.maximum(rec, 0.0).tobytes()
     assert report.metrics["tau_max"] == tau_max
     assert report.metrics["cartesian_coverage"] == coverage
+
+
+@pytest.mark.parametrize("truth_grid", [GridSpec.centered(16, 0.1), GridSpec.centered(32, 0.125)],
+                         ids=["other-spacing", "other-dims"])
+def test_assemble_report_rejects_a_ground_truth_on_another_grid(truth_grid):
+    grid = GridSpec.centered(16, 0.125)
+    mu = gaussian_bump_field(truth_grid, (0.0, 0.0, 0.0), 1.0, 0.2, cutoff_radii=3.0)
+    dirs = fibonacci_sphere(8)
+    taus = np.arange(5) * 0.5
+    values = np.ones((len(dirs), len(taus)), dtype=np.complex128)
+    with pytest.raises(ConfigurationError, match="not on the reconstruction grid"):
+        _assemble_report(taus, dirs, values, grid, mu, {})
 
 
 def test_recover_source_zero_data(grid16):

@@ -5,10 +5,11 @@ from rscat import GridSpec, fields, forward, validate
 from rscat.cli import run_command
 
 # each certified transform, the far-field sum and the band estimator among
-# them, and a mutant of it that its check must reject
+# them, and a mutant of it that each of its checks must reject
 _PADDED = validate._padded_fftn
 _INVERSE = validate._inverse_strength_transform
 _IRFFTN = validate._irfftn
+_PLACE = fields._wrap_place
 _FARFIELD = forward._farfield_batch
 _FOLD = forward._fold
 _EVEN = forward._even_spectrum
@@ -20,15 +21,15 @@ def _flipped_offset(block, padded, offset):
     return _PADDED(block, padded, tuple(-o % p for o, p in zip(offset, padded)))
 
 
-def _no_origin_phase(spec, rows, grid):
-    return _INVERSE(spec, rows, GridSpec(grid.dims, (0.0, 0.0, 0.0), grid.spacing))
+def _no_origin_phase(spec, offset, grid):
+    return _INVERSE(spec, offset, GridSpec(grid.dims, (0.0, 0.0, 0.0), grid.spacing))
 
 
-def _axis1_rows_shifted(spec, rows, grid):
-    # a block's axis-1 rows are placed one index after the ones given
-    if len(rows[1]) < grid.dims[1]:
-        rows = (rows[0], (rows[1] + 1) % grid.dims[1], rows[2])
-    return _INVERSE(spec, rows, grid)
+def _axis1_rows_shifted(spec, offset, grid):
+    # a box's axis-1 rows are placed one index after the ones given
+    if spec.shape[1] < grid.dims[1]:
+        offset = (offset[0], (offset[1] + 1) % grid.dims[1], offset[2])
+    return _INVERSE(spec, offset, grid)
 
 
 def _short_last_axis(arr, dims):
@@ -37,15 +38,12 @@ def _short_last_axis(arr, dims):
 
 def _box_shifted_one_cell(arr, dims, keep=None):
     if keep is not None:
-        keep = tuple(slice(k.start + 1, k.stop + 1) if isinstance(k, slice) else k for k in keep)
+        keep = tuple(slice(k.start + 1, k.stop + 1) for k in keep)
     return _IRFFTN(arr, dims, keep)
 
 
-def _axis1_indices_shifted(arr, dims, keep=None):
-    # an index array on axis 1 reads the column after each one asked for
-    if keep is not None and not isinstance(keep[1], slice):
-        keep = (keep[0], (keep[1] + 1) % dims[1], keep[2])
-    return _IRFFTN(arr, dims, keep)
+def _placement_one_cell_late(arr, axis, size, start):
+    return _PLACE(arr, axis, size, (start + 1) % size)
 
 
 def _no_imaginary_product(g, *args):
@@ -106,8 +104,9 @@ MUTANTS = {
                                validate.check_real_transform_pair),
     "box-shifted-one-cell": (validate, "_irfftn", _box_shifted_one_cell,
                              validate.check_real_transform_pair),
-    "axis1-indices-shifted": (validate, "_irfftn", _axis1_indices_shifted,
-                              validate.check_real_transform_pair),
+    "placement-one-cell-late": (fields, "_wrap_place", _placement_one_cell_late,
+                                validate.check_resolvent_transform_pair,
+                                validate.check_reconstruction_phase),
     "spectrum-mirror-off-by-one": (fields, "_even_product", _mirror_off_by_one,
                                    validate.check_resolvent_symmetry),
     "spectrum-axis1-mirror-off-by-one": (forward, "_even_spectrum", _axis1_mirror_off_by_one,
@@ -127,10 +126,11 @@ MUTANTS = {
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_transform_check_fails_under_its_mutation(monkeypatch, mutant):
-    module, name, replacement, check = MUTANTS[mutant]
+    module, name, replacement, *checks = MUTANTS[mutant]
     monkeypatch.setattr(module, name, replacement)
-    ok, detail = check()
-    assert not ok, detail
+    for check in checks:
+        ok, detail = check()
+        assert not ok, detail
 
 
 def _status_lines(out):
